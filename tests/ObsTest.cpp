@@ -17,13 +17,18 @@
 #include "api/Bayonet.h"
 #include "obs/Log.h"
 #include "scenarios/Scenarios.h"
+#include "support/Snapshot.h"
 #include "translate/Translator.h"
 
 #include "TestNetworks.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <regex>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -746,4 +751,147 @@ TEST(Obs, LogJsonEscapesControlCharsAndInvalidUtf8) {
   setLogJson(false);
   EXPECT_EQ(formatLogLine(LogLevel::Warn, "e", "plain", {}),
             "warning: plain");
+}
+
+//===----------------------------------------------------------------------===//
+// Golden pin: engine boundary outputs
+//===----------------------------------------------------------------------===//
+
+// Every engine feeds its sinks (budget, checkpoint, metrics, profiler,
+// diagnostics, progress board, trace) at serial boundaries. These runs pin
+// what those sinks end up holding — the timestamp-stripped trace, the
+// metric fingerprint, the DiagReport JSON, and the canonical profile
+// counts — byte for byte against files under tests/golden/, for a
+// completed run, a budget-tripped run, a checkpointed run, and a
+// cancelled checkpointed run of each engine. On a mismatch the actual
+// output is written to golden.actual/ under the test's working directory;
+// copying it over the golden file accepts an intended change.
+
+namespace {
+
+struct GoldenRun {
+  const char *Name;
+  const char *Program;
+  EngineChoice Engine;
+  uint64_t MaxStates = 0;
+  uint64_t MaxBytes = 0;
+  const char *Fault = "";
+  bool Checkpoint = false;
+};
+
+std::string goldenOutputs(const GoldenRun &G) {
+  DiagEngine Diags;
+  auto Net = loadNetworkFile(
+      std::string(BAYONET_EXAMPLES_DIR) + "/" + G.Program, Diags);
+  if (!Net)
+    return "load failed: " + Diags.toString();
+  auto Ctx = std::make_shared<ObsContext>(true, true, true, true);
+  InferenceOptions Opts;
+  Opts.Engine = G.Engine;
+  Opts.Threads = 1;
+  Opts.Particles = 500;
+  Opts.Seed = 7;
+  Opts.Limits.MaxStates = G.MaxStates;
+  Opts.Limits.MaxBytes = G.MaxBytes;
+  Opts.Limits.Fault = G.Fault;
+  Opts.Obs = Ctx;
+  const std::string Snap =
+      ::testing::TempDir() + "bayonet_golden_" + G.Name + ".snap";
+  if (G.Checkpoint) {
+    CheckpointOptions CO;
+    CO.OutPath = Snap;
+    CO.Every = 1;
+    Opts.Checkpoint = std::make_shared<Checkpointer>(CO);
+  }
+  InferenceResult R = runInference(*Net, Opts);
+  std::remove(Snap.c_str());
+  std::remove((Snap + ".prev").c_str());
+  return "status: " + R.Status.toString() + "\n== metrics ==\n" +
+         metricFingerprint(*Ctx) + "\n== diag ==\n" +
+         Ctx->diag()->report().toJson() + "\n== profile ==\n" +
+         Ctx->profiler()->renderCanonicalCounts() + "== trace ==\n" +
+         stripTimestamps(Ctx->tracer()->renderChromeJson()) + "\n";
+}
+
+void expectGolden(const GoldenRun &G) {
+  const std::string Actual = goldenOutputs(G);
+  const std::string File = std::string(G.Name) + ".txt";
+  std::ifstream In(std::string(BAYONET_GOLDEN_DIR) + "/" + File);
+  std::stringstream Expected;
+  Expected << In.rdbuf();
+  if (In && Expected.str() == Actual)
+    return;
+  std::filesystem::create_directories("golden.actual");
+  std::ofstream("golden.actual/" + File) << Actual;
+  ADD_FAILURE() << G.Name << ": output differs from tests/golden/" << File
+                << "; actual written to golden.actual/" << File;
+}
+
+} // namespace
+
+TEST(ObsGolden, ExactGossip) {
+  expectGolden({"exact_gossip4", "gossip4.bay", EngineChoice::Exact});
+}
+
+TEST(ObsGolden, SmcGossip) {
+  expectGolden({"smc_gossip4", "gossip4.bay", EngineChoice::Smc});
+}
+
+// Observations kill particles here, so the resample path is pinned too.
+TEST(ObsGolden, SmcResampling) {
+  expectGolden({"smc_reliability_bayes_13", "reliability_bayes_13.bay",
+                EngineChoice::Smc});
+}
+
+TEST(ObsGolden, TranslatedFigure2) {
+  expectGolden({"translated_figure2", "figure2.bay", EngineChoice::Translated});
+}
+
+// Budget trips: the byte budget stops the exact engines mid-step (the
+// abort path restores the last boundary); the sampler charges its bytes at
+// init, so its state budget trips at a step boundary instead.
+TEST(ObsGolden, ExactBudgetTrip) {
+  expectGolden({"budget_exact_gossip4", "gossip4.bay", EngineChoice::Exact, 0,
+                2000000});
+}
+
+TEST(ObsGolden, SmcBudgetTrip) {
+  expectGolden(
+      {"budget_smc_gossip4", "gossip4.bay", EngineChoice::Smc, 3000});
+}
+
+TEST(ObsGolden, TranslatedBudgetTrip) {
+  expectGolden({"budget_translated_figure2", "figure2.bay",
+                EngineChoice::Translated, 0, 1000000});
+}
+
+TEST(ObsGolden, ExactCheckpointEveryBoundary) {
+  expectGolden({"checkpoint_exact_gossip4", "gossip4.bay", EngineChoice::Exact,
+                0, 0, "", true});
+}
+
+TEST(ObsGolden, SmcCheckpointEveryBoundary) {
+  expectGolden({"checkpoint_smc_gossip4", "gossip4.bay", EngineChoice::Smc, 0,
+                0, "", true});
+}
+
+TEST(ObsGolden, TranslatedCheckpointEveryBoundary) {
+  expectGolden({"checkpoint_translated_figure2", "figure2.bay",
+                EngineChoice::Translated, 0, 0, "", true});
+}
+
+// A cancellation mid-step writes the final snapshot from the boundary mark.
+TEST(ObsGolden, ExactCancelWritesFinalSnapshot) {
+  expectGolden({"cancel_exact_gossip4", "gossip4.bay", EngineChoice::Exact, 0,
+                0, "cancel-at-3000", true});
+}
+
+TEST(ObsGolden, SmcCancelWritesFinalSnapshot) {
+  expectGolden({"cancel_smc_gossip4", "gossip4.bay", EngineChoice::Smc, 0, 0,
+                "cancel-at-3000", true});
+}
+
+TEST(ObsGolden, TranslatedCancelWritesFinalSnapshot) {
+  expectGolden({"cancel_translated_figure2", "figure2.bay",
+                EngineChoice::Translated, 0, 0, "cancel-at-50000", true});
 }
