@@ -61,9 +61,11 @@ python3 scripts/check_obs.py "$ObsTmp/trace.json" "$ObsTmp/metrics.prom" \
   "$ObsTmp/diag.json"
 
 echo "=== tier-1: diagnostics bit-identical across thread counts ==="
-for Engine in exact smc; do
+# translated runs PsiExact on figure2, so the PSI boundary is covered too.
+for Run in exact:gossip4 smc:gossip4 translated:figure2; do
+  Engine=${Run%%:*}
   for T in 1 2 8; do
-    ./build/examples/bayonet examples/programs/gossip4.bay \
+    ./build/examples/bayonet "examples/programs/${Run#*:}.bay" \
       --engine "$Engine" --particles 500 --seed 7 --threads "$T" \
       --diag-out="$ObsTmp/diag_${Engine}_$T.json" > /dev/null 2>&1
   done
@@ -124,10 +126,11 @@ echo "=== tier-1: profile counts bit-identical across thread counts ==="
 # The profiler's count columns are a deterministic function of the
 # program, engine, and seed: canonical count lines must be byte-identical
 # at --threads 1/2/8, with the transition cache on and off.
-for Engine in exact smc; do
+for Run in exact:gossip4 smc:gossip4 translated:figure2; do
+  Engine=${Run%%:*}
   for T in 1 2 8; do
     for Tx in on off; do
-      ./build/examples/bayonet examples/programs/gossip4.bay \
+      ./build/examples/bayonet "examples/programs/${Run#*:}.bay" \
         --engine "$Engine" --particles 500 --seed 7 --threads "$T" \
         --txcache "$Tx" \
         --profile-out="$ObsTmp/prof_${Engine}_${T}_${Tx}.json" \

@@ -6,13 +6,11 @@
 
 #include "interp/ExactEngine.h"
 
-#include "support/Snapshot.h"
+#include "obs/Boundary.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <map>
 #include <unordered_map>
 
 using namespace bayonet;
@@ -398,140 +396,83 @@ ExactResult ExactEngine::run() const {
     Result.Kind = Spec.Query->Kind;
   auto Sched = Scheduler::forSpec(Spec);
   const unsigned Threads = resolveThreads(Opts.Threads);
-
-  BudgetTracker *BT = Opts.Budget.get();
-  const std::atomic<bool> *StopF = BT ? &BT->stopFlag() : nullptr;
-  Checkpointer *CP = Opts.Checkpoint.get();
-  ObsContext *ObsC = Opts.Obs.get();
-  const uint64_t SpecFp = CP ? specFingerprint(Spec) : 0;
-  const uint64_t OptsFp = CP ? Fingerprint()
-                                   .mix(std::string("exact"))
-                                   .mix(Opts.MergeStates)
-                                   .mix(Opts.MaxFrontier)
-                                   .mix(Opts.CollectTerminals)
-                                   .mix(Opts.TxCacheBytes)
-                                   .mix(Opts.InternBytes)
-                                   .value()
-                             : 0;
-  if (CP) {
-    // Must run before the first span opens: restoring the trace arms span
-    // adoption for the spans that were open at the snapshot boundary.
-    CP->restoreCommon(BT, ObsC);
-    if (CP->resumeFailed()) {
-      // A requested resume without a valid snapshot is an error, never a
-      // silent fresh start.
-      Result.Status =
-          EngineStatus::invalid("cannot resume: " + CP->resumeError());
-      Result.WallMs = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - WallStart)
-                          .count();
-      return Result;
-    }
-  }
-  ObsHandle O(Opts.Obs);
-  Span RunSpan = O.span("exact.run");
-  DiagCollector *DC = O.diag();
-  if (DC)
-    DC->beginEngine("exact");
-  // Profiler attach (serial): push the engine frame, intern the phase
-  // frames, register every node program under expand (assigning each
-  // statement its dense ProfIndex), and size the per-lane shard arrays.
-  // Runs after restoreCommon so a resumed aggregate re-interns to the same
-  // slots the statements are about to be charged through.
-  Profiler *PF = ObsC ? ObsC->profiler() : nullptr;
-  Profiler::Scope ProfRun(PF, "exact");
-  uint32_t ProfStep = Profiler::InvalidSlot;
-  uint32_t ProfExpand = Profiler::InvalidSlot;
-  uint32_t ProfMerge = Profiler::InvalidSlot;
-  uint32_t ProfIntern = Profiler::InvalidSlot;
-  std::vector<Profiler::DefFrames> ProfDefs;
-  // Per-lane scratch over the largest def's statement range, used to
-  // record a cache-miss expansion's counts into the staged entry.
-  std::vector<std::vector<uint64_t>> ProfScratch;
-  if (PF) {
-    ProfStep = PF->push("step");
-    ProfExpand = PF->push("expand");
-    ProfDefs.resize(Spec.NodePrograms.size());
-    size_t MaxStmts = 0;
-    std::map<const DefDecl *, Profiler::DefFrames> SeenDefs;
-    for (size_t N = 0; N < Spec.NodePrograms.size(); ++N) {
-      const DefDecl *Def = Spec.NodePrograms[N];
-      if (!Def)
-        continue;
-      auto It = SeenDefs.find(Def);
-      if (It == SeenDefs.end())
-        It = SeenDefs.emplace(Def, PF->registerDef(*Def)).first;
-      ProfDefs[N] = It->second;
-      MaxStmts = std::max(MaxStmts, static_cast<size_t>(ProfDefs[N].Count));
-    }
-    PF->pop(); // expand
-    ProfMerge = PF->internAt(ProfStep, "merge", {});
-    if (Opts.InternBytes)
-      ProfIntern = PF->internAt(ProfStep, "intern", {});
-    if (Opts.TxCacheBytes)
-      PF->internAt(ProfStep, "txcache", {});
-    PF->pop(); // step
-    PF->beginLanes(Threads);
-    if (Opts.TxCacheBytes)
-      ProfScratch.assign(Threads, std::vector<uint64_t>(MaxStmts, 0));
-  }
-  if (ProgressBoard *PB = O.progress()) {
-    ProgressUpdate PU;
-    PU.EngineTag = packTag("exact");
-    PU.PhaseTag = packTag("run");
-    PB->publish(PU);
-  }
   auto setWall = [&] {
     Result.WallMs = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - WallStart)
                         .count();
   };
 
+  BudgetTracker *BT = Opts.Budget.get();
+  const std::atomic<bool> *StopF = BT ? &BT->stopFlag() : nullptr;
+  Checkpointer *CP = Opts.Checkpoint.get();
+  Boundary Bound(EngineKind::Exact, "exact", Opts.Obs.get(), BT, CP);
+  if (CP) {
+    Bound.SpecFp = specFingerprint(Spec);
+    Bound.OptsFp = Fingerprint()
+                   .mix(std::string("exact"))
+                   .mix(Opts.MergeStates)
+                   .mix(Opts.MaxFrontier)
+                   .mix(Opts.CollectTerminals)
+                   .mix(Opts.TxCacheBytes)
+                   .mix(Opts.InternBytes)
+                   .value();
+  }
+  if (auto St = Bound.attach({.Lanes = Threads,
+                              .Spec = &Spec,
+                              .InternFrame = Opts.InternBytes != 0,
+                              .TxCacheFrame = Opts.TxCacheBytes != 0})) {
+    Result.Status = *St;
+    setWall();
+    return Result;
+  }
+  ObsHandle O(Opts.Obs);
+  Profiler *PF = Bound.profiler();
+  const std::vector<Profiler::DefFrames> &ProfDefs = Bound.defs();
+  // Per-lane scratch over the largest def's statement range, used to
+  // record a cache-miss expansion's counts into the staged entry.
+  std::vector<std::vector<uint64_t>> ProfScratch;
+  if (PF && Opts.TxCacheBytes) {
+    uint32_t MaxStmts = 0;
+    for (const Profiler::DefFrames &DF : ProfDefs)
+      MaxStmts = std::max(MaxStmts, DF.Count);
+    ProfScratch.assign(Threads, std::vector<uint64_t>(MaxStmts, 0));
+  }
+
   // Boundary snapshot of everything the run reports. Budget *decisions*
   // happen serially at scheduler-step boundaries, but cancellation, the
   // wall-clock deadline, and the byte gauge can stop a step midway; in that
   // case the partial work is discarded and the result restored to the last
   // completed boundary, so what a failed run reports is bit-identical for
-  // any thread count regardless of which stop class fired.
-  struct BoundarySnap {
-    SymProb QueryMass, OkMass, ErrorMass;
-    bool QueryUnsupported = false;
-    std::string UnsupportedReason;
-    size_t ConfigsExpanded = 0, MaxFrontierSize = 0, MergeHits = 0;
-    size_t MergeAttempts = 0;
-    size_t TerminalConfigs = 0;
-    size_t TerminalCount = 0;
-    int64_t StepsUsed = 0;
-    uint64_t TxHits = 0, TxMisses = 0;
-    std::vector<size_t> WorkerConfigsExpanded;
+  // any thread count regardless of which stop class fired. Terminals only
+  // grow within a step, so they are restored by length, never copied.
+  ExactResult Saved;
+  size_t SavedTerminals = 0;
+  Bound.Save = [&] {
+    auto Terminals = std::move(Result.Terminals);
+    Saved = Result;
+    Result.Terminals = std::move(Terminals);
+    SavedTerminals = Result.Terminals.size();
   };
-  BoundarySnap Snap;
-  auto takeSnapshot = [&] {
-    Snap = {Result.QueryMass,        Result.OkMass,
-            Result.ErrorMass,        Result.QueryUnsupported,
-            Result.UnsupportedReason, Result.ConfigsExpanded,
-            Result.MaxFrontierSize,  Result.MergeHits,
-            Result.MergeAttempts,    Result.TerminalConfigs,
-            Result.Terminals.size(), Result.StepsUsed,
-            Result.TxHits,           Result.TxMisses,
-            Result.WorkerConfigsExpanded};
+  Bound.Restore = [&] {
+    auto Terminals = std::move(Result.Terminals);
+    Result = Saved;
+    Terminals.resize(SavedTerminals);
+    Result.Terminals = std::move(Terminals);
   };
-  auto restoreSnapshot = [&] {
-    Result.QueryMass = Snap.QueryMass;
-    Result.OkMass = Snap.OkMass;
-    Result.ErrorMass = Snap.ErrorMass;
-    Result.QueryUnsupported = Snap.QueryUnsupported;
-    Result.UnsupportedReason = Snap.UnsupportedReason;
-    Result.ConfigsExpanded = Snap.ConfigsExpanded;
-    Result.MaxFrontierSize = Snap.MaxFrontierSize;
-    Result.MergeHits = Snap.MergeHits;
-    Result.MergeAttempts = Snap.MergeAttempts;
-    Result.TerminalConfigs = Snap.TerminalConfigs;
-    Result.Terminals.resize(Snap.TerminalCount);
-    Result.StepsUsed = Snap.StepsUsed;
-    Result.TxHits = Snap.TxHits;
-    Result.TxMisses = Snap.TxMisses;
-    Result.WorkerConfigsExpanded = Snap.WorkerConfigsExpanded;
+  // A mid-step budget or cancel stop reports the last completed boundary.
+  auto stopMidStep = [&] {
+    Bound.abort();
+    Result.Status = BT->status();
+    setWall();
+  };
+  // The engine's own frontier cap keeps the partial step's counts.
+  auto frontierTrip = [&](size_t Size) {
+    Bound.abort();
+    Result.QueryUnsupported = true;
+    Result.UnsupportedReason = "frontier size limit exceeded";
+    Result.Status.Code = StatusCode::BudgetExceeded;
+    Result.Status.Violation = {BudgetClass::Frontier, Size, Opts.MaxFrontier};
+    setWall();
   };
 
   using Frontier = std::vector<std::pair<NetConfig, SymProb>>;
@@ -567,14 +508,7 @@ ExactResult ExactEngine::run() const {
   };
 
   int64_t StartStep = 0;
-  if (CP && CP->resumed()) {
-    SnapReader *R = CP->beginEngine("exact", SpecFp, OptsFp);
-    if (!R) {
-      Result.Status =
-          EngineStatus::invalid("cannot resume: " + CP->resumeError());
-      setWall();
-      return Result;
-    }
+  if (SnapReader *R = Bound.resumeReader()) {
     BlockReadTable T;
     StartStep = R->i64();
     uint64_t N = R->count();
@@ -703,7 +637,7 @@ ExactResult ExactEngine::run() const {
     if (Arena)
       Arena->snapshotTo(W, T);
   };
-  BoundaryMark Mark;
+  Bound.Payload = SerializeState;
 
   // Per-lane scheduler-choice scratch: choicesInto fills these in place so
   // steady-state expansion allocates nothing per configuration.
@@ -912,68 +846,30 @@ ExactResult ExactEngine::run() const {
   for (int64_t Step = StartStep; Step <= Spec.NumSteps; ++Step) {
     if (Cur.empty())
       break;
-    if (CP) {
-      // Serial boundary: everything charged so far is a pure function of
-      // the workload, so a snapshot taken here resumes bit-identically at
-      // any thread count. Written before the budget/obs charges below so a
-      // resumed run re-executes them exactly once.
-      BoundStep = Step;
-      CP->maybeWrite("exact", SpecFp, OptsFp, BT, ObsC, SerializeState);
-      if (CP->crashed()) {
-        Result.Status = injectedCrashStatus();
-        setWall();
-        return Result;
-      }
-      Mark.Valid = true;
-      if (BT)
-        Mark.Spend = BT->spendSnapshot();
-      if (ObsC && ObsC->tracer()) {
-        Mark.TraceOpenStack.clear();
-        ObsC->tracer()->captureMark(Mark.TraceEvents, Mark.TraceNextId,
-                                    Mark.TraceOpenStack);
-      }
-    }
-    if (BT) {
-      // Deterministic budget decision at the step boundary: a pure function
-      // of the cumulative counters, independent of thread interleaving.
-      if (!BT->checkpoint(Cur.size())) {
-        if (CP && BT->cancelled())
-          CP->writeFinal("exact", SpecFp, OptsFp, BT, ObsC, SerializeState);
-        Result.Status = BT->status();
-        setWall();
-        return Result;
-      }
-      BT->chargeSchedStep();
-      BT->resetBytes(); // The byte gauge tracks the frontier being built.
-      takeSnapshot();
+    BoundStep = Step;
+    if (auto St = Bound.open(Cur.size())) {
+      Result.Status = *St;
+      setWall();
+      return Result;
     }
     Result.MaxFrontierSize = std::max(Result.MaxFrontierSize, Cur.size());
     Result.StepsUsed = Step;
     bool LastStep = Step == Spec.NumSteps;
 
-    // Obs: one span per scheduler round, metrics charged as deltas when the
-    // round completes (a serial point — counted quantities are therefore
-    // independent of the thread count). Rounds cut short by a budget stop
-    // charge nothing; the boundary restore keeps that deterministic too.
-    Span StepSpan = O.span("exact.step");
-    Profiler::Scope ProfStepScope(PF, "step");
-    std::chrono::steady_clock::time_point StepT0;
-    const size_t ObsPrevExpanded = Result.ConfigsExpanded;
-    const size_t ObsPrevAttempts = Result.MergeAttempts;
-    const size_t ObsPrevHits = Result.MergeHits;
-    const uint64_t ObsPrevTxHits = Result.TxHits;
-    const uint64_t ObsPrevTxMisses = Result.TxMisses;
-    const uint64_t ObsPrevTxEvictions = Result.TxEvictions;
-    const uint64_t ObsPrevInternHits = Result.InternHits;
-    const uint64_t ObsPrevInternMisses = Result.InternMisses;
-    const uint64_t ObsPrevInternEvictions = Result.InternEvictions;
-    if (O) {
-      StepT0 = std::chrono::steady_clock::now();
-      if (O.tracing()) {
-        StepSpan.arg("step", static_cast<uint64_t>(Step));
-        StepSpan.arg("frontier_in", static_cast<uint64_t>(Cur.size()));
-      }
-    }
+    // One span per scheduler round; the round's counts reach the sinks as
+    // deltas when it completes (Bound.commit below, a serial point — counted
+    // quantities are therefore independent of the thread count). Rounds
+    // cut short by a stop charge nothing (Bound.abort).
+    Boundary::Step StepObs = Bound.beginStep(Step, Cur.size());
+    const size_t PrevExpanded = Result.ConfigsExpanded;
+    const size_t PrevAttempts = Result.MergeAttempts;
+    const size_t PrevHits = Result.MergeHits;
+    const uint64_t PrevTxHits = Result.TxHits;
+    const uint64_t PrevTxMisses = Result.TxMisses;
+    const uint64_t PrevTxEvictions = Result.TxEvictions;
+    const uint64_t PrevInternHits = Result.InternHits;
+    const uint64_t PrevInternMisses = Result.InternMisses;
+    const uint64_t PrevInternEvictions = Result.InternEvictions;
 
     Frontier Next;
     if (Threads <= 1 || Cur.size() < Opts.ParallelThreshold) {
@@ -997,14 +893,7 @@ ExactResult ExactEngine::run() const {
                     addTo(Next, NextIndex, std::move(C2), std::move(W2));
                   });
         if (Next.size() > Opts.MaxFrontier) {
-          Result.QueryUnsupported = true;
-          Result.UnsupportedReason = "frontier size limit exceeded";
-          Result.Status.Code = StatusCode::BudgetExceeded;
-          Result.Status.Violation = {BudgetClass::Frontier, Next.size(),
-                                     Opts.MaxFrontier};
-          if (PF)
-            PF->discardLanes(); // Partial step: keep the boundary aggregate.
-          setWall();
+          frontierTrip(Next.size());
           return Result;
         }
       }
@@ -1053,14 +942,7 @@ ExactResult ExactEngine::run() const {
       if (BT && BT->stop()) {
         // Mid-step stop (cancel, deadline, byte trip): discard the lanes'
         // partial output and report the last completed boundary.
-        if (PF)
-          PF->discardLanes();
-        restoreSnapshot();
-        Result.Status = BT->status();
-        if (CP && BT->cancelled())
-          CP->writeFinal("exact", SpecFp, OptsFp, BT, ObsC, SerializeState,
-                         &Mark);
-        setWall();
+        stopMidStep();
         return Result;
       }
       if (Result.WorkerConfigsExpanded.size() < Lanes)
@@ -1120,14 +1002,7 @@ ExactResult ExactEngine::run() const {
       if (BT)
         BT->chargeMerges(StepHits);
       if (Total > Opts.MaxFrontier) {
-        Result.QueryUnsupported = true;
-        Result.UnsupportedReason = "frontier size limit exceeded";
-        Result.Status.Code = StatusCode::BudgetExceeded;
-        Result.Status.Violation = {BudgetClass::Frontier, Total,
-                                   Opts.MaxFrontier};
-        if (PF)
-          PF->discardLanes(); // Partial step: keep the boundary aggregate.
-        setWall();
+        frontierTrip(Total);
         return Result;
       }
       Next.reserve(Total);
@@ -1138,14 +1013,7 @@ ExactResult ExactEngine::run() const {
     if (BT && BT->stop()) {
       // A stop fired during the step (serial break, or phase 2 of the
       // parallel path): the step did not complete, so report the boundary.
-      if (PF)
-        PF->discardLanes();
-      restoreSnapshot();
-      Result.Status = BT->status();
-      if (CP && BT->cancelled())
-        CP->writeFinal("exact", SpecFp, OptsFp, BT, ObsC, SerializeState,
-                       &Mark);
-      setWall();
+      stopMidStep();
       return Result;
     }
     // Intern-arena publication first: canonical blocks staged this step
@@ -1188,160 +1056,28 @@ ExactResult ExactEngine::run() const {
         TxSpan.arg("bytes", Cache->bytes());
       }
     }
-    if (O) {
-      if (Cache) {
-        O.count(&EngineMetricIds::TxCacheHits,
-                Result.TxHits - ObsPrevTxHits);
-        O.count(&EngineMetricIds::TxCacheMisses,
-                Result.TxMisses - ObsPrevTxMisses);
-        O.count(&EngineMetricIds::TxCacheEvictions,
-                Result.TxEvictions - ObsPrevTxEvictions);
-        O.gaugeMax(&EngineMetricIds::TxCacheBytes, Result.TxBytes);
-      }
-      if (Arena) {
-        O.count(&EngineMetricIds::InternHits,
-                Result.InternHits - ObsPrevInternHits);
-        O.count(&EngineMetricIds::InternMisses,
-                Result.InternMisses - ObsPrevInternMisses);
-        O.count(&EngineMetricIds::InternEvictions,
-                Result.InternEvictions - ObsPrevInternEvictions);
-        O.gaugeMax(&EngineMetricIds::InternBytes, Result.InternBytes);
-      }
-      O.count(&EngineMetricIds::StatesExpanded,
-              Result.ConfigsExpanded - ObsPrevExpanded);
-      O.count(&EngineMetricIds::MergeAttempts,
-              Result.MergeAttempts - ObsPrevAttempts);
-      O.count(&EngineMetricIds::MergeHits, Result.MergeHits - ObsPrevHits);
-      O.count(&EngineMetricIds::SchedSteps);
-      O.gaugeMax(&EngineMetricIds::PeakFrontier, Cur.size());
-      O.observe(&EngineMetricIds::FrontierSize,
-                static_cast<double>(Cur.size()));
-      O.observe(&EngineMetricIds::StepDurMs,
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - StepT0)
-                    .count());
-      if (O.tracing())
-        StepSpan.arg("expanded", static_cast<uint64_t>(
-                                     Result.ConfigsExpanded - ObsPrevExpanded));
-    }
-    // Profiler boundary: fold the lanes' statement shards into the serial
-    // aggregate and charge the phase frames from the same deltas the
-    // metrics used. Everything here is integer counts summed at a serial
-    // point, so every count column is thread-count-invariant.
-    if (PF) {
-      ProfCounts PC;
-      PC.States = Result.ConfigsExpanded - ObsPrevExpanded;
-      PC.Execs = 1;
-      PF->charge(ProfExpand, PC);
-      PC = ProfCounts();
-      PC.MergeAttempts = Result.MergeAttempts - ObsPrevAttempts;
-      PC.MergeHits = Result.MergeHits - ObsPrevHits;
-      PC.Execs = 1;
-      PF->charge(ProfMerge, PC);
-      PC = ProfCounts();
-      PC.Execs = 1;
-      PF->charge(ProfStep, PC);
-      if (Arena && ProfIntern != Profiler::InvalidSlot) {
-        // Like the txcache frame below: only intern columns and wall time,
-        // work columns stay zero so the work fingerprint is identical with
-        // the arena off.
-        PC = ProfCounts();
-        PC.InternHits = Result.InternHits - ObsPrevInternHits;
-        PC.InternMisses = Result.InternMisses - ObsPrevInternMisses;
-        PF->charge(ProfIntern, PC);
-      }
-      // The txcache frame carries only tx columns (charged via the lane
-      // shards) and wall time: its work columns stay zero so the work
-      // fingerprint is identical with the cache off.
-      PF->drainLanes();
-      PF->publishBoard();
-    }
-    // Diagnostics checkpoint: the frontier/merge trajectory, charged as
-    // deltas at this serial point so the series is thread-count-invariant.
-    if (DC) {
-      ExactRoundDiag D;
-      D.Step = Step;
-      D.FrontierIn = Cur.size();
-      D.FrontierOut = Next.size();
-      D.Expanded = Result.ConfigsExpanded - ObsPrevExpanded;
-      D.MergeAttempts = Result.MergeAttempts - ObsPrevAttempts;
-      D.MergeHits = Result.MergeHits - ObsPrevHits;
-      D.MergeHitRate = D.MergeAttempts
-                           ? static_cast<double>(D.MergeHits) / D.MergeAttempts
-                           : 0.0;
-      D.TxHits = Result.TxHits - ObsPrevTxHits;
-      D.TxMisses = Result.TxMisses - ObsPrevTxMisses;
-      D.TxBytes = Result.TxBytes;
-      bool Blowup = DC->recordExactRound(D);
-      if (O.tracing()) {
-        char Rate[32];
-        std::snprintf(Rate, sizeof(Rate), "%.9g", D.MergeHitRate);
-        O.event("diag.frontier",
-                {{"step", std::to_string(Step)},
-                 {"frontier_out", std::to_string(D.FrontierOut)},
-                 {"merge_hit_rate", Rate}});
-        if (Blowup)
-          O.event("diag.blowup",
-                  {{"step", std::to_string(Step)},
-                   {"frontier", std::to_string(D.FrontierOut)}});
-      }
-    }
-    // Live progress: published at the same serial boundary that charged
-    // the budget, metrics, and diagnostics, so publication order and cost
-    // are thread-count-independent and results are untouched with the
-    // introspection server on or off (docs/IMPLEMENTATION.md §11).
-    if (ProgressBoard *PB = O.progress()) {
-      ProgressUpdate PU;
-      PU.EngineTag = packTag("exact");
-      PU.PhaseTag = packTag("step");
-      PU.Step = Step;
-      PU.Frontier = Next.size();
-      PU.StatesExpanded = Result.ConfigsExpanded;
-      PU.MergeAttempts = Result.MergeAttempts;
-      PU.MergeHits = Result.MergeHits;
-      PU.SchedSteps = static_cast<uint64_t>(Step);
-      PU.TxBytes = Result.TxBytes;
-      PB->publish(PU);
-    }
+    Bound.commit(StepObs,
+                 {.Step = Step,
+                  .FrontierIn = Cur.size(),
+                  .FrontierOut = Next.size(),
+                  .Expanded = Result.ConfigsExpanded - PrevExpanded,
+                  .MergeAttempts = Result.MergeAttempts - PrevAttempts,
+                  .MergeHits = Result.MergeHits - PrevHits,
+                  .TxHits = Result.TxHits - PrevTxHits,
+                  .TxMisses = Result.TxMisses - PrevTxMisses,
+                  .TxEvictions = Result.TxEvictions - PrevTxEvictions,
+                  .TxBytes = Result.TxBytes,
+                  .InternHits = Result.InternHits - PrevInternHits,
+                  .InternMisses = Result.InternMisses - PrevInternMisses,
+                  .InternEvictions =
+                      Result.InternEvictions - PrevInternEvictions,
+                  .InternBytes = Result.InternBytes});
     Cur = std::move(Next);
   }
-  if (O.tracing()) {
-    RunSpan.arg("states", static_cast<uint64_t>(Result.ConfigsExpanded));
-    RunSpan.arg("peak_frontier",
-                static_cast<uint64_t>(Result.MaxFrontierSize));
-  }
-  if (PF) {
-    // The run ended at a completed boundary, so the frames' States sum to
-    // the engine's own expansion counter exactly; stamping it as the total
-    // lets consumers cross-check the attribution (check_obs.py --profile).
-    ProfCounts T;
-    T.States = Result.ConfigsExpanded;
-    PF->setTotals(T);
-    PF->publishBoard();
-  }
-  if (ProgressBoard *PB = O.progress()) {
-    ProgressUpdate PU;
-    PU.EngineTag = packTag("exact");
-    PU.PhaseTag = packTag("done");
-    PU.Step = Result.StepsUsed;
-    PU.StatesExpanded = Result.ConfigsExpanded;
-    PU.MergeAttempts = Result.MergeAttempts;
-    PU.MergeHits = Result.MergeHits;
-    PU.SchedSteps = static_cast<uint64_t>(Result.StepsUsed);
-    PU.TxBytes = Result.TxBytes;
-    PB->publish(PU);
-  }
-  if (DC) {
-    // Residual mass is what observations discarded: with concrete weights
-    // the retained mass is OkMass + ErrorMass and the rest vanished into
-    // failed observes (exactly — these are rationals).
-    std::optional<double> Residual;
-    auto Known = [](const SymProb &M) { return M.isConcrete() || M.isZero(); };
-    if (Known(Result.OkMass) && Known(Result.ErrorMass))
-      Residual = 1.0 - Result.OkMass.concreteValue().toDouble() -
-                 Result.ErrorMass.concreteValue().toDouble();
-    DC->finishExact(Result.TerminalConfigs, Residual);
-  }
+  Bound.finish({.States = Result.ConfigsExpanded,
+                .Peak = Result.MaxFrontierSize,
+                .Support = Result.TerminalConfigs,
+                .Residual = residualMass(Result.OkMass, Result.ErrorMass)});
   setWall();
   return Result;
 }

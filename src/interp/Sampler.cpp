@@ -5,15 +5,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "interp/Sampler.h"
+#include "obs/Boundary.h"
 #include "query/QueryEval.h"
 #include "support/Snapshot.h"
 #include "support/ThreadPool.h"
 
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
-#include <map>
 
 using namespace bayonet;
 
@@ -123,82 +122,37 @@ SampleResult Sampler::run() const {
   const std::string EngineName =
       Opts.Mode == SampleOptions::Method::Smc ? "smc" : "reject";
   Checkpointer *CP = Opts.Checkpoint.get();
-  ObsContext *ObsC = Opts.Obs.get();
   auto setWall = [&] {
     Result.WallMs = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - WallStart)
                         .count();
   };
-  const uint64_t SpecFp = CP ? specFingerprint(Spec) : 0;
-  uint64_t OptsFp = 0;
+  Boundary Bound(EngineKind::Smc, EngineName, Opts.Obs.get(), BT, CP);
   if (CP) {
     // The resample threshold enters bit-exactly: a double compares by value
     // only through its bit pattern.
     uint64_t ThresholdBits = 0;
     std::memcpy(&ThresholdBits, &Opts.ResampleThreshold,
                 sizeof(ThresholdBits));
-    OptsFp = Fingerprint()
-                 .mix(EngineName)
-                 .mix(static_cast<uint64_t>(Opts.Particles))
-                 .mix(Opts.Seed)
-                 .mix(ThresholdBits)
-                 .value();
+    Bound.SpecFp = specFingerprint(Spec);
+    Bound.OptsFp = Fingerprint()
+                       .mix(EngineName)
+                       .mix(static_cast<uint64_t>(Opts.Particles))
+                       .mix(Opts.Seed)
+                       .mix(ThresholdBits)
+                       .value();
   }
-  if (CP) {
-    // Must run before the first span opens: restoring the trace arms span
-    // adoption for the spans that were open at the snapshot boundary.
-    CP->restoreCommon(BT, ObsC);
-    if (CP->resumeFailed()) {
-      // A requested resume without a valid snapshot is an error, never a
-      // silent fresh start.
-      Result.Status =
-          EngineStatus::invalid("cannot resume: " + CP->resumeError());
-      setWall();
-      return Result;
-    }
+  // Statement counts go to per-lane shards folded at the serial step
+  // boundary.
+  if (auto St = Bound.attach(
+          {.Lanes = Threads, .Spec = &Spec, .Particles = Opts.Particles})) {
+    Result.Status = *St;
+    setWall();
+    return Result;
   }
   ObsHandle O(Opts.Obs);
-  Span RunSpan = O.span("smc.run");
-  DiagCollector *DC = O.diag();
-  if (DC)
-    DC->beginEngine(Opts.Mode == SampleOptions::Method::Smc ? "smc"
-                                                            : "reject",
-                    Opts.Particles);
-  // Profiler attach (serial): engine frame, init/step/resample phase
-  // frames, and every node program registered under step. Statement counts
-  // go to per-lane shards folded at the serial step boundary.
-  Profiler *PF = ObsC ? ObsC->profiler() : nullptr;
-  Profiler::Scope ProfRun(PF, EngineName);
-  uint32_t ProfInit = Profiler::InvalidSlot;
-  uint32_t ProfStep = Profiler::InvalidSlot;
-  uint32_t ProfResample = Profiler::InvalidSlot;
-  std::vector<Profiler::DefFrames> ProfDefs;
-  if (PF) {
-    ProfInit = PF->child("init", {});
-    ProfStep = PF->push("step");
-    ProfDefs.resize(Spec.NodePrograms.size());
-    std::map<const DefDecl *, Profiler::DefFrames> SeenDefs;
-    for (size_t N = 0; N < Spec.NodePrograms.size(); ++N) {
-      const DefDecl *Def = Spec.NodePrograms[N];
-      if (!Def)
-        continue;
-      auto It = SeenDefs.find(Def);
-      if (It == SeenDefs.end())
-        It = SeenDefs.emplace(Def, PF->registerDef(*Def)).first;
-      ProfDefs[N] = It->second;
-    }
-    ProfResample = PF->internAt(ProfStep, "resample", {});
-    PF->pop(); // step
-    PF->beginLanes(Threads);
-  }
-  const uint64_t EngineTag = packTag(EngineName.c_str());
-  if (ProgressBoard *PB = O.progress()) {
-    ProgressUpdate PU;
-    PU.EngineTag = EngineTag;
-    PU.PhaseTag = packTag("run");
-    PU.Particles = Opts.Particles;
-    PB->publish(PU);
-  }
+  Profiler *PF = Bound.profiler();
+  const std::vector<Profiler::DefFrames> &ProfDefs = Bound.defs();
 
   // Stream assignment is serial and in particle order: particle I's draws
   // are a pure function of (Seed, I), never of which lane steps it. The
@@ -246,14 +200,7 @@ SampleResult Sampler::run() const {
 
   int64_t StartStep = 0;
   bool Resumed = false;
-  if (CP && CP->resumed()) {
-    SnapReader *R = CP->beginEngine(EngineName, SpecFp, OptsFp);
-    if (!R) {
-      Result.Status =
-          EngineStatus::invalid("cannot resume: " + CP->resumeError());
-      setWall();
-      return Result;
-    }
+  if (SnapReader *R = Bound.resumeReader()) {
     BlockReadTable T;
     StartStep = R->i64();
     Result.StepsRun = R->i64();
@@ -290,14 +237,11 @@ SampleResult Sampler::run() const {
         BT->chargeBytes(Pop.Configs[I].approxBytes());
       }
     });
-    if (PF) {
-      // Init is population-level: charge it once, serially (draw-level
-      // attribution starts with the step loop).
-      ProfCounts PC;
-      PC.States = Pop.size();
-      PC.Execs = Pop.size();
-      PF->charge(ProfInit, PC);
-    }
+    // Init is population-level: charge it once, serially (draw-level
+    // attribution starts with the step loop).
+    if (PF)
+      PF->charge(ProfInitScope.slot(),
+                 {.States = Pop.size(), .Execs = Pop.size()});
   }
 
   // Serializes the population as of the current serial boundary. Written
@@ -321,52 +265,27 @@ SampleResult Sampler::run() const {
     }
   };
 
-  uint64_t TotalResamples = 0;
-  uint64_t TotalParticleSteps = 0;
+  Bound.Payload = SerializeState;
   std::vector<size_t> SurvivorIdx; // Resample scratch, reused across steps.
   for (int64_t Step = StartStep; Step < Spec.NumSteps; ++Step) {
-    if (CP) {
-      // Serial boundary: the population is a pure function of (seed,
-      // completed steps) here, so a snapshot resumes bit-identically at
-      // any thread count.
-      BoundStep = Step;
-      CP->maybeWrite(EngineName, SpecFp, OptsFp, BT, ObsC, SerializeState);
-      if (CP->crashed()) {
-        Result.Status = injectedCrashStatus();
-        break;
-      }
+    // Serial boundary: the population is a pure function of (seed,
+    // completed steps) here, so a snapshot resumes bit-identically and the
+    // deterministic budget classes stop at the same boundary for every
+    // thread count.
+    BoundStep = Step;
+    if (auto St = Bound.open(Pop.size())) {
+      Result.Status = *St;
+      break;
     }
-    if (BT) {
-      // Boundary decision: the population state here is a pure function of
-      // (seed, completed steps), so deterministic budget classes stop at
-      // the same boundary for every thread count.
-      if (!BT->checkpoint(Pop.size())) {
-        if (CP && BT->cancelled())
-          CP->writeFinal(EngineName, SpecFp, OptsFp, BT, ObsC,
-                         SerializeState);
-        Result.Status = BT->status();
-        break;
-      }
-      BT->chargeSchedStep();
-    }
-    // Obs: span per scheduler step; particle-steps are counted serially
-    // here (the set of active particles at a boundary is a pure function of
-    // the seed and completed steps, never of lane interleaving).
-    Span StepSpan = O.span("smc.step");
-    Profiler::Scope ProfStepScope(PF, "step");
-    std::chrono::steady_clock::time_point StepT0;
-    uint64_t ObsActive = 0;
-    if (O) {
-      StepT0 = std::chrono::steady_clock::now();
-      // Dense flag scan: touches three byte arrays, never the configs.
+    // Particle-steps are counted serially here: the set of active particles
+    // at a boundary never depends on lane interleaving. Dense flag scan:
+    // touches three byte arrays, never the configs.
+    uint64_t Active = 0;
+    if (O)
       for (size_t I = 0; I < Pop.size(); ++I)
         if (!Pop.Dead[I] && !Pop.Terminal[I] && !Pop.Error[I])
-          ++ObsActive;
-      if (O.tracing()) {
-        StepSpan.arg("step", static_cast<uint64_t>(Step));
-        StepSpan.arg("active", ObsActive);
-      }
-    }
+          ++Active;
+    Boundary::Step StepObs = Bound.beginStep(Step, Active);
     forParticles([&](size_t I, unsigned Lane) {
       if (Pop.Dead[I] || Pop.Terminal[I] || Pop.Error[I])
         return;
@@ -396,7 +315,6 @@ SampleResult Sampler::run() const {
       Profiler::Scope ProfResampleScope(PF, "resample");
       if (O.tracing())
         ResampleSpan.arg("alive", static_cast<uint64_t>(Alive));
-      O.count(&EngineMetricIds::Resamples);
       // Systematic pass over the SoA arrays: survivor indices are gathered
       // in particle order from the dense Dead flags, then every slot of
       // the new population copies a survivor picked on the dedicated
@@ -423,109 +341,17 @@ SampleResult Sampler::run() const {
       // The stop fired mid-step (only the timing-dependent classes can):
       // report it and aggregate whatever is terminal. The step does not
       // count as completed.
-      if (PF)
-        PF->discardLanes(); // Partial batch: keep the boundary aggregate.
+      Bound.abort();
       Result.Status = BT->status();
       break;
     }
     Result.StepsRun = Step + 1;
-    // Profiler boundary: fold the lanes' statement shards and charge the
-    // step/resample frames — all integer counts summed at a serial point,
-    // hence thread-count-invariant.
-    if (PF) {
-      ProfCounts PC;
-      PC.States = ObsActive;
-      PC.Execs = 1;
-      PF->charge(ProfStep, PC);
-      if (DidResample) {
-        PC = ProfCounts();
-        PC.Execs = 1;
-        PF->charge(ProfResample, PC);
-      }
-      PF->drainLanes();
-      PF->publishBoard();
-    }
-    if (O) {
-      O.count(&EngineMetricIds::Particles, ObsActive);
-      O.count(&EngineMetricIds::SchedSteps);
-      O.observe(&EngineMetricIds::StepDurMs,
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - StepT0)
-                    .count());
-    }
-    // Diagnostics checkpoint: every quantity below is a pure function of
-    // (seed, completed steps), so the series is bit-identical for any
-    // thread count. Hard observes give 0/1 weights: sum w = sum w^2 =
-    // Alive, hence ESS = Alive and CV = sqrt(N/Alive - 1).
-    if (DC) {
-      SmcStepDiag D;
-      D.Step = Step;
-      D.Active = ObsActive;
-      D.Alive = Alive;
-      const double N = Opts.Particles;
-      D.Ess = Alive;
-      D.EssFraction = N > 0 ? Alive / N : 0.0;
-      D.WeightCv = Alive ? std::sqrt(N / Alive - 1.0) : 0.0;
-      D.MinLogWeight = 0.0; // All surviving weights are exactly 1.
-      D.MaxLogWeight = 0.0;
-      D.DeadMassFraction = N > 0 ? (N - Alive) / N : 0.0;
-      D.Resampled = DidResample;
-      bool Degenerate = DC->recordSmcStep(D);
-      O.observe(&EngineMetricIds::EssFraction, D.EssFraction);
-      if (O.tracing()) {
-        char Frac[32];
-        std::snprintf(Frac, sizeof(Frac), "%.9g", D.EssFraction);
-        O.event("diag.ess", {{"step", std::to_string(Step)},
-                             {"ess", std::to_string(D.Alive)},
-                             {"fraction", Frac}});
-        if (Degenerate)
-          O.event("diag.degeneracy", {{"step", std::to_string(Step)},
-                                      {"ess", std::to_string(D.Alive)},
-                                      {"fraction", Frac}});
-      }
-      if (Degenerate)
-        O.count(&EngineMetricIds::DegeneracySteps);
-    }
-    // Live progress: published at the same serial boundary as the budget,
-    // metric, and diagnostic charges, so publication order and cost are
-    // thread-count-independent and results are untouched with the
-    // introspection server on or off (docs/IMPLEMENTATION.md §11).
-    if (ProgressBoard *PB = O.progress()) {
-      TotalParticleSteps += ObsActive;
-      if (DidResample)
-        ++TotalResamples;
-      ProgressUpdate PU;
-      PU.EngineTag = EngineTag;
-      PU.PhaseTag = packTag("step");
-      PU.Step = Step;
-      PU.Active = Alive;
-      PU.Particles = Opts.Particles;
-      PU.StatesExpanded = TotalParticleSteps;
-      PU.EssFraction =
-          Opts.Particles > 0
-              ? static_cast<double>(Alive) / static_cast<double>(Opts.Particles)
-              : 0.0;
-      PU.Resamples = TotalResamples;
-      PU.SchedSteps = static_cast<uint64_t>(Result.StepsRun);
-      PB->publish(PU);
-    }
+    Bound.commit(StepObs, {.Step = Step,
+                           .Active = Active,
+                           .Alive = Alive,
+                           .Resampled = DidResample});
     if (!AnyLive)
       break;
-  }
-  if (O.tracing())
-    RunSpan.arg("steps", static_cast<uint64_t>(Result.StepsRun));
-  if (PF)
-    PF->publishBoard();
-  if (ProgressBoard *PB = O.progress()) {
-    ProgressUpdate PU;
-    PU.EngineTag = EngineTag;
-    PU.PhaseTag = packTag("done");
-    PU.Step = Result.StepsRun;
-    PU.Particles = Opts.Particles;
-    PU.StatesExpanded = TotalParticleSteps;
-    PU.Resamples = TotalResamples;
-    PU.SchedSteps = static_cast<uint64_t>(Result.StepsRun);
-    PB->publish(PU);
   }
 
   // Aggregate: particles still running at the bound are error particles
@@ -572,8 +398,8 @@ SampleResult Sampler::run() const {
     ++Ok;
   }
   Result.Survivors = Ok + Errors;
-  if (DC)
-    DC->finishSampler(Result.Survivors);
+  Bound.finish({.Steps = static_cast<uint64_t>(Result.StepsRun),
+                .Support = Result.Survivors});
   Result.ErrorFraction =
       Result.Survivors ? static_cast<double>(Errors) / Result.Survivors : 0.0;
   Result.Value = Ok ? Sum / Ok : 0.0;

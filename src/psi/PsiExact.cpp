@@ -6,15 +6,13 @@
 
 #include "psi/PsiExact.h"
 
+#include "obs/Boundary.h"
 #include "support/Intern.h"
-#include "support/Snapshot.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cstdio>
-#include <functional>
 #include <unordered_map>
 
 using namespace bayonet;
@@ -91,65 +89,42 @@ public:
          PsiExactResult &Result)
       : P(P), Opts(Opts), Result(Result), Threads(resolveThreads(Opts.Threads)),
         BT(Opts.Budget.get()), StopF(BT ? &BT->stopFlag() : nullptr),
-        CP(Opts.Checkpoint.get()), ObsC(Opts.Obs.get()), O(Opts.Obs) {
-    if (CP) {
+        O(Opts.Obs),
+        Bound(EngineKind::Psi, "psi", Opts.Obs.get(), BT,
+              Opts.Checkpoint.get()) {
+    if (Opts.Checkpoint) {
       // The PSI IR has no structural identity beyond its text: fingerprint
       // the printed program (deterministic, covers every statement).
-      SpecFp = Fingerprint().mix(printPsiProgram(P)).value();
-      OptsFp = Fingerprint()
-                   .mix(std::string("psi"))
-                   .mix(Opts.MergeEnvs)
-                   .mix(static_cast<uint64_t>(Opts.WhileFuel))
-                   .mix(Opts.MaxDist)
-                   .value();
-      SerializeFn = [this](SnapWriter &W) { serializeState(W); };
+      Bound.SpecFp = Fingerprint().mix(printPsiProgram(P)).value();
+      Bound.OptsFp = Fingerprint()
+                         .mix(std::string("psi"))
+                         .mix(Opts.MergeEnvs)
+                         .mix(static_cast<uint64_t>(Opts.WhileFuel))
+                         .mix(Opts.MaxDist)
+                         .value();
+      Bound.Payload = [this](SnapWriter &W) { serializeState(W); };
     }
+    // A mid-statement stop (cancellation, deadline, byte trip) discards the
+    // statement's partial work and reports the last statement boundary.
+    Bound.Save = [this] { Saved = this->Result; };
+    Bound.Restore = [this] { this->Result = Saved; };
   }
 
   void run() {
-    if (CP) {
-      // Must run before the first span opens: restoring the trace arms
-      // span adoption for the spans open at the snapshot boundary.
-      CP->restoreCommon(BT, ObsC);
-      if (CP->resumeFailed()) {
-        // A requested resume without a valid snapshot is an error, never a
-        // silent fresh start.
-        Result.Status =
-            EngineStatus::invalid("cannot resume: " + CP->resumeError());
-        return;
-      }
+    // Every IR statement becomes a profiler frame under the engine root.
+    // The interpreter spine is serial (parallelism lives inside
+    // expandBranches/splitCond), so one lane shard suffices.
+    if (auto St = Bound.attach({.Psi = &P})) {
+      Result.Status = *St;
+      return;
     }
-    Span RunSpan = O.span("psi.run");
-    // Profiler attach (serial): every IR statement becomes a frame under
-    // the engine root. The interpreter spine is serial (parallelism lives
-    // inside expandBranches/splitCond), so one lane shard suffices; it is
-    // folded only at completed top-level statement boundaries.
-    PF = ObsC ? ObsC->profiler() : nullptr;
-    Profiler::Scope ProfRun(PF, "psi");
-    if (PF) {
-      registerPsiBody(*PF, PF->current(), P.Body);
-      PF->beginLanes(1);
-    }
-    if (DiagCollector *DC = O.diag())
-      DC->beginEngine("psi");
-    if (ProgressBoard *PB = O.progress()) {
-      ProgressUpdate PU;
-      PU.EngineTag = packTag("psi");
-      PU.PhaseTag = packTag("run");
-      PB->publish(PU);
-    }
+    PF = Bound.profiler();
     Dist D;
     size_t StartIdx = 0;
     bool Resumed = false;
-    if (CP && CP->resumed()) {
-      SnapReader *R = CP->beginEngine("psi", SpecFp, OptsFp);
-      if (!R) {
-        Result.Status =
-            EngineStatus::invalid("cannot resume: " + CP->resumeError());
-        return;
-      }
+    if (SnapReader *R = Bound.resumeReader()) {
       StartIdx = static_cast<size_t>(R->i64());
-      DiagStmt = R->i64();
+      R->i64(); // The diagnostics round index, equal to StartIdx.
       uint64_t N = R->count();
       D.reserve(N);
       bool Ok = StartIdx <= P.Body.size();
@@ -195,64 +170,38 @@ public:
     // Top-level statements execute one by one so the checkpointer can
     // snapshot at their boundaries, where D is the whole engine state.
     TopD = &D;
-    for (size_t I = StartIdx; I < P.Body.size(); ++I) {
-      if (Aborted || D.empty())
-        break;
+    for (size_t I = StartIdx; I < P.Body.size() && !Aborted && !D.empty();
+         ++I) {
       TopIdx = static_cast<int64_t>(I);
-      if (CP) {
-        CP->maybeWrite("psi", SpecFp, OptsFp, BT, ObsC, SerializeFn);
-        if (CP->crashed()) {
-          Result.Status = injectedCrashStatus();
-          return;
-        }
+      if (auto St = Bound.open(D.size())) {
+        Result.Status = *St;
+        Aborted = true;
+        break;
       }
       execStmt(*P.Body[I], D);
     }
     TopD = nullptr;
-    if (O.tracing()) {
-      RunSpan.arg("branches", static_cast<uint64_t>(Result.BranchesExpanded));
-      RunSpan.arg("peak_dist", static_cast<uint64_t>(Result.MaxDistSize));
-    }
-    if (BT && BT->stop()) {
-      // Budget/cancellation stop: report the last completed statement
-      // boundary (bit-identical for every thread count for the
-      // deterministic stop classes).
-      if (PF)
-        PF->discardLanes(); // Partial statement: keep the boundary aggregate.
-      restoreSnapshot();
-      Result.Status = BT->status();
+    RunSummary Summary{.States = Result.BranchesExpanded,
+                       .Peak = Result.MaxDistSize};
+    if (Aborted || stopped()) {
+      // The run span records the work done; a budget or cancel stop then
+      // reports the last completed statement boundary (bit-identical for
+      // every thread count for the deterministic stop classes).
+      Bound.finish(Summary, /*Completed=*/false);
+      Bound.abort();
+      if (stopped())
+        Result.Status = BT->status();
       return;
     }
-    if (!Aborted) {
+    {
       Profiler::Scope ProfFinish(PF, "finish");
       finish(D);
     }
-    if (BT && BT->stop())
+    if (stopped())
       Result.Status = BT->status(); // Stop raced in during finish().
-    if (PF) {
-      if (Aborted)
-        PF->discardLanes(); // e.g. the MaxDist trip: partial statement.
-      else {
-        // Every top-level statement completed: the frames' States columns
-        // sum to the engine's expansion counter exactly.
-        ProfCounts T;
-        T.States = Result.BranchesExpanded;
-        PF->setTotals(T);
-      }
-      PF->publishBoard();
-    }
-    if (DiagCollector *DC = O.diag()) {
-      // Support = surviving environments; residual = observe-discarded
-      // mass when the retained masses are concrete.
-      std::optional<double> Residual;
-      auto Known = [](const SymProb &M) {
-        return M.isConcrete() || M.isZero();
-      };
-      if (Known(Result.OkMass) && Known(Result.ErrorMass))
-        Residual = 1.0 - Result.OkMass.concreteValue().toDouble() -
-                   Result.ErrorMass.concreteValue().toDouble();
-      DC->finishExact(D.size(), Residual);
-    }
+    Summary.Support = D.size(); // Surviving environments.
+    Summary.Residual = residualMass(Result.OkMass, Result.ErrorMass);
+    Bound.finish(Summary);
   }
 
 private:
@@ -262,65 +211,28 @@ private:
   const unsigned Threads;
   BudgetTracker *BT;
   const std::atomic<bool> *StopF;
-  Checkpointer *CP;
-  ObsContext *ObsC;
   ObsHandle O;
+  Boundary Bound;
   Profiler *PF = nullptr;
-  /// Snapshot identity and write callback (set only when CP != null).
-  uint64_t SpecFp = 0;
-  uint64_t OptsFp = 0;
-  std::function<void(SnapWriter &)> SerializeFn;
+  /// The reported statistics as of the last statement boundary.
+  PsiExactResult Saved;
   /// The top-level distribution and statement index, valid while run()'s
   /// statement loop is live: snapshots are only taken at its boundaries,
   /// where this pair is the whole resumable state.
   Dist *TopD = nullptr;
   int64_t TopIdx = 0;
-  /// Statement nesting depth; spans and metric charges happen only at
-  /// depth 0 (top-level statements — serial points with bounded count).
+  /// Statement nesting depth; only top-level statements are boundaries, so
+  /// obs cost is bounded by the program's length.
   unsigned Depth = 0;
-  /// Top-level statements completed (the diagnostics round index).
-  int64_t DiagStmt = 0;
-  /// Top-level statements completed this process (the live progress step;
-  /// unlike DiagStmt it is not restored from snapshots — the board only
-  /// describes the running process).
-  int64_t BoardStmt = 0;
   bool Aborted = false;
-
-  /// Boundary snapshot of the reported statistics: a mid-statement stop
-  /// (cancellation, deadline, byte trip) discards the statement's partial
-  /// work and restores this.
-  struct BoundarySnap {
-    SymProb ErrorMass;
-    bool QueryUnsupported = false;
-    std::string UnsupportedReason;
-    size_t BranchesExpanded = 0, MaxDistSize = 0, MergeHits = 0;
-    size_t MergeAttempts = 0;
-    std::vector<size_t> WorkerBranchesExpanded;
-  };
-  BoundarySnap Snap;
-  void takeSnapshot() {
-    Snap = {Result.ErrorMass,         Result.QueryUnsupported,
-            Result.UnsupportedReason, Result.BranchesExpanded,
-            Result.MaxDistSize,       Result.MergeHits,
-            Result.MergeAttempts,     Result.WorkerBranchesExpanded};
-  }
-  void restoreSnapshot() {
-    Result.ErrorMass = Snap.ErrorMass;
-    Result.QueryUnsupported = Snap.QueryUnsupported;
-    Result.UnsupportedReason = Snap.UnsupportedReason;
-    Result.BranchesExpanded = Snap.BranchesExpanded;
-    Result.MaxDistSize = Snap.MaxDistSize;
-    Result.MergeHits = Snap.MergeHits;
-    Result.MergeAttempts = Snap.MergeAttempts;
-    Result.WorkerBranchesExpanded = Snap.WorkerBranchesExpanded;
-  }
 
   /// Serializes the engine state as of the current top-level statement
   /// boundary (run()'s loop keeps TopD/TopIdx current; D is untouched
-  /// between the boundary and the statement's first expansion).
+  /// between the boundary and the statement's first expansion). The
+  /// diagnostics round index written second equals the statement index.
   void serializeState(SnapWriter &W) {
     W.i64(TopIdx);
-    W.i64(DiagStmt);
+    W.i64(TopIdx);
     W.u64(TopD->size());
     for (const Branch &B : *TopD) {
       W.u64(B.Vars.size());
@@ -544,23 +456,11 @@ private:
   }
 
   void execStmt(const PStmt &S, Dist &D) {
-    if (BT) {
-      // Deterministic budget decision at the statement boundary: a pure
-      // function of the cumulative counters.
-      if (!BT->checkpoint(D.size())) {
-        // The boundary itself was reached: current stats are the report
-        // (run()'s restore then becomes a no-op). At the top level D is
-        // still the intact boundary distribution, so a graceful
-        // cancellation can write its final snapshot here.
-        takeSnapshot();
-        if (CP && Depth == 0 && &D == TopD && BT->cancelled())
-          CP->writeFinal("psi", SpecFp, OptsFp, BT, ObsC, SerializeFn);
-        Aborted = true;
-        return;
-      }
-      BT->chargeSchedStep();
-      BT->resetBytes(); // The byte gauge tracks this statement's branches.
-      takeSnapshot();
+    // run() opened a top-level statement's boundary; nested statements keep
+    // only the budget decision.
+    if (Depth > 0 && !Bound.budget(D.size())) {
+      Aborted = true;
+      return;
     }
     Result.MaxDistSize = std::max(Result.MaxDistSize, D.size());
     if (D.size() > Opts.MaxDist) {
@@ -572,104 +472,31 @@ private:
       Aborted = true;
       return;
     }
-    // Obs: top-level statements are the PSI engine's "rounds" — serial
-    // points where spans open and metric deltas are charged. Nested
-    // statements stay probe-free (their work is folded into the enclosing
-    // top-level delta), so obs cost is bounded by the program's length.
-    if (!O || Depth > 0) {
+    if (Depth > 0) {
       ++Depth;
       execStmtInner(S, D);
       --Depth;
       return;
     }
-    Span StmtSpan = O.span("psi.stmt");
-    std::chrono::steady_clock::time_point T0;
+    // Top-level statements are the PSI engine's rounds: nested statements
+    // stay probe-free, their work folded into the enclosing delta.
+    Boundary::Step St = Bound.beginStep(TopIdx, D.size());
     const size_t DistIn = D.size();
     const size_t PrevExpanded = Result.BranchesExpanded;
     const size_t PrevAttempts = Result.MergeAttempts;
     const size_t PrevHits = Result.MergeHits;
-    T0 = std::chrono::steady_clock::now();
-    if (O.tracing())
-      StmtSpan.arg("dist_in", static_cast<uint64_t>(D.size()));
     ++Depth;
     execStmtInner(S, D);
     --Depth;
     if (Aborted)
-      return; // Incomplete statement: nothing is charged (boundary rule).
-    // Profiler boundary: the completed top-level statement gets its own
-    // expansion/merge deltas, and the lane shard (per-statement execs of
-    // everything nested under it) folds into the serial aggregate.
-    if (PF) {
-      ProfCounts PC;
-      PC.States = Result.BranchesExpanded - PrevExpanded;
-      PC.MergeAttempts = Result.MergeAttempts - PrevAttempts;
-      PC.MergeHits = Result.MergeHits - PrevHits;
-      PF->charge(S.ProfSlot, PC);
-      PF->chargeTime(S.ProfSlot,
-                     static_cast<uint64_t>(
-                         std::chrono::duration_cast<std::chrono::nanoseconds>(
-                             std::chrono::steady_clock::now() - T0)
-                             .count()));
-      PF->drainLanes();
-      PF->publishBoard();
-    }
-    O.count(&EngineMetricIds::StatesExpanded,
-            Result.BranchesExpanded - PrevExpanded);
-    O.count(&EngineMetricIds::MergeAttempts,
-            Result.MergeAttempts - PrevAttempts);
-    O.count(&EngineMetricIds::MergeHits, Result.MergeHits - PrevHits);
-    O.count(&EngineMetricIds::SchedSteps);
-    O.gaugeMax(&EngineMetricIds::PeakFrontier, D.size());
-    O.observe(&EngineMetricIds::FrontierSize, static_cast<double>(D.size()));
-    O.observe(&EngineMetricIds::StepDurMs,
-              std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - T0)
-                  .count());
-    if (O.tracing())
-      StmtSpan.arg("dist_out", static_cast<uint64_t>(D.size()));
-    // Diagnostics checkpoint: one "round" per top-level statement, charged
-    // at this serial point (thread-count-invariant deltas).
-    if (DiagCollector *DC = O.diag()) {
-      ExactRoundDiag RD;
-      RD.Step = DiagStmt++;
-      RD.FrontierIn = DistIn;
-      RD.FrontierOut = D.size();
-      RD.Expanded = Result.BranchesExpanded - PrevExpanded;
-      RD.MergeAttempts = Result.MergeAttempts - PrevAttempts;
-      RD.MergeHits = Result.MergeHits - PrevHits;
-      RD.MergeHitRate =
-          RD.MergeAttempts
-              ? static_cast<double>(RD.MergeHits) / RD.MergeAttempts
-              : 0.0;
-      bool Blowup = DC->recordExactRound(RD);
-      if (O.tracing()) {
-        char Rate[32];
-        std::snprintf(Rate, sizeof(Rate), "%.9g", RD.MergeHitRate);
-        O.event("diag.frontier",
-                {{"step", std::to_string(RD.Step)},
-                 {"frontier_out", std::to_string(RD.FrontierOut)},
-                 {"merge_hit_rate", Rate}});
-        if (Blowup)
-          O.event("diag.blowup",
-                  {{"step", std::to_string(RD.Step)},
-                   {"frontier", std::to_string(RD.FrontierOut)}});
-      }
-    }
-    // Live progress: published at the same serial statement boundary as
-    // the budget, metric, and diagnostic charges (IMPLEMENTATION.md §11).
-    if (ProgressBoard *PB = O.progress()) {
-      ++BoardStmt;
-      ProgressUpdate PU;
-      PU.EngineTag = packTag("psi");
-      PU.PhaseTag = packTag("stmt");
-      PU.Step = BoardStmt - 1;
-      PU.Frontier = D.size();
-      PU.StatesExpanded = Result.BranchesExpanded;
-      PU.MergeAttempts = Result.MergeAttempts;
-      PU.MergeHits = Result.MergeHits;
-      PU.SchedSteps = static_cast<uint64_t>(BoardStmt);
-      PB->publish(PU);
-    }
+      return; // Incomplete statement: nothing is charged.
+    Bound.commit(St, {.Step = TopIdx,
+                      .FrontierIn = DistIn,
+                      .FrontierOut = D.size(),
+                      .Expanded = Result.BranchesExpanded - PrevExpanded,
+                      .MergeAttempts = Result.MergeAttempts - PrevAttempts,
+                      .MergeHits = Result.MergeHits - PrevHits,
+                      .ProfSlot = S.ProfSlot});
   }
 
   void execStmtInner(const PStmt &S, Dist &D) {

@@ -10,8 +10,8 @@
 /// variable frames with expressions (arithmetic, comparisons, Bernoulli and
 /// uniform draws, tuples) and statements (assignment, bounded-queue pushes
 /// and pops, conditionals, loops, observe/assert). Bayonet networks are
-/// compiled into this IR by translate/Translator; psi/PsiExact and
-/// psi/PsiSampler run inference on it.
+/// compiled into this IR by translate/Translator; psi/PsiExact runs exact
+/// inference on it.
 ///
 //===----------------------------------------------------------------------===//
 

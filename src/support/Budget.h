@@ -204,13 +204,6 @@ public:
   /// Counts one engine-level scheduler step.
   void chargeSchedStep();
 
-  /// Records an engine-observed violation (e.g. a deterministic particle
-  /// cap computed up front) as if the tracker had tripped it; the first
-  /// violation recorded wins, and the stop flag is raised.
-  void noteViolation(BudgetClass Which, uint64_t Observed, uint64_t Limit) {
-    recordViolation(Which, Observed, Limit);
-  }
-
   //===--------------------------------------------------------------------===//
   // Boundary decision and stop propagation
   //===--------------------------------------------------------------------===//

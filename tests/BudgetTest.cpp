@@ -15,7 +15,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "api/Bayonet.h"
-#include "psi/PsiSampler.h"
 #include "scenarios/Scenarios.h"
 #include "translate/Translator.h"
 
@@ -286,34 +285,6 @@ TEST(Budget, SamplerCancelFaultDrainsWorkers) {
   Plain.Threads = 8;
   SampleResult After = Sampler(Net.Spec, Plain).run();
   EXPECT_TRUE(After.Status.ok());
-}
-
-TEST(Budget, PsiSamplerParticleCapIsDeterministic) {
-  LoadedNetwork Net = load(scenarios::paperExample());
-  DiagEngine Diags;
-  auto Psi = translateToPsi(Net.Spec, Diags);
-  ASSERT_TRUE(Psi.has_value()) << Diags.toString();
-  auto runWith = [&](unsigned Threads) {
-    PsiSampleOptions Opts;
-    Opts.Particles = 400;
-    Opts.Seed = 11;
-    Opts.Threads = Threads;
-    BudgetLimits L;
-    L.MaxStates = 150; // Caps the population up front.
-    Opts.Budget = std::make_shared<BudgetTracker>(L);
-    return PsiSampler(*Psi, Opts).run();
-  };
-  PsiSampleResult Base = runWith(1);
-  EXPECT_EQ(Base.Status.Code, StatusCode::BudgetExceeded);
-  EXPECT_EQ(Base.Status.Violation.Which, BudgetClass::States);
-  EXPECT_EQ(Base.ParticlesRun, 150u);
-  for (unsigned Threads : {2u, 8u}) {
-    PsiSampleResult R = runWith(Threads);
-    EXPECT_EQ(R.Status.Code, StatusCode::BudgetExceeded) << Threads;
-    EXPECT_EQ(R.ParticlesRun, Base.ParticlesRun) << Threads;
-    EXPECT_EQ(R.Value, Base.Value) << Threads;
-    EXPECT_EQ(R.Survivors, Base.Survivors) << Threads;
-  }
 }
 
 // The tentpole's degradation path: exact inference trips its state budget

@@ -93,11 +93,9 @@ TEST(DescribeConfigTest, ShowsNonzeroStateAndQueues) {
 TEST(LoadNetworkTest, FileRoundTrip) {
   // loadNetworkFile reads from disk; reuse a shipped program.
   DiagEngine Diags;
-  auto Net = loadNetworkFile("examples/programs/figure2.bay", Diags);
-  if (!Net) {
-    // Running from another working directory: skip rather than fail.
-    GTEST_SKIP() << "example programs not reachable from this directory";
-  }
+  auto Net = loadNetworkFile(
+      std::string(BAYONET_EXAMPLES_DIR) + "/figure2.bay", Diags);
+  ASSERT_TRUE(Net.has_value()) << Diags.toString();
   EXPECT_EQ(Net->Spec.Topo.numNodes(), 5u);
   DiagEngine Missing;
   EXPECT_FALSE(loadNetworkFile("/does/not/exist.bay", Missing).has_value());

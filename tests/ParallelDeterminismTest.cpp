@@ -18,7 +18,6 @@
 #include "api/Bayonet.h"
 #include "obs/Profile.h"
 #include "psi/PsiExact.h"
-#include "psi/PsiSampler.h"
 #include "scenarios/Scenarios.h"
 #include "support/Snapshot.h"
 #include "support/ThreadPool.h"
@@ -158,30 +157,6 @@ TEST(ParallelDeterminism, SamplerSeededRunsIdenticalAcrossThreadCounts) {
   EXPECT_EQ(Again.StdError, Base.StdError);
 }
 
-TEST(ParallelDeterminism, PsiSamplerSeededRunsIdenticalAcrossThreadCounts) {
-  PsiProgram P;
-  unsigned X = P.addVar("x");
-  unsigned Y = P.addVar("y");
-  P.Body.push_back(sAssign(X, pFlip(pConst(q(1, 3)))));
-  P.Body.push_back(sAssign(Y, pUniformInt(pInt(0), pInt(5))));
-  P.Result = pBin(BinOpKind::Or, pVar(X),
-                  pBin(BinOpKind::Eq, pVar(Y), pInt(0)));
-  auto runWith = [&](unsigned Threads) {
-    PsiSampleOptions Opts;
-    Opts.Particles = 500;
-    Opts.Seed = 7;
-    Opts.Threads = Threads;
-    return PsiSampler(P, Opts).run();
-  };
-  PsiSampleResult Base = runWith(1);
-  for (unsigned Threads : {2u, 8u}) {
-    PsiSampleResult R = runWith(Threads);
-    EXPECT_EQ(R.Value, Base.Value) << Threads;
-    EXPECT_EQ(R.Survivors, Base.Survivors) << Threads;
-    EXPECT_EQ(R.ErrorFraction, Base.ErrorFraction) << Threads;
-  }
-}
-
 // The diagnostics report rides the same serial checkpoints as the engine
 // results, so the rendered JSON — per-step ESS and frontier series,
 // summary, warnings — must be bit-identical at every thread count for
@@ -224,25 +199,13 @@ TEST(ParallelDeterminism, DiagReportBitIdenticalAcrossThreadCounts) {
     EXPECT_TRUE(R.Status.ok());
     return Ctx->diag()->report().toJson();
   };
-  auto psiSamplerDiag = [&](unsigned Threads) {
-    auto Ctx = std::make_shared<ObsContext>(false, false, true);
-    PsiSampleOptions Opts;
-    Opts.Particles = 400;
-    Opts.Seed = 42;
-    Opts.Threads = Threads;
-    Opts.Obs = Ctx;
-    PsiSampleResult R = PsiSampler(*Psi, Opts).run();
-    return Ctx->diag()->report().toJson();
-  };
-
   const std::string Exact1 = exactDiag(1), Psi1 = psiDiag(1),
-                    Smc1 = samplerDiag(1), PsiSmc1 = psiSamplerDiag(1);
+                    Smc1 = samplerDiag(1);
   EXPECT_FALSE(Exact1.empty());
   for (unsigned Threads : {2u, 8u}) {
     EXPECT_EQ(exactDiag(Threads), Exact1) << Threads;
     EXPECT_EQ(psiDiag(Threads), Psi1) << Threads;
     EXPECT_EQ(samplerDiag(Threads), Smc1) << Threads;
-    EXPECT_EQ(psiSamplerDiag(Threads), PsiSmc1) << Threads;
   }
 }
 

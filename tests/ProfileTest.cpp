@@ -179,7 +179,6 @@ TEST(Profile, LaneDrainFoldsAndDiscardDrops) {
   P.discardLanes();
   P.drainLanes();
   EXPECT_EQ(P.renderCanonicalCounts(), Canon);
-  P.pop();
 }
 
 //===----------------------------------------------------------------------===//

@@ -9,14 +9,12 @@
 /// be compiled into standard probabilistic programs and solved there
 /// (Section 4). These tests translate every benchmark network to the PSI
 /// IR and assert that the PSI exact engine produces *identical* rationals
-/// to the direct operational-semantics engine, and that the PSI sampler is
-/// statistically consistent.
+/// to the direct operational-semantics engine.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "api/Bayonet.h"
 #include "psi/PsiExact.h"
-#include "psi/PsiSampler.h"
 #include "translate/Translator.h"
 #include "translate/WebPplEmitter.h"
 #include "TestNetworks.h"
@@ -118,32 +116,6 @@ TEST(TranslatorTest, RoundRobinRejected) {
   auto P = translateToPsi(Net->Spec, D2);
   EXPECT_FALSE(P.has_value());
   EXPECT_TRUE(D2.hasErrors());
-}
-
-TEST(TranslatorTest, SamplerConsistentWithExact) {
-  DiagEngine Diags;
-  auto Net = loadNetwork(testnets::ObservedDieNetwork, Diags);
-  ASSERT_TRUE(Net.has_value());
-  PsiProgram P = translateOk(Net->Spec);
-  PsiSampleOptions Opts;
-  Opts.Particles = 20000;
-  PsiSampleResult S = PsiSampler(P, Opts).run();
-  EXPECT_NEAR(S.Value, 4.5, 0.05);
-  // About a third of the particles get rejected by the observation.
-  EXPECT_LT(S.Survivors, 15000u);
-  EXPECT_GT(S.Survivors, 12000u);
-}
-
-TEST(TranslatorTest, SamplerReproducible) {
-  DiagEngine Diags;
-  auto Net = loadNetwork(testnets::CoinNetwork, Diags);
-  ASSERT_TRUE(Net.has_value());
-  PsiProgram P = translateOk(Net->Spec);
-  PsiSampleOptions Opts;
-  Opts.Seed = 31337;
-  PsiSampleResult A = PsiSampler(P, Opts).run();
-  PsiSampleResult B = PsiSampler(P, Opts).run();
-  EXPECT_DOUBLE_EQ(A.Value, B.Value);
 }
 
 TEST(TranslatorTest, PsiPrinterProducesProgramText) {
