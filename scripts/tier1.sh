@@ -229,18 +229,22 @@ if [ "$ServeExit" != 3 ]; then
 fi
 echo "serve: mid-run scrapes OK, publishes advanced, SIGTERM -> exit 3"
 
-echo "=== tier-1: snapshot crash -> resume determinism (gossip4) ==="
+echo "=== tier-1: snapshot crash -> resume determinism ==="
 # Kill the CLI at an injected checkpoint crash (a real _exit(137)), resume
 # from the snapshot it left behind, and require the resumed output to be
-# byte-identical to a straight-through run — for the exact engine and SMC.
-for Engine in exact smc; do
+# byte-identical to a straight-through run — for the exact engine and SMC
+# on gossip4, and for the translated pipeline on figure2. The translated
+# run crashes at the checkpoint after its step loop, so the snapshot holds
+# environments whose dead slots were reset at the loop's merges.
+for Case in exact:gossip4:3 smc:gossip4:3 translated:figure2:10; do
+  IFS=: read -r Engine Program CrashAt <<< "$Case"
   rm -f "$ObsTmp/ck_$Engine.snap" "$ObsTmp/ck_$Engine.snap.prev"
-  ./build/examples/bayonet examples/programs/gossip4.bay \
+  ./build/examples/bayonet "examples/programs/$Program.bay" \
     --engine "$Engine" --particles 500 --seed 7 --stats \
     > "$ObsTmp/straight_$Engine.txt"
   set +e
-  BAYONET_FAULT=crash-at-checkpoint=3 ./build/examples/bayonet \
-    examples/programs/gossip4.bay \
+  BAYONET_FAULT="crash-at-checkpoint=$CrashAt" ./build/examples/bayonet \
+    "examples/programs/$Program.bay" \
     --engine "$Engine" --particles 500 --seed 7 \
     --checkpoint-out "$ObsTmp/ck_$Engine.snap" --checkpoint-every 2 \
     > /dev/null 2>&1
@@ -250,7 +254,7 @@ for Engine in exact smc; do
     echo "snapshot: expected the injected crash to _exit(137), got $CrashExit" >&2
     exit 1
   fi
-  ./build/examples/bayonet examples/programs/gossip4.bay \
+  ./build/examples/bayonet "examples/programs/$Program.bay" \
     --engine "$Engine" --particles 500 --seed 7 --stats \
     --resume "$ObsTmp/ck_$Engine.snap" \
     > "$ObsTmp/resumed_$Engine.txt"
@@ -265,7 +269,7 @@ for Engine in exact smc; do
     diff "$ObsTmp/straight_$Engine.cmp" "$ObsTmp/resumed_$Engine.cmp" >&2 || true
     exit 1
   fi
-  echo "snapshot: $Engine crash -> resume byte-identical"
+  echo "snapshot: $Engine ($Program) crash -> resume byte-identical"
 done
 
 echo "=== tier-1: zero-allocation merge hot path (gossip4) ==="

@@ -7,6 +7,7 @@
 #include "psi/PsiExact.h"
 
 #include "obs/Boundary.h"
+#include "psi/PsiLiveness.h"
 #include "support/Intern.h"
 #include "support/ThreadPool.h"
 
@@ -89,7 +90,7 @@ public:
          PsiExactResult &Result)
       : P(P), Opts(Opts), Result(Result), Threads(resolveThreads(Opts.Threads)),
         BT(Opts.Budget.get()), StopF(BT ? &BT->stopFlag() : nullptr),
-        O(Opts.Obs),
+        O(Opts.Obs), Dead(computeMergeLiveness(P)),
         Bound(EngineKind::Psi, "psi", Opts.Obs.get(), BT,
               Opts.Checkpoint.get()) {
     if (Opts.Checkpoint) {
@@ -212,6 +213,9 @@ private:
   BudgetTracker *BT;
   const std::atomic<bool> *StopF;
   ObsHandle O;
+  /// Dead slots at every merge point; mergeDist resets them to PsiValue()
+  /// so environments that differ only in dead values merge.
+  const PsiLiveness Dead;
   Boundary Bound;
   Profiler *PF = nullptr;
   /// The reported statistics as of the last statement boundary.
@@ -275,6 +279,15 @@ private:
   }
   void fail(Branch &B, const std::string &Reason) {
     fail(B, Reason, Result.ErrorMass);
+  }
+
+  /// The environment of outcome \p I of \p N evaluated on \p B: a copy,
+  /// except that the last outcome takes B's own — every caller consumes the
+  /// branches it expands, and most statements have a single outcome.
+  static Env outcomeEnv(Branch &B, size_t I, size_t N) {
+    if (I + 1 < N)
+      return B.Vars;
+    return std::move(B.Vars);
   }
 
   bool useParallel(size_t N) const {
@@ -346,7 +359,15 @@ private:
     return Next;
   }
 
-  void mergeDist(Dist &D) {
+  static void resetDead(Env &E, const std::vector<unsigned> &DeadSlots) {
+    for (unsigned Slot : DeadSlots)
+      E[Slot] = PsiValue();
+  }
+
+  /// Merges equal environments of \p D after resetting \p DeadSlots in
+  /// each (before it is hashed, on the serial and the parallel path alike,
+  /// so the merged distribution is independent of the thread count).
+  void mergeDist(Dist &D, const std::vector<unsigned> &DeadSlots) {
     if (!Opts.MergeEnvs || D.size() < 2)
       return;
     if (!useParallel(D.size())) {
@@ -360,6 +381,7 @@ private:
       Index.reserve(D.size());
       Result.MergeAttempts += D.size();
       for (Branch &B : D) {
+        resetDead(B.Vars, DeadSlots);
         uint64_t H = EnvHash()(B.Vars);
         uint32_t NewIdx = static_cast<uint32_t>(Merged.size());
         uint32_t At = Index.findOrInsert(
@@ -397,6 +419,7 @@ private:
       size_t Lo = std::min(D.size(), Lane * Chunk);
       size_t Hi = std::min(D.size(), Lo + Chunk);
       for (size_t I = Lo; I < Hi; ++I) {
+        resetDead(D[I].Vars, DeadSlots);
         uint64_t H = EnvHash()(D[I].Vars);
         Buckets[H % Lanes].push_back({H, std::move(D[I])});
       }
@@ -508,11 +531,13 @@ private:
     switch (S.Kind) {
     case PStmtKind::Assign: {
       D = expandBranches(D, [&](Branch &B, Dist &Out, SymProb &Err) {
-        for (Outcome &O : eval(*S.E, B.Vars)) {
+        std::vector<Outcome> Outs = eval(*S.E, B.Vars);
+        for (size_t I = 0; I < Outs.size(); ++I) {
+          Outcome &O = Outs[I];
           SymProb W = applyGuards(B.W.scaled(O.Prob), O.Guards);
           if (W.isZero())
             continue;
-          Branch NB{B.Vars, std::move(W)};
+          Branch NB{outcomeEnv(B, I, Outs.size()), std::move(W)};
           if (O.Failed) {
             fail(NB, O.FailReason, Err);
             continue;
@@ -526,11 +551,13 @@ private:
     case PStmtKind::PushBack:
     case PStmtKind::PushFront: {
       D = expandBranches(D, [&](Branch &B, Dist &Out, SymProb &Err) {
-        for (Outcome &O : eval(*S.E, B.Vars)) {
+        std::vector<Outcome> Outs = eval(*S.E, B.Vars);
+        for (size_t I = 0; I < Outs.size(); ++I) {
+          Outcome &O = Outs[I];
           SymProb W = applyGuards(B.W.scaled(O.Prob), O.Guards);
           if (W.isZero())
             continue;
-          Branch NB{B.Vars, std::move(W)};
+          Branch NB{outcomeEnv(B, I, Outs.size()), std::move(W)};
           if (O.Failed) {
             fail(NB, O.FailReason, Err);
             continue;
@@ -592,7 +619,7 @@ private:
       D = std::move(ThenD);
       for (Branch &B : ElseD)
         D.push_back(std::move(B));
-      mergeDist(D);
+      mergeDist(D, Dead.at(&S).Exit);
       return;
     }
     case PStmtKind::While: {
@@ -610,12 +637,12 @@ private:
             D.push_back(std::move(B));
         });
         execBlock(S.Then, Continue);
-        mergeDist(Continue);
+        mergeDist(Continue, Dead.at(&S).Iter);
         Live = std::move(Continue);
       }
       for (Branch &B : Live)
         fail(B, "while loop exceeded the fuel bound");
-      mergeDist(D);
+      mergeDist(D, Dead.at(&S).Exit);
       return;
     }
     case PStmtKind::Repeat: {
@@ -630,7 +657,7 @@ private:
           RoundSpan.arg("dist", static_cast<uint64_t>(D.size()));
         }
         execBlock(S.Then, D);
-        mergeDist(D);
+        mergeDist(D, Dead.at(&S).Iter);
       }
       return;
     }
@@ -642,11 +669,13 @@ private:
   /// to \p Err.
   template <typename Fn>
   void splitCondOne(const PExpr &Cond, Branch &B, SymProb &Err, Fn Emit) {
-    for (Outcome &O : eval(Cond, B.Vars)) {
+    std::vector<Outcome> Outs = eval(Cond, B.Vars);
+    for (size_t I = 0; I < Outs.size(); ++I) {
+      Outcome &O = Outs[I];
       SymProb W = applyGuards(B.W.scaled(O.Prob), O.Guards);
       if (W.isZero())
         continue;
-      Branch NB{B.Vars, std::move(W)};
+      Branch NB{outcomeEnv(B, I, Outs.size()), std::move(W)};
       if (O.Failed) {
         fail(NB, O.FailReason, Err);
         continue;

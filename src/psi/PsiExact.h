@@ -7,8 +7,9 @@
 /// \file
 /// Exact inference for PSI IR programs: the program is executed on a
 /// distribution of environments; probabilistic draws and comparisons on
-/// symbolic parameters split the distribution, loop boundaries merge
-/// identical environments. Weights are exact piecewise rationals. This is
+/// symbolic parameters split the distribution, merge points (If joins, loop
+/// iterations) merge environments that agree on every live slot
+/// (psi/PsiLiveness.h). Weights are exact piecewise rationals. This is
 /// the standalone probabilistic-inference backend that translated Bayonet
 /// programs run on (mirroring the paper's use of the PSI solver).
 ///
@@ -70,7 +71,8 @@ struct PsiExactResult {
 
 /// Options for the exact PSI engine.
 struct PsiExactOptions {
-  /// Merge identical environments at loop boundaries.
+  /// Merge environments at merge points, after resetting the slots dead
+  /// there.
   bool MergeEnvs = true;
   /// Iteration bound for while loops.
   int64_t WhileFuel = 100000;

@@ -33,6 +33,8 @@ private:
   unsigned NVar = 0;     ///< Number of enabled actions this step.
   unsigned ChoiceVar = 0;
   unsigned CntVar = 0;
+  unsigned RotorVar = 0; ///< Round-robin scheduler state σ_s.
+  unsigned DoneVar = 0;  ///< Round-robin: an action ran this step.
 
   unsigned NumFields = 0; ///< Packet entry layout: fields then port.
 
@@ -53,6 +55,12 @@ private:
   std::vector<PStmtPtr> buildRun(unsigned Node);
   /// Emits the body of a (Fwd, Node) action.
   std::vector<PStmtPtr> buildFwd(unsigned Node);
+  /// Emits one step of the uniform, weighted or deterministic scheduler:
+  /// choose a point in the enabled weight mass and run the slot holding it.
+  std::vector<PStmtPtr> buildChoiceStep();
+  /// Emits one round-robin step: the first enabled slot at or after the
+  /// rotor, cyclically, runs and moves the rotor past itself.
+  std::vector<PStmtPtr> buildRotorStep();
   /// The total-enabled-weight expression.
   PExprPtr enabledCount();
   /// The scheduling weight of node's slots (1 unless weighted).
@@ -62,12 +70,6 @@ private:
 };
 
 std::optional<PsiProgram> TranslatorImpl::run() {
-  if (Spec.Sched == SchedulerKind::RoundRobin) {
-    Diags.error(Spec.SchedulerLoc,
-                "the translator does not support the round-robin rotor "
-                "scheduler; use 'uniform' or 'deterministic'");
-    return std::nullopt;
-  }
   P.Params = Spec.Params;
   P.ParamValues = Spec.ParamValues;
   if (Spec.Query)
@@ -92,6 +94,10 @@ std::optional<PsiProgram> TranslatorImpl::run() {
   NVar = P.addVar("__n");
   ChoiceVar = P.addVar("__choice");
   CntVar = P.addVar("__cnt");
+  if (Spec.Sched == SchedulerKind::RoundRobin) {
+    RotorVar = P.addVar("__rotor");
+    DoneVar = P.addVar("__done");
+  }
 
   // Initialization: empty queues, state initializers, initial packets.
   for (unsigned I = 0; I < NumNodes; ++I) {
@@ -105,6 +111,8 @@ std::optional<PsiProgram> TranslatorImpl::run() {
                                SV.Init ? trExpr(*SV.Init) : pInt(0)));
     }
   }
+  if (Spec.Sched == SchedulerKind::RoundRobin)
+    P.Body.push_back(sAssign(RotorVar, pInt(0)));
   for (const InitPacketSpec &Init : Spec.Inits) {
     std::vector<PExprPtr> Entry;
     for (const Rational &F : Init.Fields)
@@ -115,6 +123,26 @@ std::optional<PsiProgram> TranslatorImpl::run() {
   }
 
   // The step driver (Figure 10's main/step): repeat num_steps times.
+  P.Body.push_back(sRepeat(Spec.NumSteps,
+                           Spec.Sched == SchedulerKind::RoundRobin
+                               ? buildRotorStep()
+                               : buildChoiceStep()));
+
+  // assert(terminated()).
+  P.Body.push_back(sAssign(NVar, enabledCount()));
+  P.Body.push_back(sAssert(pBin(BinOpKind::Eq, pVar(NVar), pInt(0))));
+
+  // The query. A "given" clause becomes a final observation.
+  if (Spec.Query && Spec.Query->Given)
+    P.Body.push_back(sObserve(trQueryExpr(*Spec.Query->Given)));
+  if (Spec.Query && Spec.Query->Body)
+    P.Result = trQueryExpr(*Spec.Query->Body);
+  if (Diags.hasErrors())
+    return std::nullopt;
+  return std::move(P);
+}
+
+std::vector<PStmtPtr> TranslatorImpl::buildChoiceStep() {
   std::vector<PStmtPtr> StepBody;
   StepBody.push_back(sAssign(NVar, enabledCount()));
   std::vector<PStmtPtr> DoStep;
@@ -146,27 +174,42 @@ std::optional<PsiProgram> TranslatorImpl::run() {
     DoStep.push_back(sIf(
         pBin(BinOpKind::Gt, pLen(pVar(QueueVar)), pInt(0)), std::move(Slot)));
   };
-  for (unsigned I = 0; I < NumNodes; ++I) {
+  for (unsigned I = 0; I < Spec.Topo.numNodes(); ++I) {
     int64_t Weight = slotWeight(I);
     addSlot(QInVar[I], buildRun(I), Weight);
     addSlot(QOutVar[I], buildFwd(I), Weight);
   }
   StepBody.push_back(sIf(pBin(BinOpKind::Gt, pVar(NVar), pInt(0)),
                          std::move(DoStep)));
-  P.Body.push_back(sRepeat(Spec.NumSteps, std::move(StepBody)));
+  return StepBody;
+}
 
-  // assert(terminated()).
-  P.Body.push_back(sAssign(NVar, enabledCount()));
-  P.Body.push_back(sAssert(pBin(BinOpKind::Eq, pVar(NVar), pInt(0))));
-
-  // The query. A "given" clause becomes a final observation.
-  if (Spec.Query && Spec.Query->Given)
-    P.Body.push_back(sObserve(trQueryExpr(*Spec.Query->Given)));
-  if (Spec.Query && Spec.Query->Body)
-    P.Result = trQueryExpr(*Spec.Query->Body);
-  if (Diags.hasErrors())
-    return std::nullopt;
-  return std::move(P);
+std::vector<PStmtPtr> TranslatorImpl::buildRotorStep() {
+  // Slot S is (Run, S/2) when S is even, (Fwd, S/2) when odd — the direct
+  // scheduler's order. The first pass tries the slots S >= rotor, the
+  // second the slots S < rotor; the done flag stops both passes after the
+  // first enabled slot ran.
+  const int64_t NumSlots = 2 * static_cast<int64_t>(Spec.Topo.numNodes());
+  std::vector<PStmtPtr> Step;
+  Step.push_back(sAssign(DoneVar, pInt(0)));
+  for (bool Wrapped : {false, true})
+    for (int64_t S = 0; S < NumSlots; ++S) {
+      unsigned Node = static_cast<unsigned>(S / 2);
+      bool IsRun = S % 2 == 0;
+      std::vector<PStmtPtr> Body = IsRun ? buildRun(Node) : buildFwd(Node);
+      Body.push_back(sAssign(RotorVar, pInt((S + 1) % NumSlots)));
+      Body.push_back(sAssign(DoneVar, pInt(1)));
+      PExprPtr InPass = Wrapped
+                            ? pBin(BinOpKind::Lt, pInt(S), pVar(RotorVar))
+                            : pBin(BinOpKind::Le, pVar(RotorVar), pInt(S));
+      unsigned Queue = IsRun ? QInVar[Node] : QOutVar[Node];
+      PExprPtr Enabled = pBin(BinOpKind::Gt, pLen(pVar(Queue)), pInt(0));
+      Step.push_back(sIf(
+          pBin(BinOpKind::And, pBin(BinOpKind::Eq, pVar(DoneVar), pInt(0)),
+               pBin(BinOpKind::And, std::move(InPass), std::move(Enabled))),
+          std::move(Body)));
+    }
+  return Step;
 }
 
 PExprPtr TranslatorImpl::enabledCount() {

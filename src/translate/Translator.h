@@ -9,7 +9,8 @@
 /// mirroring the paper's Figures 9 and 10: per-node input/output queues and
 /// state variables become frame variables, each node's program becomes the
 /// body of its Run action, the probabilistic scheduler becomes a uniform
-/// draw over the enabled actions, and main() unrolls num_steps global steps
+/// draw over the enabled actions (the round-robin rotor becomes a
+/// scheduler-state slot), and main() unrolls num_steps global steps
 /// followed by assert(terminated()) and the query expression.
 ///
 //===----------------------------------------------------------------------===//
@@ -26,8 +27,7 @@
 namespace bayonet {
 
 /// Translates \p Spec into a PSI IR program. Returns nullopt (with
-/// diagnostics) for networks the translator cannot express — currently the
-/// round-robin rotor scheduler (use the uniform or deterministic one).
+/// diagnostics) when an expression cannot be translated.
 std::optional<PsiProgram> translateToPsi(const NetworkSpec &Spec,
                                          DiagEngine &Diags);
 

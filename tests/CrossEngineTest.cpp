@@ -65,8 +65,6 @@ class CrossEngineTest : public ::testing::TestWithParam<NetCase> {};
 
 TEST_P(CrossEngineTest, DirectAndTranslatedAgreeExactly) {
   const NetCase &C = GetParam();
-  if (std::string(C.Name) == "tiny_congestion")
-    GTEST_SKIP() << "uses the round-robin scheduler (not translatable)";
   DiagEngine Diags;
   auto Net = loadNetwork(C.Source, Diags);
   ASSERT_TRUE(Net.has_value()) << Diags.toString();

@@ -222,6 +222,39 @@ TEST_P(FuzzDiffTest, DirectVersusTranslated) {
   EXPECT_EQ(Total, Rational(1));
 }
 
+// The same seeds under the round-robin rotor, which the translator models
+// as a scheduler-state slot that must survive every merge.
+TEST_P(FuzzDiffTest, DirectVersusTranslatedRoundRobin) {
+  NetworkGen Gen(GetParam());
+  std::string Source = Gen.generate();
+  size_t Pos = Source.find("scheduler uniform;");
+  ASSERT_NE(Pos, std::string::npos);
+  Source.replace(Pos, 18, "scheduler roundrobin;");
+  SCOPED_TRACE(Source);
+
+  DiagEngine Diags;
+  auto Net = loadNetwork(Source, Diags);
+  ASSERT_TRUE(Net.has_value()) << Diags.toString();
+  ExactResult Direct = ExactEngine(Net->Spec).run();
+  ASSERT_FALSE(Direct.QueryUnsupported) << Direct.UnsupportedReason;
+
+  DiagEngine TDiags;
+  auto Psi = translateToPsi(Net->Spec, TDiags);
+  ASSERT_TRUE(Psi.has_value()) << TDiags.toString();
+  PsiExactResult Translated = PsiExact(*Psi).run();
+  ASSERT_FALSE(Translated.QueryUnsupported) << Translated.UnsupportedReason;
+
+  EXPECT_TRUE(Direct.QueryMass == Translated.QueryMass)
+      << "direct " << Direct.QueryMass.toString(Net->Spec.Params)
+      << "\ntranslated " << Translated.QueryMass.toString(Net->Spec.Params);
+  EXPECT_TRUE(Direct.OkMass == Translated.OkMass)
+      << "direct " << Direct.OkMass.toString(Net->Spec.Params)
+      << "\ntranslated " << Translated.OkMass.toString(Net->Spec.Params);
+  EXPECT_TRUE(Direct.ErrorMass == Translated.ErrorMass)
+      << "direct " << Direct.ErrorMass.toString(Net->Spec.Params)
+      << "\ntranslated " << Translated.ErrorMass.toString(Net->Spec.Params);
+}
+
 TEST_P(FuzzDiffTest, PrintReparseIdentity) {
   NetworkGen Gen(GetParam());
   std::string Source = Gen.generate();

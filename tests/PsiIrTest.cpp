@@ -11,8 +11,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "psi/PsiExact.h"
+#include "psi/PsiLiveness.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace bayonet;
 
@@ -167,6 +170,97 @@ TEST(PsiIrTest, RepeatWithoutMergingBlowsUp) {
   // Exponentially many paths without merging (2^11 at the last statement
   // entry, where the peak is measured).
   EXPECT_GE(R.MaxDistSize, 2048u);
+}
+
+/// Runs \p P with and without environment merging and requires the three
+/// masses to agree bit for bit; returns the merging run.
+PsiExactResult runBothWays(const PsiProgram &P) {
+  PsiExactOptions Off;
+  Off.MergeEnvs = false;
+  PsiExactResult Plain = PsiExact(P, Off).run();
+  PsiExactResult Merged = PsiExact(P).run();
+  EXPECT_TRUE(Merged.QueryMass == Plain.QueryMass);
+  EXPECT_TRUE(Merged.OkMass == Plain.OkMass);
+  EXPECT_TRUE(Merged.ErrorMass == Plain.ErrorMass);
+  return Merged;
+}
+
+bool deadAtIter(const PsiProgram &P, const PStmt &Loop, unsigned Slot) {
+  const PsiLiveness Live = computeMergeLiveness(P);
+  const std::vector<unsigned> &Dead = Live.at(&Loop).Iter;
+  return std::find(Dead.begin(), Dead.end(), Slot) != Dead.end();
+}
+
+TEST(PsiIrTest, DeadTemporaryMergesAcrossRepeat) {
+  // repeat 4 { t = uniformInt(0, 9); x = x + (t == 0); }: t is written
+  // before it is read in every iteration, so it is dead at the merge and
+  // the distribution after it is just x's 5 values. Keeping t alive would
+  // multiply that by t's 10 values.
+  PsiProgram P;
+  unsigned X = P.addVar("x");
+  unsigned T = P.addVar("t");
+  std::vector<PStmtPtr> Body;
+  Body.push_back(sAssign(T, pUniformInt(pInt(0), pInt(9))));
+  Body.push_back(sAssign(
+      X, pBin(BinOpKind::Add, pVar(X), pBin(BinOpKind::Eq, pVar(T), pInt(0)))));
+  P.Body.push_back(sRepeat(4, std::move(Body)));
+  P.Result = pVar(X);
+  P.Kind = QueryKind::Expectation;
+  EXPECT_TRUE(deadAtIter(P, *P.Body[0], T));
+  EXPECT_FALSE(deadAtIter(P, *P.Body[0], X));
+  PsiExactResult R = runBothWays(P);
+  EXPECT_EQ(*R.concreteValue(), q(2, 5));
+  // At most 4 values of x after three merges, times 10 draws of t.
+  EXPECT_LE(R.MaxDistSize, 40u);
+}
+
+TEST(PsiIrTest, SlotReadInNextIterationStaysLive) {
+  // A rotor that is read at the top of the next iteration before it is
+  // written: resetting it at the merge would run the flip every time. The
+  // "__" prefix marks a scheduler temporary in translated programs and
+  // must not make it dead.
+  PsiProgram P;
+  unsigned X = P.addVar("x");
+  unsigned Rotor = P.addVar("__rotor");
+  std::vector<PStmtPtr> Then, Else;
+  Then.push_back(
+      sAssign(X, pBin(BinOpKind::Add, pVar(X), pFlip(pConst(q(1, 2))))));
+  Then.push_back(sAssign(Rotor, pInt(1)));
+  Else.push_back(sAssign(Rotor, pInt(0)));
+  std::vector<PStmtPtr> Body;
+  Body.push_back(sIf(pBin(BinOpKind::Eq, pVar(Rotor), pInt(0)),
+                     std::move(Then), std::move(Else)));
+  P.Body.push_back(sRepeat(6, std::move(Body)));
+  P.Result = pVar(X);
+  P.Kind = QueryKind::Expectation;
+  EXPECT_FALSE(deadAtIter(P, *P.Body[0], Rotor));
+  PsiExactResult R = runBothWays(P);
+  EXPECT_EQ(*R.concreteValue(), q(3, 2));
+}
+
+TEST(PsiIrTest, ReadThatOnlyDecidesFailureIsAUse) {
+  // repeat 4 { j = q[k]; k = k + flip(1/2); }: j is never read, but
+  // q[k] fails once k reaches 2, so k is live at the merge and the error
+  // mass is P(k reaches 2 within three flips) = 1/2.
+  PsiProgram P;
+  unsigned Q = P.addVar("q");
+  unsigned K = P.addVar("k");
+  unsigned J = P.addVar("j");
+  std::vector<PExprPtr> Elems;
+  Elems.push_back(pInt(0));
+  Elems.push_back(pInt(0));
+  P.Body.push_back(sAssign(Q, pTuple(std::move(Elems))));
+  std::vector<PStmtPtr> Body;
+  Body.push_back(sAssign(J, pIndex(pVar(Q), pVar(K))));
+  Body.push_back(
+      sAssign(K, pBin(BinOpKind::Add, pVar(K), pFlip(pConst(q(1, 2))))));
+  P.Body.push_back(sRepeat(4, std::move(Body)));
+  P.Result = pInt(1);
+  EXPECT_FALSE(deadAtIter(P, *P.Body[1], K));
+  EXPECT_FALSE(deadAtIter(P, *P.Body[1], Q));
+  EXPECT_TRUE(deadAtIter(P, *P.Body[1], J));
+  PsiExactResult R = runBothWays(P);
+  EXPECT_EQ(R.ErrorMass.concreteValue(), q(1, 2));
 }
 
 TEST(PsiIrTest, TupleConstructionAndProjection) {

@@ -15,11 +15,14 @@
 
 #include "api/Bayonet.h"
 #include "psi/PsiExact.h"
+#include "psi/PsiLiveness.h"
 #include "translate/Translator.h"
 #include "translate/WebPplEmitter.h"
 #include "TestNetworks.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace bayonet;
 
@@ -106,16 +109,53 @@ TEST(TranslatorTest, DeterministicSchedulerTranslation) {
   EXPECT_EQ(*R.concreteValue(), Rational(1));
 }
 
-TEST(TranslatorTest, RoundRobinRejected) {
+TEST(TranslatorTest, RoundRobinTranslatesAndAgrees) {
   std::string Src = testnets::PaperExample;
   size_t Pos = Src.find("scheduler uniform;");
   Src.replace(Pos, 18, "scheduler roundrobin;");
-  DiagEngine D1, D2;
-  auto Net = loadNetwork(Src, D1);
-  ASSERT_TRUE(Net.has_value());
-  auto P = translateToPsi(Net->Spec, D2);
-  EXPECT_FALSE(P.has_value());
-  EXPECT_TRUE(D2.hasErrors());
+  for (const std::string &Net : {Src, std::string(testnets::TinyCongestion)}) {
+    DiagEngine Diags;
+    auto Loaded = loadNetwork(Net, Diags);
+    ASSERT_TRUE(Loaded.has_value()) << Diags.toString();
+    ASSERT_EQ(Loaded->Spec.Sched, SchedulerKind::RoundRobin);
+    ExactResult Direct = ExactEngine(Loaded->Spec).run();
+    PsiProgram P = translateOk(Loaded->Spec);
+    PsiExactResult Translated = PsiExact(P).run();
+    ASSERT_FALSE(Translated.QueryUnsupported) << Translated.UnsupportedReason;
+    EXPECT_TRUE(Direct.QueryMass == Translated.QueryMass) << Net;
+    EXPECT_TRUE(Direct.OkMass == Translated.OkMass) << Net;
+    EXPECT_TRUE(Direct.ErrorMass == Translated.ErrorMass) << Net;
+  }
+}
+
+// The rotor is read at the start of the next step before it is written, so
+// liveness must keep it across the step loop's merge; the done flag is
+// written first in every step and is dead there.
+TEST(TranslatorTest, RoundRobinRotorStaysLive) {
+  DiagEngine Diags;
+  auto Net = loadNetwork(testnets::TinyCongestion, Diags);
+  ASSERT_TRUE(Net.has_value()) << Diags.toString();
+  PsiProgram P = translateOk(Net->Spec);
+  auto Slot = [&](const std::string &Name) {
+    auto It = std::find(P.VarNames.begin(), P.VarNames.end(), Name);
+    EXPECT_NE(It, P.VarNames.end()) << Name;
+    return static_cast<unsigned>(It - P.VarNames.begin());
+  };
+  const PStmt *Step = nullptr;
+  for (const PStmtPtr &S : P.Body)
+    if (S->Kind == PStmtKind::Repeat)
+      Step = S.get();
+  ASSERT_NE(Step, nullptr);
+  PsiLiveness Live = computeMergeLiveness(P);
+  const std::vector<unsigned> &Dead = Live.at(Step).Iter;
+  auto IsDead = [&](unsigned V) {
+    return std::find(Dead.begin(), Dead.end(), V) != Dead.end();
+  };
+  EXPECT_FALSE(IsDead(Slot("__rotor")));
+  EXPECT_TRUE(IsDead(Slot("__done")));
+  EXPECT_TRUE(IsDead(Slot("__entry")));
+  EXPECT_FALSE(IsDead(Slot("qin_A")));
+  EXPECT_FALSE(IsDead(Slot("s_B_got")));
 }
 
 TEST(TranslatorTest, PsiPrinterProducesProgramText) {
