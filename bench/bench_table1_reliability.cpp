@@ -8,12 +8,17 @@
 /// Regenerates Table 1 rows 6-9: reliability of packet delivery across the
 /// Figure 11(b) diamond (6 nodes, 0.9995) and the 30-node diamond chain
 /// (0.9965), exact and approximate. The paper lists each size twice (two
-/// runs); we reproduce that with two sampler seeds.
+/// runs); we reproduce that with two sampler seeds. The 30-node network
+/// also runs through the translated pipeline (translateToPsi + PsiExact,
+/// serial), so the row pair measures the gap between the two exact
+/// pipelines.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
+#include "psi/PsiExact.h"
 #include "scenarios/Scenarios.h"
+#include "translate/Translator.h"
 
 using namespace bayonet;
 using namespace bayonet::benchutil;
@@ -71,6 +76,33 @@ void BM_ReliabilitySmc(benchmark::State &State) {
   addRow(C.Label, "SMC-1000", C.PaperApprox, fmt(Value), Secs);
 }
 
+void BM_ReliabilityTranslated(benchmark::State &State) {
+  const ReliabilityCase &C = Cases[2];
+  LoadedNetwork Net = mustLoad(scenarios::reliabilityChain(C.Diamonds));
+  DiagEngine Diags;
+  auto Psi = translateToPsi(Net.Spec, Diags);
+  if (!Psi) {
+    State.SkipWithError("reliability chain did not translate");
+    return;
+  }
+  PsiExactOptions Opts;
+  Opts.Threads = 1;
+  std::string Measured;
+  double Secs = 0;
+  for (auto _ : State) {
+    auto T0 = std::chrono::steady_clock::now();
+    PsiExactResult R = PsiExact(*Psi, Opts).run();
+    Secs = std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         T0)
+               .count();
+    auto V = R.concreteValue();
+    Measured = V ? fmt(V->toDouble()) : "?";
+    benchmark::DoNotOptimize(R);
+  }
+  addRow("reliability uni 30 nodes", "translated", C.PaperExact, Measured,
+         Secs);
+}
+
 } // namespace
 
 BENCHMARK(BM_ReliabilityExact)
@@ -79,5 +111,7 @@ BENCHMARK(BM_ReliabilityExact)
 BENCHMARK(BM_ReliabilitySmc)
     ->DenseRange(0, 3)
     ->Unit(benchmark::kMillisecond);
+
+BENCHMARK(BM_ReliabilityTranslated)->Unit(benchmark::kMillisecond);
 
 BAYONET_BENCH_MAIN("Table 1 rows 6-9 (reliability)")

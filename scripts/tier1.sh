@@ -11,10 +11,11 @@
 # exact + SMC), a zero-allocation assertion on the exact engine's
 # weight-merge hot path (alloc_check from an armed BAYONET_COUNT_ALLOCS
 # build), a benchmark-regression check against the committed BENCH.json
-# baseline, and a thread-sanitized run of the parallel-determinism,
-# budget, observability, snapshot, and signal tests. The TSan step runs
-# with BAYONET_THREADS=4 so real worker threads race through the sharded
-# engine paths even on a single-core machine.
+# baseline, an assert-enabled Debug build under ASan+UBSan running the
+# PSI, translator and cross-pipeline tests, and a thread-sanitized run of
+# the parallel-determinism, budget, observability, snapshot, and signal
+# tests. The TSan step runs with BAYONET_THREADS=4 so real worker threads
+# race through the sharded engine paths even on a single-core machine.
 #
 # Usage: scripts/tier1.sh [--no-tsan]
 #   BAYONET_SKIP_BENCH=1 skips the benchmark-regression step (slow:
@@ -296,6 +297,18 @@ else
   fi
   rm -rf "$BenchTmp"
 fi
+
+echo "=== tier-1: assert-enabled ASan+UBSan leg (translated pipeline) ==="
+# A Debug build keeps every assert, so PsiExact cross-checks each concrete
+# evaluation against the general evaluator while ASan watches the pointers
+# into environments it resolves and UBSan aborts on undefined behaviour.
+AsanStart=$SECONDS
+cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
+  -DBAYONET_SANITIZE=address,undefined
+cmake --build build-asan -j --target bayonet_tests
+./build-asan/tests/bayonet_tests \
+  --gtest_filter='PsiIr*:*CrossEngine*:Translator*:*FuzzDiff*DirectVersusTranslated*'
+echo "asan leg: $((SECONDS - AsanStart)) s"
 
 if [ "$NO_TSAN" = 1 ]; then
   echo "=== tier-1: TSan step skipped (--no-tsan) ==="

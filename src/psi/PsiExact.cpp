@@ -522,6 +522,18 @@ private:
                       .ProfSlot = S.ProfSlot});
   }
 
+  /// Pushes \p V onto queue \p Q for a PushBack/PushFront \p S; a push
+  /// onto a full bounded queue drops the value.
+  static void push(const PStmt &S, PsiValue &Q, PsiValue V) {
+    auto &Elems = Q.elems();
+    if (S.Capacity >= 0 && static_cast<int64_t>(Elems.size()) >= S.Capacity)
+      return;
+    if (S.Kind == PStmtKind::PushBack)
+      Elems.push_back(std::move(V));
+    else
+      Elems.insert(Elems.begin(), std::move(V));
+  }
+
   void execStmtInner(const PStmt &S, Dist &D) {
     if (PF)
       // One exec per branch entering the statement (the PSI analogue of
@@ -531,6 +543,14 @@ private:
     switch (S.Kind) {
     case PStmtKind::Assign: {
       D = expandBranches(D, [&](Branch &B, Dist &Out, SymProb &Err) {
+        PsiValue V;
+        if (evalConcrete(*S.E, B.Vars, V)) {
+          if (!B.W.isZero()) {
+            B.Vars[S.Var] = std::move(V);
+            Out.push_back(std::move(B));
+          }
+          return;
+        }
         std::vector<Outcome> Outs = eval(*S.E, B.Vars);
         for (size_t I = 0; I < Outs.size(); ++I) {
           Outcome &O = Outs[I];
@@ -551,6 +571,14 @@ private:
     case PStmtKind::PushBack:
     case PStmtKind::PushFront: {
       D = expandBranches(D, [&](Branch &B, Dist &Out, SymProb &Err) {
+        PsiValue V;
+        if (B.Vars[S.Var].isTuple() && evalConcrete(*S.E, B.Vars, V)) {
+          if (!B.W.isZero()) {
+            push(S, B.Vars[S.Var], std::move(V));
+            Out.push_back(std::move(B));
+          }
+          return;
+        }
         std::vector<Outcome> Outs = eval(*S.E, B.Vars);
         for (size_t I = 0; I < Outs.size(); ++I) {
           Outcome &O = Outs[I];
@@ -566,14 +594,7 @@ private:
             fail(NB, "push on a non-queue value", Err);
             continue;
           }
-          auto &Elems = NB.Vars[S.Var].elems();
-          if (S.Capacity < 0 ||
-              static_cast<int64_t>(Elems.size()) < S.Capacity) {
-            if (S.Kind == PStmtKind::PushBack)
-              Elems.push_back(std::move(O.V));
-            else
-              Elems.insert(Elems.begin(), std::move(O.V));
-          }
+          push(S, NB.Vars[S.Var], std::move(O.V));
           Out.push_back(std::move(NB));
         }
       });
@@ -669,6 +690,12 @@ private:
   /// to \p Err.
   template <typename Fn>
   void splitCondOne(const PExpr &Cond, Branch &B, SymProb &Err, Fn Emit) {
+    PsiValue V;
+    if (evalConcrete(Cond, B.Vars, V) && V.isRational()) {
+      if (!B.W.isZero())
+        Emit(std::move(B), !V.rational().isZero());
+      return;
+    }
     std::vector<Outcome> Outs = eval(Cond, B.Vars);
     for (size_t I = 0; I < Outs.size(); ++I) {
       Outcome &O = Outs[I];
@@ -1138,6 +1165,195 @@ private:
     }
   }
 
+  //===--------------------------------------------------------------------===//
+  // Concrete evaluation
+  //===--------------------------------------------------------------------===//
+
+  /// The value of \p E when eval would return exactly one successful,
+  /// unguarded outcome of probability 1 — a deterministic expression over
+  /// concrete values — computed without outcome vectors or LinExpr. Returns
+  /// false (decline) on draws, unbound parameters, symbolic or tuple
+  /// operands where a scalar is needed, and every input on which eval
+  /// fails; the caller then runs eval, which stays the only producer of
+  /// failures, draws and symbolic splits.
+  bool evalConcrete(const PExpr &E, const Env &Vars, PsiValue &Out) {
+    if (!concreteValue(E, Vars, Out))
+      return false;
+#ifndef NDEBUG
+    std::vector<Outcome> Outs = eval(E, Vars);
+    assert(Outs.size() == 1 && !Outs[0].Failed &&
+           Outs[0].Prob == Rational(1) && Outs[0].Guards.empty() &&
+           Outs[0].V == Out && "concrete evaluation diverged from eval");
+#endif
+    return true;
+  }
+
+  bool concreteValue(const PExpr &E, const Env &Vars, PsiValue &Out) {
+    switch (E.Kind) {
+    case PExprKind::Var:
+    case PExprKind::TupleGet:
+    case PExprKind::Index: {
+      PsiValue Tmp;
+      const PsiValue *V = concreteRef(E, Vars, Tmp);
+      if (!V)
+        return false;
+      Out = *V;
+      return true;
+    }
+    case PExprKind::Tuple: {
+      PsiValue::Tuple Elems(E.Ops.size());
+      for (size_t I = 0; I < E.Ops.size(); ++I)
+        if (!concreteValue(*E.Ops[I], Vars, Elems[I]))
+          return false;
+      Out = PsiValue::tuple(std::move(Elems));
+      return true;
+    }
+    default: {
+      Rational R;
+      if (!concreteScalar(E, Vars, R))
+        return false;
+      Out = PsiValue(std::move(R));
+      return true;
+    }
+    }
+  }
+
+  /// A Var / TupleGet / Index path resolved to the value it names inside
+  /// \p Vars, so reading one queue element copies nothing else; any other
+  /// expression is evaluated into \p Tmp. nullptr declines.
+  const PsiValue *concreteRef(const PExpr &E, const Env &Vars, PsiValue &Tmp) {
+    switch (E.Kind) {
+    case PExprKind::Var:
+      return &Vars[E.Index];
+    case PExprKind::TupleGet: {
+      const PsiValue *T = concreteRef(*E.Ops[0], Vars, Tmp);
+      if (!T || !T->isTuple() || E.Index >= T->elems().size())
+        return nullptr;
+      return &T->elems()[E.Index];
+    }
+    case PExprKind::Index: {
+      const PsiValue *T = concreteRef(*E.Ops[0], Vars, Tmp);
+      Rational I;
+      if (!T || !T->isTuple() || !concreteScalar(*E.Ops[1], Vars, I) ||
+          !I.isInteger() || !I.num().isSmall())
+        return nullptr;
+      int64_t Idx = I.num().getSmall();
+      if (Idx < 0 || Idx >= static_cast<int64_t>(T->elems().size()))
+        return nullptr;
+      return &T->elems()[Idx];
+    }
+    default:
+      return concreteValue(E, Vars, Tmp) ? &Tmp : nullptr;
+    }
+  }
+
+  /// A concrete rational value of \p E; false declines.
+  bool concreteScalar(const PExpr &E, const Env &Vars, Rational &Out) {
+    switch (E.Kind) {
+    case PExprKind::Const:
+      Out = E.ConstVal;
+      return true;
+    case PExprKind::Param:
+      if (E.Index >= P.ParamValues.size() || !P.ParamValues[E.Index])
+        return false;
+      Out = *P.ParamValues[E.Index];
+      return true;
+    case PExprKind::Var:
+    case PExprKind::TupleGet:
+    case PExprKind::Index: {
+      PsiValue Tmp;
+      const PsiValue *V = concreteRef(E, Vars, Tmp);
+      if (!V || !V->isRational())
+        return false;
+      Out = V->rational();
+      return true;
+    }
+    case PExprKind::Len: {
+      PsiValue Tmp;
+      const PsiValue *T = concreteRef(*E.Ops[0], Vars, Tmp);
+      if (!T || !T->isTuple())
+        return false;
+      Out = Rational(static_cast<int64_t>(T->elems().size()));
+      return true;
+    }
+    case PExprKind::UnOp:
+      if (!concreteScalar(*E.Ops[0], Vars, Out))
+        return false;
+      if (E.UnOp == UnOpKind::Neg)
+        Out = -Out;
+      else
+        Out = Rational(Out.isZero() ? 1 : 0);
+      return true;
+    case PExprKind::BinOp:
+      return concreteBin(E, Vars, Out);
+    default: // Flip, UniformInt, Tuple.
+      return false;
+    }
+  }
+
+  bool concreteBin(const PExpr &E, const Env &Vars, Rational &Out) {
+    Rational L;
+    if (!concreteScalar(*E.Ops[0], Vars, L))
+      return false;
+    const BinOpKind Op = E.BinOp;
+    if (Op == BinOpKind::And || Op == BinOpKind::Or) {
+      // As in evalBin: the right operand is evaluated only when the left
+      // one does not decide the result.
+      if (!L.isZero() == (Op == BinOpKind::And) &&
+          !concreteScalar(*E.Ops[1], Vars, L))
+        return false;
+      Out = Rational(L.isZero() ? 0 : 1);
+      return true;
+    }
+    Rational R;
+    if (!concreteScalar(*E.Ops[1], Vars, R))
+      return false;
+    switch (Op) {
+    case BinOpKind::Add:
+      Out = L + R;
+      return true;
+    case BinOpKind::Sub:
+      Out = L - R;
+      return true;
+    case BinOpKind::Mul:
+      Out = L * R;
+      return true;
+    case BinOpKind::Div:
+      if (R.isZero())
+        return false;
+      Out = L / R;
+      return true;
+    default:
+      break;
+    }
+    // The comparisons decide Constraint(L - R, rel) as applyScalar does,
+    // Gt/Ge (and its default) through the negated difference.
+    const int Cmp = Rational::compare(L, R);
+    bool Truth;
+    switch (Op) {
+    case BinOpKind::Eq:
+      Truth = Cmp == 0;
+      break;
+    case BinOpKind::Ne:
+      Truth = Cmp != 0;
+      break;
+    case BinOpKind::Lt:
+      Truth = Cmp < 0;
+      break;
+    case BinOpKind::Le:
+      Truth = Cmp <= 0;
+      break;
+    case BinOpKind::Gt:
+      Truth = Cmp > 0;
+      break;
+    default:
+      Truth = Cmp >= 0;
+      break;
+    }
+    Out = Rational(Truth ? 1 : 0);
+    return true;
+  }
+
   /// Per-branch terminal accounting; partials go to lane-local state in
   /// parallel runs and are folded in lane order.
   struct FinishPartial {
@@ -1152,6 +1368,16 @@ private:
     if (!P.Result) {
       Res.Unsupported = true;
       Res.UnsupportedReason = "program has no result expression";
+      return;
+    }
+    PsiValue V;
+    if (evalConcrete(*P.Result, B.Vars, V) && V.isRational()) {
+      if (B.W.isZero())
+        return;
+      if (P.Kind != QueryKind::Probability)
+        Res.QueryMass += B.W.scaled(V.rational());
+      else if (!V.rational().isZero())
+        Res.QueryMass += B.W;
       return;
     }
     for (Outcome &O : eval(*P.Result, B.Vars)) {

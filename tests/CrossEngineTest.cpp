@@ -139,6 +139,34 @@ TEST_P(CrossEngineTest, PrintReparseRerunIsIdentity) {
   EXPECT_TRUE(R1.ErrorMass == R2.ErrorMass);
 }
 
+// Unbound parameters make every cost comparison symbolic: the one input on
+// which PsiExact's concrete evaluator must decline and split like the
+// direct engine does.
+TEST(CrossEngineSymbolic, Figure2SymbolicRegionsAgree) {
+  DiagEngine Diags;
+  auto Net = loadNetworkFile(
+      std::string(BAYONET_EXAMPLES_DIR) + "/figure2_symbolic.bay", Diags);
+  ASSERT_TRUE(Net.has_value()) << Diags.toString();
+  ExactResult Direct = ExactEngine(Net->Spec).run();
+  DiagEngine TDiags;
+  auto Psi = translateToPsi(Net->Spec, TDiags);
+  ASSERT_TRUE(Psi.has_value()) << TDiags.toString();
+  PsiExactResult Translated = PsiExact(*Psi).run();
+  ASSERT_FALSE(Direct.QueryUnsupported) << Direct.UnsupportedReason;
+  ASSERT_FALSE(Translated.QueryUnsupported) << Translated.UnsupportedReason;
+  std::vector<ProbCase> DC = Direct.cases();
+  std::vector<ProbCase> TC = Translated.cases();
+  ASSERT_EQ(DC.size(), 3u);
+  ASSERT_EQ(TC.size(), DC.size());
+  for (size_t I = 0; I < DC.size(); ++I) {
+    EXPECT_TRUE(DC[I].Region == TC[I].Region)
+        << "region " << I << ": direct "
+        << DC[I].Region.toString(Net->Spec.Params) << " vs translated "
+        << TC[I].Region.toString(Net->Spec.Params);
+    EXPECT_EQ(DC[I].Value, TC[I].Value) << "region " << I;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllNetworks, CrossEngineTest, ::testing::ValuesIn(allCases()),
     [](const ::testing::TestParamInfo<NetCase> &Info) {

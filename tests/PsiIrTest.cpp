@@ -316,6 +316,153 @@ TEST(PsiIrTest, SymbolicComparisonSplits) {
   }
 }
 
+// The concrete evaluator declines to eval on every input below; these pin
+// the general path's answers so a fast path that took them would show.
+
+TEST(PsiIrTest, ShortCircuitSkipsBadIndex) {
+  PsiProgram P;
+  unsigned T = P.addVar("t");
+  unsigned C = P.addVar("c");
+  unsigned D = P.addVar("d");
+  unsigned X = P.addVar("x");
+  unsigned Y = P.addVar("y");
+  std::vector<PExprPtr> Elems;
+  Elems.push_back(pInt(1));
+  P.Body.push_back(sAssign(T, pTuple(std::move(Elems))));
+  P.Body.push_back(sAssign(C, pInt(0)));
+  P.Body.push_back(sAssign(D, pInt(1)));
+  // t[5] is out of range, but c == 0 decides && and d == 1 decides ||.
+  P.Body.push_back(
+      sAssign(X, pBin(BinOpKind::And, pVar(C), pIndex(pVar(T), pInt(5)))));
+  P.Body.push_back(
+      sAssign(Y, pBin(BinOpKind::Or, pVar(D), pIndex(pVar(T), pInt(5)))));
+  P.Result = pBin(BinOpKind::Add, pBin(BinOpKind::Mul, pVar(X), pInt(10)),
+                  pVar(Y));
+  P.Kind = QueryKind::Expectation;
+  PsiExactResult R = PsiExact(P).run();
+  EXPECT_TRUE(R.ErrorMass.isZero());
+  EXPECT_EQ(R.OkMass.concreteValue(), q(1));
+  EXPECT_EQ(*R.concreteValue(), q(1)); // x = 0, y = 1.
+}
+
+TEST(PsiIrTest, ShortCircuitEvaluatesRightWhenUndecided) {
+  PsiProgram P;
+  unsigned T = P.addVar("t");
+  unsigned C = P.addVar("c");
+  unsigned X = P.addVar("x");
+  std::vector<PExprPtr> Elems;
+  Elems.push_back(pInt(3));
+  P.Body.push_back(sAssign(T, pTuple(std::move(Elems))));
+  P.Body.push_back(sAssign(C, pFlip(pConst(q(1, 4)))));
+  // c == 1 (mass 1/4) reads t[5] and fails; c == 0 short-circuits to 0.
+  P.Body.push_back(
+      sAssign(X, pBin(BinOpKind::And, pVar(C), pIndex(pVar(T), pInt(5)))));
+  P.Result = pVar(X);
+  P.Kind = QueryKind::Expectation;
+  PsiExactResult R = PsiExact(P).run();
+  EXPECT_EQ(R.ErrorMass.concreteValue(), q(1, 4));
+  EXPECT_EQ(R.OkMass.concreteValue(), q(3, 4));
+  EXPECT_EQ(*R.concreteValue(), q(0));
+}
+
+TEST(PsiIrTest, DivisionByZeroIsError) {
+  PsiProgram P;
+  unsigned B = P.addVar("b");
+  unsigned Y = P.addVar("y");
+  unsigned X = P.addVar("x");
+  P.Body.push_back(sAssign(B, pFlip(pConst(q(1, 4)))));
+  P.Body.push_back(sAssign(Y, pInt(0)));
+  std::vector<PStmtPtr> Then;
+  Then.push_back(sAssign(X, pBin(BinOpKind::Div, pInt(1), pVar(Y))));
+  P.Body.push_back(sIf(pVar(B), std::move(Then)));
+  P.Result = pVar(X);
+  P.Kind = QueryKind::Expectation;
+  PsiExactResult R = PsiExact(P).run();
+  // The whole b == 1 branch (mass 1/4) fails; x stays 0 elsewhere.
+  EXPECT_EQ(R.ErrorMass.concreteValue(), q(1, 4));
+  EXPECT_EQ(R.OkMass.concreteValue(), q(3, 4));
+  EXPECT_EQ(*R.concreteValue(), q(0));
+}
+
+TEST(PsiIrTest, TupleConditionIsError) {
+  PsiProgram P;
+  unsigned T = P.addVar("t");
+  unsigned X = P.addVar("x");
+  std::vector<PExprPtr> Elems;
+  Elems.push_back(pInt(1));
+  Elems.push_back(pInt(2));
+  P.Body.push_back(sAssign(T, pTuple(std::move(Elems))));
+  std::vector<PStmtPtr> Then;
+  Then.push_back(sAssign(X, pInt(1)));
+  P.Body.push_back(sIf(pVar(T), std::move(Then)));
+  P.Result = pVar(X);
+  PsiExactResult R = PsiExact(P).run();
+  EXPECT_EQ(R.ErrorMass.concreteValue(), q(1));
+  EXPECT_TRUE(R.OkMass.isZero());
+}
+
+TEST(PsiIrTest, PushOntoScalarIsError) {
+  PsiProgram P;
+  unsigned S = P.addVar("s");
+  P.Body.push_back(sAssign(S, pInt(3)));
+  P.Body.push_back(sPushBack(S, pInt(1), -1));
+  P.Result = pInt(1);
+  PsiExactResult R = PsiExact(P).run();
+  EXPECT_EQ(R.ErrorMass.concreteValue(), q(1));
+  EXPECT_TRUE(R.OkMass.isZero());
+}
+
+/// q = ((1, 2), (3, 4)); x = q[0][Col].
+PsiProgram nestedRead(int64_t Col) {
+  PsiProgram P;
+  unsigned Q = P.addVar("q");
+  unsigned X = P.addVar("x");
+  std::vector<PExprPtr> Rows;
+  for (int64_t Row = 0; Row < 2; ++Row) {
+    std::vector<PExprPtr> Cells;
+    Cells.push_back(pInt(2 * Row + 1));
+    Cells.push_back(pInt(2 * Row + 2));
+    Rows.push_back(pTuple(std::move(Cells)));
+  }
+  P.Body.push_back(sAssign(Q, pTuple(std::move(Rows))));
+  P.Body.push_back(
+      sAssign(X, pIndex(pIndex(pVar(Q), pInt(0)), pInt(Col))));
+  P.Result = pVar(X);
+  P.Kind = QueryKind::Expectation;
+  return P;
+}
+
+TEST(PsiIrTest, NestedIndexReadsOneElement) {
+  PsiProgram P = nestedRead(1);
+  PsiExactResult R = PsiExact(P).run();
+  EXPECT_TRUE(R.ErrorMass.isZero());
+  EXPECT_EQ(*R.concreteValue(), q(2));
+
+  PsiProgram Bad = nestedRead(7);
+  PsiExactResult RB = PsiExact(Bad).run();
+  EXPECT_EQ(RB.ErrorMass.concreteValue(), q(1));
+  EXPECT_TRUE(RB.OkMass.isZero());
+}
+
+TEST(PsiIrTest, BoundParameterIsConcrete) {
+  // SymbolicComparisonSplits with P bound to 3: no split, one case.
+  PsiProgram P;
+  unsigned X = P.addVar("x");
+  unsigned Param = P.Params.getOrAdd("P");
+  P.ParamValues.assign(1, q(3));
+  std::vector<PStmtPtr> Then, Else;
+  Then.push_back(sAssign(X, pInt(1)));
+  Else.push_back(sAssign(X, pInt(0)));
+  P.Body.push_back(sIf(pBin(BinOpKind::Lt, pParam(Param), pInt(5)),
+                       std::move(Then), std::move(Else)));
+  P.Result = pBin(BinOpKind::Eq, pVar(X), pInt(1));
+  PsiExactResult R = PsiExact(P).run();
+  ASSERT_TRUE(R.QueryMass.isConcrete());
+  EXPECT_EQ(R.cases().size(), 1u);
+  EXPECT_EQ(*R.concreteValue(), q(1));
+  EXPECT_EQ(R.OkMass.concreteValue(), q(1));
+}
+
 TEST(PsiIrTest, SamplerMatchesExact) {
   PsiProgram P;
   unsigned X = P.addVar("x");
