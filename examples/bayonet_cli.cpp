@@ -11,7 +11,7 @@
 ///
 ///   bayonet FILE [--engine exact|translated|smc|reject]
 ///                [--particles N] [--seed N] [--threads N]
-///                [--txcache on|off|BYTES] [--intern on|off|BYTES]
+///                [--txcache on|off] [--intern on|off]
 ///                [--deadline-ms N] [--max-states N] [--max-frontier N]
 ///                [--max-merges N] [--max-bytes N] [--max-sched-steps N]
 ///                [--on-budget-exceeded fail|fallback-smc]
@@ -19,7 +19,7 @@
 ///                [--emit-psi] [--emit-webppl]
 ///                [--stats[=full]] [--dist]
 ///                [--trace-out FILE] [--metrics-out FILE] [--diag-out FILE]
-///                [--trace-format bayonet|chrome] [--serve ADDR:PORT]
+///                [--serve ADDR:PORT]
 ///                [--profile-out FILE] [--profile-format json|collapsed|
 ///                speedscope] [--profile-annotate] [--log-json]
 ///
@@ -86,11 +86,11 @@ void usage() {
       "  --seed N                               PRNG seed\n"
       "  --threads N                            worker threads (0 = auto, "
       "1 = serial)\n"
-      "  --txcache on|off|BYTES                 successor-transition cache "
+      "  --txcache on|off                       successor-transition cache "
       "(default on;\n"
       "                                         results identical either "
       "way)\n"
-      "  --intern on|off|BYTES                  hash-consing intern arena "
+      "  --intern on|off                        hash-consing intern arena "
       "(default on;\n"
       "                                         results identical either "
       "way)\n"
@@ -123,10 +123,6 @@ void usage() {
       "diagnostics JSON\n"
       "                                         (per-step ESS, frontier / "
       "merge trajectory)\n"
-      "  --trace-format bayonet|chrome          trace-out renderer (chrome "
-      "loads in Perfetto /\n"
-      "                                         chrome://tracing; default "
-      "bayonet)\n"
       "  --profile-out FILE                     write a source-attributed "
       "cost profile\n"
       "  --profile-format json|collapsed|speedscope\n"
@@ -162,7 +158,6 @@ void usage() {
       "BAYONET_PROFILE=FILE (flags win over the environment). Diagnostics\n"
       "print degeneracy warnings on stderr. The introspection server and\n"
       "log framing also turn on via BAYONET_SERVE=ADDR:PORT,\n"
-      "BAYONET_TRACE_FORMAT=bayonet|chrome,\n"
       "BAYONET_PROFILE_FORMAT=json|collapsed|speedscope and\n"
       "BAYONET_LOG_JSON=1.\n"
       "\n"
@@ -213,7 +208,7 @@ int runMain(int argc, char **argv) {
   bool EmitPsi = false, EmitWebPpl = false, Stats = false, Dist = false;
   bool StatsFull = false;
   std::string TraceFile, MetricsFile, DiagFile;
-  std::string TraceFormatStr, ServeBind;
+  std::string ServeBind;
   std::string ProfileFile, ProfileFormatStr;
   bool ProfileAnnotate = false;
   bool LogJson = false;
@@ -255,6 +250,20 @@ int runMain(int argc, char **argv) {
       }
       return N;
     };
+    // An on|off table switch: on sets the table's default byte cap.
+    auto takeSwitch = [&](const char *Name, uint64_t OnBytes,
+                          uint64_t &Out) -> bool {
+      std::string Val;
+      if (!takePath(Name, Val))
+        return false;
+      if (Val != "on" && Val != "off") {
+        std::fprintf(stderr, "error: %s expects on or off, got '%s'\n", Name,
+                     Val.c_str());
+        exit(2);
+      }
+      Out = Val == "on" ? OnBytes : 0;
+      return true;
+    };
     if (Arg == "--engine")
       Engine = takeValue("--engine");
     else if (Arg == "--particles")
@@ -273,47 +282,11 @@ int runMain(int argc, char **argv) {
         return 2;
       }
       IOpts.Threads = static_cast<unsigned>(N);
-    } else if (Arg == "--txcache" ||
-               Arg.rfind("--txcache=", 0) == 0) {
-      std::string Val = Arg == "--txcache"
-                            ? std::string(takeValue("--txcache"))
-                            : Arg.substr(std::strlen("--txcache="));
-      if (Val == "on")
-        IOpts.TxCacheBytes = TxCacheDefaultBytes;
-      else if (Val == "off")
-        IOpts.TxCacheBytes = 0;
-      else {
-        char *End = nullptr;
-        unsigned long long N = std::strtoull(Val.c_str(), &End, 10);
-        if (Val.empty() || End == Val.c_str() || *End != '\0') {
-          std::fprintf(stderr,
-                       "error: --txcache expects on, off, or a byte count, "
-                       "got '%s'\n",
-                       Val.c_str());
-          return 2;
-        }
-        IOpts.TxCacheBytes = N;
-      }
-    } else if (Arg == "--intern" || Arg.rfind("--intern=", 0) == 0) {
-      std::string Val = Arg == "--intern"
-                            ? std::string(takeValue("--intern"))
-                            : Arg.substr(std::strlen("--intern="));
-      if (Val == "on")
-        IOpts.InternBytes = InternDefaultBytes;
-      else if (Val == "off")
-        IOpts.InternBytes = 0;
-      else {
-        char *End = nullptr;
-        unsigned long long N = std::strtoull(Val.c_str(), &End, 10);
-        if (Val.empty() || End == Val.c_str() || *End != '\0') {
-          std::fprintf(stderr,
-                       "error: --intern expects on, off, or a byte count, "
-                       "got '%s'\n",
-                       Val.c_str());
-          return 2;
-        }
-        IOpts.InternBytes = N;
-      }
+    } else if (takeSwitch("--txcache", TxCacheDefaultBytes,
+                          IOpts.TxCacheBytes) ||
+               takeSwitch("--intern", InternDefaultBytes,
+                          IOpts.InternBytes)) {
+      // Handled by takeSwitch.
     } else if (Arg == "--deadline-ms")
       IOpts.Limits.DeadlineMs = static_cast<int64_t>(takeU64("--deadline-ms"));
     else if (Arg == "--max-states")
@@ -362,7 +335,6 @@ int runMain(int argc, char **argv) {
     } else if (takePath("--trace-out", TraceFile) ||
                takePath("--metrics-out", MetricsFile) ||
                takePath("--diag-out", DiagFile) ||
-               takePath("--trace-format", TraceFormatStr) ||
                takePath("--profile-out", ProfileFile) ||
                takePath("--profile-format", ProfileFormatStr) ||
                takePath("--serve", ServeBind) ||
@@ -434,22 +406,10 @@ int runMain(int argc, char **argv) {
   if (const char *Env = std::getenv("BAYONET_SERVE");
       Env && ServeBind.empty())
     ServeBind = Env;
-  if (const char *Env = std::getenv("BAYONET_TRACE_FORMAT");
-      Env && TraceFormatStr.empty())
-    TraceFormatStr = Env;
   if (const char *Env = std::getenv("BAYONET_LOG_JSON");
       Env && *Env && std::strcmp(Env, "0") != 0)
     LogJson = true;
   setLogJson(LogJson);
-  TraceFormat TraceFmt = TraceFormat::Bayonet;
-  if (!TraceFormatStr.empty() &&
-      !traceFormatFromString(TraceFormatStr, TraceFmt)) {
-    std::fprintf(stderr,
-                 "error: --trace-format expects bayonet or chrome, got "
-                 "'%s'\n",
-                 TraceFormatStr.c_str());
-    return 2;
-  }
   enum class ProfileFormat { Json, Collapsed, Speedscope };
   ProfileFormat ProfileFmt = ProfileFormat::Json;
   if (!ProfileFormatStr.empty()) {
@@ -525,8 +485,8 @@ int runMain(int argc, char **argv) {
   // Captures by value so main()'s catch handlers can still flush through
   // GFlushObs after this frame has unwound.
   auto exportObs = [ObsCtx, Server, TraceFile, MetricsFile, DiagFile,
-                    TraceFmt, StatsFull, ProfileFile, ProfileFmt,
-                    ProfileAnnotate, FileName]() -> bool {
+                    StatsFull, ProfileFile, ProfileFmt, ProfileAnnotate,
+                    FileName]() -> bool {
     // Stop serving before touching the exporter files — on every exit
     // path, including error unwinds through GFlushObs — so no in-flight
     // scrape races the final renders and the bound port is released
@@ -554,7 +514,7 @@ int runMain(int argc, char **argv) {
       return true;
     };
     if (!TraceFile.empty() && ObsCtx->tracer() &&
-        !writeFile(TraceFile, ObsCtx->tracer()->renderJson(TraceFmt)))
+        !writeFile(TraceFile, ObsCtx->tracer()->renderChromeJson()))
       return false;
     if (!MetricsFile.empty() && ObsCtx->metrics() &&
         !writeFile(MetricsFile, ObsCtx->metrics()->renderProm()))

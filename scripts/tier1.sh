@@ -298,16 +298,18 @@ else
   rm -rf "$BenchTmp"
 fi
 
-echo "=== tier-1: assert-enabled ASan+UBSan leg (translated pipeline) ==="
+echo "=== tier-1: assert-enabled ASan+UBSan leg (translated pipeline, staged tables) ==="
 # A Debug build keeps every assert, so PsiExact cross-checks each concrete
 # evaluation against the general evaluator while ASan watches the pointers
 # into environments it resolves and UBSan aborts on undefined behaviour.
+# The Intern/TxCache/crash-resume cases run the staged-publication table
+# (support/StagedTable.h), whose FIFO points into the published map.
 AsanStart=$SECONDS
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
   -DBAYONET_SANITIZE=address,undefined
 cmake --build build-asan -j --target bayonet_tests
 ./build-asan/tests/bayonet_tests \
-  --gtest_filter='PsiIr*:*CrossEngine*:Translator*:*FuzzDiff*DirectVersusTranslated*'
+  --gtest_filter='PsiIr*:*CrossEngine*:Translator*:*FuzzDiff*DirectVersusTranslated*:Intern*:TxCache*:*TxCacheMatrix*:Snapshot.CrashResumeExact*'
 echo "asan leg: $((SECONDS - AsanStart)) s"
 
 if [ "$NO_TSAN" = 1 ]; then

@@ -7,6 +7,7 @@
 #include "interp/ExactEngine.h"
 
 #include "obs/Boundary.h"
+#include "support/FlatIndexMap.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
@@ -429,9 +430,9 @@ ExactResult ExactEngine::run() const {
   Profiler *PF = Bound.profiler();
   const std::vector<Profiler::DefFrames> &ProfDefs = Bound.defs();
   // Per-lane scratch over the largest def's statement range, used to
-  // record a cache-miss expansion's counts into the staged entry.
+  // record a program run's counts for the lane shard and the cache entry.
   std::vector<std::vector<uint64_t>> ProfScratch;
-  if (PF && Opts.TxCacheBytes) {
+  if (PF) {
     uint32_t MaxStmts = 0;
     for (const Profiler::DefFrames &DF : ProfDefs)
       MaxStmts = std::max(MaxStmts, DF.Count);
@@ -701,124 +702,85 @@ ExactResult ExactEngine::run() const {
         continue;
       }
       // Run action. runExact is pure in (program, node configuration), so
-      // the expansion is memoizable per node block; a hit replays the
-      // recorded worlds through the identical weight arithmetic.
+      // the expansion is memoizable per node block: a hit replays the
+      // recorded worlds; a miss, or a run with the cache off, records them
+      // first. Both emit through the identical weight arithmetic below.
       const DefDecl *Def = Spec.NodePrograms[Choice.Act.Node];
       const unsigned Node = Choice.Act.Node;
-      if (Cache) {
-        if (const TxEntry *E = Cache->lookup(Def, C.Nodes.block(Node))) {
-          ++Res.TxHits;
-          if (PF) {
-            // Replay the statement counts recorded at compute time so the
-            // per-statement Execs columns match a cache-off run exactly.
-            const Profiler::DefFrames &DF = ProfDefs[Node];
-            uint64_t *LE = PF->laneExecs(Lane);
-            for (const auto &[Idx, Count] : E->ProfExecs)
-              LE[DF.First + Idx] += Count;
-            PF->laneTxHits(Lane)[DF.Root] += 1;
-          }
-          for (const TxWorld &TW : E->Worlds) {
-            SymProb W2 = applyGuards(Base.scaled(TW.Prob), TW.Guards);
-            if (W2.isZero())
-              continue;
-            if (TW.Error) {
-              Res.ErrorMass += W2;
-              continue;
-            }
-            NetConfig C2 = C;
-            C2.invalidateHash();
-            C2.SchedState = Choice.NextSchedState;
-            C2.Nodes.setBlock(Node, TW.Node);
-            Emit(std::move(C2), std::move(W2));
-          }
-          continue;
-        }
-        ++Res.TxMisses;
-        TxEntry NE;
+      const TxEntry *E =
+          Cache ? Cache->lookup(Def, C.Nodes.block(Node)) : nullptr;
+      TxEntry NE;
+      if (E) {
+        ++Res.TxHits;
+        if (PF)
+          PF->laneTxHits(Lane)[ProfDefs[Node].Root] += 1;
+      } else {
         NE.Def = Def;
         NE.Key = C.Nodes.block(Node);
-        StmtProfSink MissSink;
+        StmtProfSink RunSink;
+        if (Cache)
+          ++Res.TxMisses;
         if (PF) {
-          // Record this expansion's statement counts into zeroed lane
-          // scratch; after the run they fold into both the lane shard and
-          // the staged entry (for replay on future hits).
+          // Record this run's statement counts into zeroed lane scratch;
+          // the entry keeps them as sparse (statement, count) pairs.
           const Profiler::DefFrames &DF = ProfDefs[Node];
           std::fill_n(ProfScratch[Lane].begin(), DF.Count, 0);
-          MissSink.Execs = ProfScratch[Lane].data();
-          PF->laneTxMisses(Lane)[DF.Root] += 1;
+          RunSink.Execs = ProfScratch[Lane].data();
+          if (Cache)
+            PF->laneTxMisses(Lane)[DF.Root] += 1;
         }
         for (ExecWorld &World :
-             Exec.runExact(*Def, C.Nodes[Node], PF ? &MissSink : nullptr)) {
+             Exec.runExact(*Def, C.Nodes[Node], PF ? &RunSink : nullptr)) {
           if (World.ObserveFailed)
             continue; // Observation failure: the mass is discarded.
-          SymProb W2 = applyGuards(Base.scaled(World.Prob), World.Guards);
-          if (World.Error) {
-            // Error worlds memoize with a null block; only mass matters.
-            NE.Worlds.push_back(
-                {nullptr, std::move(World.Prob), std::move(World.Guards),
-                 /*Error=*/true});
-            if (!W2.isZero())
-              Res.ErrorMass += W2;
-            continue;
-          }
-          // Share the block between the emitted successor and the staged
-          // entry: future replays alias this storage. Canonicalizing here
-          // covers both — the cache entry replays canonical blocks.
-          auto NB = std::make_shared<NodeBlock>(std::move(World.Node));
-          if (Arena)
+          // Error worlds record a null block; only their mass matters. A
+          // cached block is canonicalized here, so replays share it.
+          NodeArray::BlockPtr NB;
+          if (!World.Error)
+            NB = std::make_shared<NodeBlock>(std::move(World.Node));
+          if (NB && Arena && Cache)
             NB = Arena->canon(Lane, NB);
-          NE.Worlds.push_back({NB, std::move(World.Prob),
-                               std::move(World.Guards), /*Error=*/false});
-          if (W2.isZero())
-            continue;
-          NetConfig C2 = C;
-          C2.invalidateHash();
-          C2.SchedState = Choice.NextSchedState;
-          C2.Nodes.setBlock(Node, std::move(NB));
-          Emit(std::move(C2), std::move(W2));
+          NE.Worlds.push_back({std::move(NB), std::move(World.Prob),
+                               std::move(World.Guards), World.Error});
         }
-        if (PF) {
-          const Profiler::DefFrames &DF = ProfDefs[Node];
-          uint64_t *LE = PF->laneExecs(Lane);
-          for (uint32_t I = 0; I < DF.Count; ++I) {
-            if (uint64_t N = ProfScratch[Lane][I]) {
-              LE[DF.First + I] += N;
+        if (PF)
+          for (uint32_t I = 0; I < ProfDefs[Node].Count; ++I)
+            if (uint64_t N = ProfScratch[Lane][I])
               NE.ProfExecs.emplace_back(I, N);
-            }
-          }
-        }
-        Cache->stage(Lane, std::move(NE));
-        continue;
+        E = &NE;
       }
-      StmtProfSink RunSink;
       if (PF) {
+        // Charge the statement counts recorded when the entry was
+        // computed, so a replay's Execs columns match a cache-off run.
         const Profiler::DefFrames &DF = ProfDefs[Node];
-        RunSink.Execs = PF->laneExecs(Lane) + DF.First;
+        uint64_t *LE = PF->laneExecs(Lane);
+        for (const auto &[Idx, Count] : E->ProfExecs)
+          LE[DF.First + Idx] += Count;
       }
-      for (ExecWorld &World :
-           Exec.runExact(*Def, C.Nodes[Node], PF ? &RunSink : nullptr)) {
-        SymProb W2 = applyGuards(Base.scaled(World.Prob), World.Guards);
+      for (const TxWorld &TW : E->Worlds) {
+        SymProb W2 = applyGuards(Base.scaled(TW.Prob), TW.Guards);
         if (W2.isZero())
           continue;
-        if (World.ObserveFailed)
-          continue; // Observation failure: the mass is discarded.
-        NetConfig C2 = C;
-        C2.invalidateHash();
-        C2.SchedState = Choice.NextSchedState;
-        C2.Nodes.set(Node, std::move(World.Node));
-        if (World.Error) {
+        if (TW.Error) {
           Res.ErrorMass += W2;
           continue;
         }
-        if (Arena)
-          C2.Nodes.setBlock(Node, Arena->canon(Lane, C2.Nodes.block(Node)));
+        NetConfig C2 = C;
+        C2.invalidateHash();
+        C2.SchedState = Choice.NextSchedState;
+        // Without the cache, only successors that carry mass are
+        // canonicalized.
+        C2.Nodes.setBlock(Node, Arena && !Cache ? Arena->canon(Lane, TW.Node)
+                                                : TW.Node);
         Emit(std::move(C2), std::move(W2));
       }
+      if (Cache && E == &NE)
+        Cache->stage(Lane, std::move(NE));
     }
   };
 
   // Merge tables: open-addressing index over the dense frontier keyed by
-  // the configuration hash (support/Intern.h). With the arena on, the
+  // the configuration hash (support/FlatIndexMap.h). With the arena on, the
   // equality probe short-circuits on canonical pointers / intern ids; the
   // tables persist across steps so steady-state merging allocates nothing.
   FlatIndexMap SerialIndex;
@@ -1016,46 +978,38 @@ ExactResult ExactEngine::run() const {
       stopMidStep();
       return Result;
     }
-    // Intern-arena publication first: canonical blocks staged this step
-    // become visible before the transition cache publishes, so cache
-    // entries staged alongside them replay already-canonical blocks.
-    if (Arena) {
-      Span InternSpan = O.span("exact.intern");
-      Profiler::Scope ProfInternScope(PF, "intern");
-      InternArena::PublishStats IS = Arena->publishStaged();
-      Result.InternEvictions += IS.Evicted;
-      Result.InternBytes = Arena->bytes();
+    // Serial publication of this step's staged entries, arena first:
+    // canonical blocks become visible before the transition cache
+    // publishes, so cache entries staged alongside them replay
+    // already-canonical blocks. Inserted bytes are charged to the budget
+    // (both tables are retained memory, unlike the per-step frontier
+    // gauge, so they are charged on growth only).
+    auto publish = [&](auto &Table, const char *Name, bool ReportStaged,
+                       uint64_t &Evictions, uint64_t &Bytes) {
+      if (!Table)
+        return;
+      Span S = O.span(std::string("exact.") + Name);
+      Profiler::Scope ProfScope(PF, Name);
+      PublishStats PS = Table->publishStaged();
+      Evictions += PS.Evicted;
+      Bytes = Table->bytes();
+      if (BT && PS.InsertedBytes)
+        BT->chargeBytes(PS.InsertedBytes);
+      if (O.tracing()) {
+        // The arena's staged count reflects in-lane dedup, the one publish
+        // statistic that depends on the lane split, so only the cache
+        // reports it. The rest are pure functions of the content set.
+        if (ReportStaged)
+          S.arg("staged", PS.Staged);
+        S.arg("inserted", PS.Inserted);
+        S.arg("evicted", PS.Evicted);
+        S.arg("bytes", Table->bytes());
+      }
+    };
+    publish(Arena, "intern", false, Result.InternEvictions, Result.InternBytes);
+    if (Arena)
       Arena->drainCounters(Result.InternHits, Result.InternMisses);
-      if (BT && IS.InsertedBytes)
-        BT->chargeBytes(IS.InsertedBytes);
-      if (O.tracing()) {
-        // No "staged" arg: the staged count reflects in-lane dedup and is
-        // the one publish statistic that depends on the lane split.
-        // Inserted/evicted/bytes are pure functions of the content set.
-        InternSpan.arg("inserted", IS.Inserted);
-        InternSpan.arg("evicted", IS.Evicted);
-        InternSpan.arg("bytes", Arena->bytes());
-      }
-    }
-    // Transition-cache publication: the serial point where this step's
-    // staged misses become visible to the next step. Inserted bytes are
-    // charged to the budget (the cache is retained memory, unlike the
-    // per-step frontier gauge, so it is charged on growth only).
-    if (Cache) {
-      Span TxSpan = O.span("exact.txcache");
-      Profiler::Scope ProfTxScope(PF, "txcache");
-      TxCache::PublishStats TxStats = Cache->publishStaged();
-      Result.TxEvictions += TxStats.Evicted;
-      Result.TxBytes = Cache->bytes();
-      if (BT && TxStats.InsertedBytes)
-        BT->chargeBytes(TxStats.InsertedBytes);
-      if (O.tracing()) {
-        TxSpan.arg("staged", TxStats.Staged);
-        TxSpan.arg("inserted", TxStats.Inserted);
-        TxSpan.arg("evicted", TxStats.Evicted);
-        TxSpan.arg("bytes", Cache->bytes());
-      }
-    }
+    publish(Cache, "txcache", true, Result.TxEvictions, Result.TxBytes);
     Bound.commit(StepObs,
                  {.Step = Step,
                   .FrontierIn = Cur.size(),

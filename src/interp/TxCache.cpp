@@ -8,8 +8,6 @@
 #include "lang/Ast.h"
 #include "support/Snapshot.h"
 
-#include <algorithm>
-
 using namespace bayonet;
 
 void TxEntry::computeBytes() {
@@ -23,88 +21,40 @@ void TxEntry::computeBytes() {
   Bytes = B;
 }
 
-TxCache::TxCache(uint64_t ByteCap, unsigned Lanes)
-    : ByteCap(ByteCap), Pending(std::max(1u, Lanes)) {}
-
 const TxEntry *TxCache::lookup(const DefDecl *Def,
                                const NodeArray::BlockPtr &KeyBlock) const {
-  auto It = Map.find(Key{Def, KeyBlock});
-  return It == Map.end() ? nullptr : &It->second;
+  const auto *E = Table.find(Key{Def, KeyBlock});
+  return E ? &E->second : nullptr;
 }
 
 void TxCache::stage(unsigned Lane, TxEntry E) {
-  Pending[Lane].push_back(std::move(E));
+  Key K{E.Def, E.Key};
+  Table.stage(Lane, std::move(K), std::move(E));
 }
 
 TxCache::PublishStats TxCache::publishStaged() {
-  PublishStats Stats;
-  // Collect all lanes' pending entries.
-  std::vector<TxEntry> Staged;
-  for (std::vector<TxEntry> &Lane : Pending) {
-    for (TxEntry &E : Lane)
-      Staged.push_back(std::move(E));
-    Lane.clear();
-  }
-  Stats.Staged = Staged.size();
-  if (Staged.empty())
-    return Stats;
-  // Content order, not lane order: which lane computed a miss depends on
-  // the thread count, but the set of staged (program, node) keys does not.
-  // Sorting by content makes insertion — and therefore FIFO eviction —
-  // reproducible across thread counts and across processes.
-  std::stable_sort(Staged.begin(), Staged.end(),
-                   [](const TxEntry &A, const TxEntry &B) {
-                     if (A.Def != B.Def) {
-                       if (int C = A.Def->Name.compare(B.Def->Name))
-                         return C < 0;
-                     }
-                     return A.Key->hash() < B.Key->hash();
-                   });
-  for (TxEntry &E : Staged) {
-    Key K{E.Def, E.Key};
-    // Duplicates (several configurations missing on the same node state
-    // within one step) publish once; later copies are identical values.
-    auto [It, Inserted] = Map.try_emplace(K, TxEntry());
-    if (!Inserted)
-      continue;
-    if (!E.Bytes)
-      E.computeBytes();
-    Bytes += E.Bytes;
-    Stats.InsertedBytes += E.Bytes;
-    ++Stats.Inserted;
-    It->second = std::move(E);
-    Fifo.push_back(std::move(K));
-  }
-  // FIFO eviction down to the byte cap. Entries are pure values, so this
-  // only ever costs a future recomputation.
-  while (Bytes > ByteCap && !Fifo.empty()) {
-    Key &Victim = Fifo.front();
-    auto It = Map.find(Victim);
-    if (It != Map.end()) {
-      Bytes -= std::min<uint64_t>(Bytes, It->second.Bytes);
-      Map.erase(It);
-      ++Stats.Evicted;
-    }
-    Fifo.pop_front();
-  }
-  return Stats;
+  // Duplicates (several configurations missing on the same node state
+  // within one step) publish once; later copies are identical values.
+  return Table.publish(
+      [](const auto &A, const auto &B) {
+        if (A.K.Def != B.K.Def) {
+          if (int C = A.K.Def->Name.compare(B.K.Def->Name))
+            return C < 0;
+        }
+        return A.K.Block->hash() < B.K.Block->hash();
+      },
+      [](const Key &, TxEntry &E) -> uint64_t {
+        if (!E.Bytes)
+          E.computeBytes();
+        return E.Bytes;
+      },
+      [](Key &, const Key &) {});
 }
 
 void TxCache::snapshotTo(
     SnapWriter &W, BlockTable &T,
     const std::function<uint32_t(const DefDecl *)> &DefIndex) const {
-  // Count live entries first (stale FIFO keys, if any, are skipped — they
-  // carry no cached result, so dropping them cannot change a replay).
-  uint64_t Live = 0;
-  for (const Key &K : Fifo)
-    if (Map.count(K))
-      ++Live;
-  W.u64(Live);
-  for (const Key &K : Fifo) {
-    auto It = Map.find(K);
-    if (It == Map.end())
-      continue;
-    const TxEntry &E = It->second;
+  Table.snapshot(W, [&](const Key &, const TxEntry &E) {
     W.u32(DefIndex(E.Def));
     T.write(W, E.Key);
     W.u64(E.Worlds.size());
@@ -121,39 +71,28 @@ void TxCache::snapshotTo(
       W.u32(Idx);
       W.u64(Count);
     }
-  }
+  });
 }
 
 bool TxCache::restoreFrom(
     SnapReader &R, BlockReadTable &T,
     const std::function<const DefDecl *(uint32_t)> &DefAt) {
-  Map.clear();
-  Fifo.clear();
-  Bytes = 0;
-  uint64_t N = R.count();
-  for (uint64_t I = 0; I < N && R.ok(); ++I) {
-    TxEntry E;
+  return Table.restore(R, [&](Key &K, TxEntry &E, uint64_t &Bytes) {
     E.Def = DefAt(R.u32());
-    if (!E.Def || !T.read(R, E.Key) || !E.Key) {
-      R.fail();
-      break;
-    }
+    if (!E.Def || !T.read(R, E.Key) || !E.Key)
+      return false;
     uint64_t NWorlds = R.count();
     E.Worlds.reserve(NWorlds);
     for (uint64_t J = 0; J < NWorlds && R.ok(); ++J) {
       TxWorld World;
-      if (!T.read(R, World.Node) || !readRational(R, World.Prob)) {
-        R.fail();
-        break;
-      }
+      if (!T.read(R, World.Node) || !readRational(R, World.Prob))
+        return false;
       uint64_t NGuards = R.count();
       World.Guards.reserve(NGuards);
       for (uint64_t G = 0; G < NGuards && R.ok(); ++G) {
         Constraint C;
-        if (!readConstraint(R, C)) {
-          R.fail();
-          break;
-        }
+        if (!readConstraint(R, C))
+          return false;
         World.Guards.push_back(std::move(C));
       }
       World.Error = R.boolean();
@@ -166,19 +105,9 @@ bool TxCache::restoreFrom(
       uint64_t Count = R.u64();
       E.ProfExecs.emplace_back(Idx, Count);
     }
-    if (!R.ok())
-      break;
     E.computeBytes();
-    Key K{E.Def, E.Key};
-    Bytes += E.Bytes;
-    Map.try_emplace(K, std::move(E));
-    Fifo.push_back(std::move(K));
-  }
-  if (!R.ok()) {
-    Map.clear();
-    Fifo.clear();
-    Bytes = 0;
-    return false;
-  }
-  return true;
+    K = Key{E.Def, E.Key};
+    Bytes = E.Bytes;
+    return true;
+  });
 }

@@ -14,16 +14,13 @@
 /// successor's node configuration held as a shared immutable NodeBlock so
 /// every replay shares storage with every other replay.
 ///
-/// Determinism protocol (the serial-checkpoint discipline of the parallel
-/// engine): during a scheduler step, lanes only *read* the published map —
-/// lookups therefore see a snapshot that is a pure function of the
-/// completed steps, so per-step hit/miss counts are identical for every
-/// thread count. Misses are staged into per-lane pending lists and
-/// published once, serially, at the step boundary, in an order sorted by
-/// content (program name, then key-block hash) — so the insertion order,
-/// and with it FIFO eviction under the byte cap, is also independent of
-/// both the thread count and lane scheduling. Entries are pure values:
-/// eviction can only cost recomputation, never change a result.
+/// Determinism protocol: the staged publication of support/StagedTable.h,
+/// shared with the interning arena. Lanes read only the published map
+/// during a step, so per-step hit/miss counts are identical for every
+/// thread count; misses publish at the step boundary sorted by (program
+/// name, key-block hash), so FIFO eviction under the byte cap is
+/// independent of thread count and lane scheduling. Entries are pure
+/// values: eviction can only cost recomputation, never change a result.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,12 +29,11 @@
 
 #include "net/Config.h"
 #include "support/Rational.h"
+#include "support/StagedTable.h"
 #include "symbolic/Constraint.h"
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 namespace bayonet {
@@ -86,9 +82,11 @@ struct TxEntry {
 /// bit-identical across thread counts.
 class TxCache {
 public:
-  /// \p ByteCap bounds retained entry bytes (FIFO eviction); \p Lanes is
-  /// the maximum lane index that will stage misses.
-  TxCache(uint64_t ByteCap, unsigned Lanes);
+  using PublishStats = bayonet::PublishStats;
+
+  /// \p ByteCap bounds retained entry bytes (FIFO eviction; 0 =
+  /// unlimited); \p Lanes is the maximum lane index that will stage misses.
+  TxCache(uint64_t ByteCap, unsigned Lanes) : Table(ByteCap, Lanes) {}
 
   /// Read-only lookup against the published map. Safe to call from any
   /// lane while other lanes stage misses. Returns null on miss.
@@ -99,22 +97,15 @@ public:
   /// Duplicate keys (within or across lanes) are deduplicated at publish.
   void stage(unsigned Lane, TxEntry E);
 
-  struct PublishStats {
-    uint64_t Staged = 0;
-    uint64_t Inserted = 0;
-    uint64_t InsertedBytes = 0;
-    uint64_t Evicted = 0;
-  };
-
   /// Serial step-boundary publication: sorts the staged entries by
   /// (program name, key hash), inserts keys not already present, and
   /// FIFO-evicts down to the byte cap. Must not race with lookups.
   PublishStats publishStaged();
 
   /// Retained bytes across all published entries.
-  uint64_t bytes() const { return Bytes; }
+  uint64_t bytes() const { return Table.bytes(); }
   /// Published entry count.
-  size_t size() const { return Map.size(); }
+  size_t size() const { return Table.size(); }
 
   /// Serializes the published entries in FIFO order (checkpoint support,
   /// see support/Snapshot.h). \p DefIndex maps a program pointer to a
@@ -143,28 +134,11 @@ private:
   };
   struct KeyEq {
     bool operator()(const Key &A, const Key &B) const {
-      if (A.Def != B.Def)
-        return false;
-      if (A.Block == B.Block)
-        return true;
-      // Matching non-zero intern ids prove structural equality (ids name
-      // content classes and are never reused); differing ids prove nothing
-      // — fall through to the structural compare (support/Intern.h).
-      uint64_t Ia = A.Block->internId();
-      if (Ia && Ia == B.Block->internId())
-        return true;
-      return A.Block->hash() == B.Block->hash() &&
-             A.Block->config() == B.Block->config();
+      return A.Def == B.Def && NodeArray::sameBlock(A.Block, B.Block);
     }
   };
 
-  uint64_t ByteCap;
-  uint64_t Bytes = 0;
-  std::unordered_map<Key, TxEntry, KeyHash, KeyEq> Map;
-  /// Insertion order for FIFO eviction (deterministic: publication is
-  /// serial and content-sorted).
-  std::deque<Key> Fifo;
-  std::vector<std::vector<TxEntry>> Pending;
+  StagedTable<Key, TxEntry, KeyHash, KeyEq> Table;
 };
 
 } // namespace bayonet

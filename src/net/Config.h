@@ -280,20 +280,24 @@ public:
     return const_iterator(Blocks.data() + Blocks.size());
   }
 
+  /// Content equality of two blocks, O(1) witnesses first: a shared block
+  /// or the same intern content class is equal without re-walking; the
+  /// per-block hash fast-rejects mismatches before a structural compare.
+  static bool sameBlock(const BlockPtr &A, const BlockPtr &B) {
+    if (A == B)
+      return true;
+    uint64_t IdA = A->internId();
+    if (IdA && IdA == B->internId())
+      return true;
+    return A->hash() == B->hash() && A->config() == B->config();
+  }
+
   friend bool operator==(const NodeArray &A, const NodeArray &B) {
     if (A.Blocks.size() != B.Blocks.size())
       return false;
-    for (size_t I = 0; I < A.Blocks.size(); ++I) {
-      if (A.Blocks[I] == B.Blocks[I])
-        continue; // Shared block: trivially equal.
-      uint64_t IdA = A.Blocks[I]->internId();
-      if (IdA && IdA == B.Blocks[I]->internId())
-        continue; // Same intern content class: equal without re-walking.
-      if (A.Blocks[I]->hash() != B.Blocks[I]->hash())
-        return false; // Per-block hash fast-rejects mismatches.
-      if (!(A.Blocks[I]->config() == B.Blocks[I]->config()))
+    for (size_t I = 0; I < A.Blocks.size(); ++I)
+      if (!sameBlock(A.Blocks[I], B.Blocks[I]))
         return false;
-    }
     return true;
   }
 

@@ -35,19 +35,6 @@ class Tracer;
 class SnapReader;
 class SnapWriter;
 
-/// Which JSON dialect renderJson emits. Both load in Perfetto /
-/// chrome://tracing; they agree on span count, ids, and nesting.
-///  - Bayonet: the compact house format (every event carries
-///    span_id/parent_id args; no metadata events).
-///  - Chrome: the standard Trace Event format — process/thread metadata
-///    (`ph:"M"`) records first, a `cat` field derived from the span-name
-///    prefix, `ph:"X"` complete events and `ph:"i"` instants.
-enum class TraceFormat { Bayonet, Chrome };
-
-/// Parses "bayonet" / "chrome" (case-sensitive). Returns false on anything
-/// else, leaving \p Out untouched.
-bool traceFormatFromString(const std::string &S, TraceFormat &Out);
-
 /// RAII handle for one span. Default-constructed spans are no-ops, which is
 /// how the disabled path stays branch-only. Move-only; ends the span on
 /// destruction.
@@ -110,11 +97,7 @@ public:
   /// phase "X" (complete: ts + dur), instants phase "i". Every event
   /// carries `span_id` and `parent_id` args so nesting can be validated
   /// without relying on timestamps.
-  std::string renderChromeJson() const { return renderJson(TraceFormat::Bayonet); }
-
-  /// Renders the full log in the requested dialect (renderChromeJson is
-  /// the Bayonet spelling, kept for existing callers).
-  std::string renderJson(TraceFormat F) const;
+  std::string renderChromeJson() const;
 
   /// Renders the most recent \p LastN *completed* spans (a fixed-size ring
   /// updated when spans end) as `{"traceEvents":[...]}`, oldest first.
@@ -165,7 +148,7 @@ private:
   void spanArg(size_t Index, std::string Key, std::string Value);
   uint64_t nowUs() const;
   void recentPush(size_t Index);
-  void appendEventJson(std::string &Out, const Event &E, TraceFormat F) const;
+  void appendEventJson(std::string &Out, const Event &E) const;
 
   mutable std::mutex Mu;
   std::vector<Event> Events;

@@ -8,7 +8,7 @@
 
 #include "obs/Boundary.h"
 #include "psi/PsiLiveness.h"
-#include "support/Intern.h"
+#include "support/FlatIndexMap.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>

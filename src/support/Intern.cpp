@@ -8,245 +8,97 @@
 
 #include "support/Snapshot.h"
 
-#include <algorithm>
-#include <cassert>
-
 using namespace bayonet;
 
+/// Fixed bookkeeping charge per published class in the byte accounting (a
+/// hash, a block pointer, a link and a byte count). Budgets, the
+/// bayonet_intern_bytes metric and the figures tests pin all include it.
+static constexpr size_t InternEntryBytes = 32;
+
 InternArena::InternArena(uint64_t ByteCap, unsigned LaneCount)
-    : ByteCap(ByteCap), Lanes(std::max(1u, LaneCount)),
-      Counters(std::max(1u, LaneCount)) {}
+    : Table(ByteCap, LaneCount), Lanes(std::max(1u, LaneCount)) {}
 
 uint32_t InternArena::entryBytes(const BlockPtr &B) {
-  size_t N = sizeof(NodeBlock) + sizeof(Entry) + B->config().approxBytes();
+  size_t N = sizeof(NodeBlock) + InternEntryBytes + B->config().approxBytes();
   return N > 0xffffffffu ? 0xffffffffu : static_cast<uint32_t>(N);
 }
 
-const InternArena::BlockPtr *InternArena::findPublished(uint64_t H,
-                                                        const BlockPtr &B)
-    const {
-  auto It = Map.find(H);
-  if (It == Map.end())
-    return nullptr;
-  for (uint32_t I = It->second; I != FlatIndexMap::Npos;
-       I = Entries[I].NextSameHash) {
-    const Entry &E = Entries[I];
-    if (!E.Block)
-      continue; // Evicted class: id retired, slot kept.
-    if (E.Block == B)
-      return &E.Block;
-    uint64_t Id = B->internId();
-    if (Id && Id == E.Block->internId())
-      return &E.Block;
-    if (E.Block->config() == B->config())
-      return &E.Block;
-  }
-  return nullptr;
-}
-
-InternArena::BlockPtr InternArena::stage(unsigned LaneNo, uint64_t H,
-                                         const BlockPtr &B) {
-  Lane &L = Lanes[LaneNo];
-  auto [It, New] = L.Index.try_emplace(H, static_cast<uint32_t>(L.Staged.size()));
-  if (!New) {
-    // Walk the within-lane chain: return the staged canonical on equal
-    // content so same-lane duplicates share a pointer within the step.
-    uint32_t I = It->second;
-    for (;;) {
-      PendingBlock &P = L.Staged[I];
-      if (P.Block == B || P.Block->config() == B->config())
-        return P.Block;
-      if (P.NextSameHash == FlatIndexMap::Npos) {
-        P.NextSameHash = static_cast<uint32_t>(L.Staged.size());
-        break;
-      }
-      I = P.NextSameHash;
-    }
-  }
-  L.Staged.push_back(PendingBlock{H, B, FlatIndexMap::Npos});
-  return B;
+InternArena::BlockPtr InternArena::stage(unsigned LaneNo, const BlockPtr &B) {
+  // Within-lane dedup: an equal block staged earlier in this lane is
+  // returned, so same-lane duplicates share a pointer within the step.
+  auto [It, New] = Lanes[LaneNo].Staged.insert(B);
+  if (New)
+    Table.stage(LaneNo, B, NoValue{});
+  return *It;
 }
 
 InternArena::BlockPtr InternArena::canon(unsigned LaneNo, const BlockPtr &B) {
-  uint64_t H = B->hash();
-  if (const BlockPtr *C = findPublished(H, B)) {
-    ++Counters[LaneNo].Hits;
-    return *C;
+  if (const auto *E = Table.find(B)) {
+    ++Lanes[LaneNo].Hits;
+    return E->first;
   }
-  ++Counters[LaneNo].Misses;
-  return stage(LaneNo, H, B);
+  ++Lanes[LaneNo].Misses;
+  return stage(LaneNo, B);
 }
 
 InternArena::BlockPtr InternArena::seed(const BlockPtr &B) {
-  uint64_t H = B->hash();
-  if (const BlockPtr *C = findPublished(H, B))
-    return *C;
-  return stage(0, H, B);
+  if (const auto *E = Table.find(B))
+    return E->first;
+  return stage(0, B);
 }
 
 InternArena::PublishStats InternArena::publishStaged() {
-  PublishStats S;
-  std::vector<PendingBlock *> All;
   for (Lane &L : Lanes)
-    for (PendingBlock &P : L.Staged)
-      All.push_back(&P);
-  S.Staged = All.size();
-  if (!All.empty()) {
-    // Hash-sorted publication: id assignment order is a pure function of
-    // the staged content set, not of lane scheduling or thread count
-    // (hash ties between *distinct* contents are the TxCache-precedent
-    // residual nondeterminism; equal contents collapse to one id anyway).
-    std::stable_sort(All.begin(), All.end(),
-                     [](const PendingBlock *A, const PendingBlock *B) {
-                       return A->Hash < B->Hash;
-                     });
-    for (PendingBlock *P : All) {
-      if (const BlockPtr *C = findPublished(P->Hash, P->Block)) {
-        // A duplicate of an existing class (staged by another lane this
-        // step, or re-staged after losing a publish race): stamp the
-        // class id on the duplicate so pointers already embedded in
-        // frontier configurations keep the O(1) equality fast path.
-        P->Block->setInternId((*C)->internId());
-        continue;
-      }
-      uint32_t Idx = static_cast<uint32_t>(Entries.size());
-      uint32_t BB = entryBytes(P->Block);
-      P->Block->setInternId(++NextId);
-      Entries.push_back(Entry{P->Hash, P->Block, FlatIndexMap::Npos, BB});
-      auto [It, New] = Map.try_emplace(P->Hash, Idx);
-      if (!New) {
-        Entries[Idx].NextSameHash = It->second;
-        It->second = Idx;
-      }
-      Fifo.push_back(Idx);
-      Bytes += BB;
-      ++Live;
-      ++S.Inserted;
-      S.InsertedBytes += BB;
-    }
-    for (Lane &L : Lanes) {
-      L.Staged.clear();
-      L.Index.clear();
-    }
-  }
-  // FIFO-epoch eviction down to the byte cap (0 = unlimited). Eviction
-  // only drops the arena's reference: frontier configurations still
-  // holding the block keep it alive, and its retired id stays valid as a
-  // content-class witness.
-  while (ByteCap && Bytes > ByteCap && !Fifo.empty()) {
-    uint32_t Idx = Fifo.front();
-    Fifo.pop_front();
-    Entry &E = Entries[Idx];
-    if (!E.Block)
-      continue;
-    auto It = Map.find(E.Hash);
-    if (It != Map.end()) {
-      if (It->second == Idx) {
-        if (E.NextSameHash == FlatIndexMap::Npos)
-          Map.erase(It);
-        else
-          It->second = E.NextSameHash;
-      } else {
-        for (uint32_t I = It->second; I != FlatIndexMap::Npos;
-             I = Entries[I].NextSameHash)
-          if (Entries[I].NextSameHash == Idx) {
-            Entries[I].NextSameHash = E.NextSameHash;
-            break;
-          }
-      }
-    }
-    Bytes -= E.Bytes;
-    E.Block.reset();
-    --Live;
-    ++S.Evicted;
-  }
-  return S;
-}
-
-uint64_t InternArena::configClass(const NetConfig &C) {
-  std::vector<uint64_t> Key;
-  Key.reserve(C.Nodes.size() + 2);
-  for (size_t I = 0, N = C.Nodes.size(); I < N; ++I) {
-    uint64_t Id = C.Nodes.block(I)->internId();
-    if (!Id)
-      return 0; // Not fully interned: no canonical key.
-    Key.push_back(Id);
-  }
-  Key.push_back(static_cast<uint64_t>(C.SchedState));
-  Key.push_back(C.Error ? 1 : 0);
-  uint64_t H = 0x9e3779b97f4a7c15ull;
-  for (uint64_t K : Key)
-    H = hashCombine(H, static_cast<size_t>(K));
-  std::vector<ConfigClass> &Bucket = ConfigClasses[H];
-  for (const ConfigClass &CC : Bucket)
-    if (CC.Key == Key)
-      return CC.Class;
-  Bucket.push_back(ConfigClass{std::move(Key), ++NextConfigClass});
-  return Bucket.back().Class;
+    L.Staged.clear();
+  // Eviction only drops the arena's reference: frontier configurations
+  // still holding the block keep it alive, and its retired id stays valid
+  // as a content-class witness.
+  return Table.publish(
+      [](const auto &A, const auto &B) { return A.K->hash() < B.K->hash(); },
+      [this](const BlockPtr &B, NoValue &) -> uint64_t {
+        B->setInternId(++NextId);
+        return entryBytes(B);
+      },
+      // A duplicate of a published class (staged by another lane this
+      // step, or re-staged after losing a publish race): stamp the class
+      // id on it so pointers already embedded in frontier configurations
+      // keep the O(1) equality fast path.
+      [](BlockPtr &Dup, const BlockPtr &Canon) {
+        Dup->setInternId(Canon->internId());
+      });
 }
 
 void InternArena::snapshotTo(SnapWriter &W, BlockTable &T) const {
   W.u64(NextId);
-  W.u64(Live);
-  for (uint32_t Idx : Fifo) {
-    const Entry &E = Entries[Idx];
-    if (!E.Block)
-      continue; // Evicted class: id retired, nothing to restore.
-    W.u64(E.Block->internId());
-    T.write(W, E.Block);
-  }
+  Table.snapshot(W, [&](const BlockPtr &B, const NoValue &) {
+    W.u64(B->internId());
+    T.write(W, B);
+  });
 }
 
 bool InternArena::restoreFrom(SnapReader &R, BlockReadTable &T) {
-  Map.clear();
-  Entries.clear();
-  Fifo.clear();
-  Bytes = 0;
-  Live = 0;
   NextId = R.u64();
-  uint64_t N = R.count();
-  for (uint64_t I = 0; I < N && R.ok(); ++I) {
-    uint64_t Id = R.u64();
-    BlockPtr B;
-    if (!Id || Id > NextId || !T.read(R, B) || !B) {
-      R.fail();
-      break;
-    }
-    // Re-intern: the restored block (shared with the frontier and the
-    // transition cache through the BlockReadTable) becomes canonical
-    // under its original id, and FIFO order replays serialized order so
-    // future evictions are identical to an uninterrupted run.
-    B->setInternId(Id);
-    uint32_t Idx = static_cast<uint32_t>(Entries.size());
-    uint64_t H = B->hash();
-    uint32_t BB = entryBytes(B);
-    Entries.push_back(Entry{H, std::move(B), FlatIndexMap::Npos, BB});
-    auto [It, New] = Map.try_emplace(H, Idx);
-    if (!New) {
-      Entries[Idx].NextSameHash = It->second;
-      It->second = Idx;
-    }
-    Fifo.push_back(Idx);
-    Bytes += BB;
-    ++Live;
-  }
-  if (!R.ok()) {
-    Map.clear();
-    Entries.clear();
-    Fifo.clear();
-    Bytes = 0;
-    Live = 0;
-    NextId = 0;
-    return false;
-  }
-  return true;
+  // Re-intern: each restored block (shared with the frontier and the
+  // transition cache through the BlockReadTable) becomes canonical under
+  // its original id.
+  if (Table.restore(R, [&](BlockPtr &B, NoValue &, uint64_t &Bytes) {
+        uint64_t Id = R.u64();
+        if (!Id || Id > NextId || !T.read(R, B) || !B)
+          return false;
+        B->setInternId(Id);
+        Bytes = entryBytes(B);
+        return true;
+      }))
+    return true;
+  NextId = 0;
+  return false;
 }
 
 void InternArena::drainCounters(uint64_t &Hits, uint64_t &Misses) {
-  for (LaneCounters &C : Counters) {
-    Hits += C.Hits;
-    Misses += C.Misses;
-    C.Hits = 0;
-    C.Misses = 0;
+  for (Lane &L : Lanes) {
+    Hits += L.Hits;
+    Misses += L.Misses;
+    L.Hits = 0;
+    L.Misses = 0;
   }
 }

@@ -16,16 +16,12 @@
 /// the steady-state hot path (the knowledge-compilation trick of Holtzen
 /// et al. applied to network states).
 ///
-/// Determinism protocol (the serial-checkpoint discipline shared with
-/// TxCache): during a scheduler step, lanes only *read* the published
-/// table — whether a canon() call hits is a pure function of the completed
-/// steps, so hit/miss counters are identical for every thread count.
-/// Misses are staged into per-lane pending lists and published once,
-/// serially, at the step boundary, sorted by content hash, so intern ids
-/// and FIFO eviction order are independent of thread count and lane
-/// scheduling. Interning is a pure canonicalization: the returned block is
-/// structurally equal to the argument, so posteriors, reports and traces
-/// are bit-identical with the arena on or off.
+/// Determinism protocol: the staged publication of support/StagedTable.h,
+/// shared with TxCache, sorting by content hash, so hit/miss counters,
+/// intern ids and FIFO eviction order are independent of thread count and
+/// lane scheduling. Interning is a pure canonicalization: the returned
+/// block is structurally equal to the argument, so posteriors, reports and
+/// traces are bit-identical with the arena on or off.
 ///
 /// Intern ids name *content classes*, not pointers: at publication every
 /// staged duplicate of a class is stamped with the class id, and ids are
@@ -40,10 +36,10 @@
 #define BAYONET_SUPPORT_INTERN_H
 
 #include "net/Config.h"
+#include "support/StagedTable.h"
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 namespace bayonet {
@@ -56,123 +52,27 @@ class SnapWriter;
 /// Default byte cap for the interning arena (the --intern=on setting).
 inline constexpr uint64_t InternDefaultBytes = 128ull << 20;
 
-//===----------------------------------------------------------------------===//
-// FlatIndexMap
-//===----------------------------------------------------------------------===//
-
-/// Open-addressing hash table mapping pre-computed 64-bit hashes to a
-/// 32-bit payload index. The caller keeps the payloads in its own dense
-/// vector and supplies an equality predicate for hash collisions, so a
-/// probe touches one contiguous slot array and never allocates per insert
-/// (the reason this replaces std::unordered_map in the engines' merge
-/// loops). Capacity is a power of two; load factor is kept below 0.7.
-class FlatIndexMap {
-public:
-  static constexpr uint32_t Npos = 0xffffffffu;
-
-  FlatIndexMap() = default;
-
-  size_t size() const { return Count; }
-  bool empty() const { return Count == 0; }
-
-  /// Drops all entries but keeps the slot storage (per-step reuse).
-  void clear() {
-    std::fill(Slots.begin(), Slots.end(), Slot{});
-    Count = 0;
+/// Hash and equality over node-block content, for tables keyed by block.
+struct BlockContentHash {
+  size_t operator()(const NodeArray::BlockPtr &B) const { return B->hash(); }
+};
+struct BlockContentEq {
+  bool operator()(const NodeArray::BlockPtr &A,
+                  const NodeArray::BlockPtr &B) const {
+    return NodeArray::sameBlock(A, B);
   }
-
-  /// Ensures capacity for \p N entries without rehashing mid-fill.
-  void reserve(size_t N) {
-    size_t Want = 16;
-    while (Want * 7 < N * 10 + 10)
-      Want <<= 1;
-    if (Want > Slots.size())
-      rehash(Want);
-  }
-
-  /// Looks up \p H; \p SameAt(I) must return whether payload \p I equals
-  /// the probe key. Returns the payload index or Npos.
-  template <typename Eq> uint32_t find(uint64_t H, Eq &&SameAt) const {
-    if (Slots.empty())
-      return Npos;
-    size_t Mask = Slots.size() - 1;
-    for (size_t P = mix(H) & Mask;; P = (P + 1) & Mask) {
-      const Slot &S = Slots[P];
-      if (S.Index == Npos)
-        return Npos;
-      if (S.Hash == H && SameAt(S.Index))
-        return S.Index;
-    }
-  }
-
-  /// Finds \p H or inserts it mapping to \p NewIndex. Returns the index
-  /// already present on a hit, or \p NewIndex after inserting.
-  template <typename Eq>
-  uint32_t findOrInsert(uint64_t H, uint32_t NewIndex, Eq &&SameAt) {
-    if ((Count + 1) * 10 >= Slots.size() * 7)
-      rehash(Slots.empty() ? 16 : Slots.size() * 2);
-    size_t Mask = Slots.size() - 1;
-    for (size_t P = mix(H) & Mask;; P = (P + 1) & Mask) {
-      Slot &S = Slots[P];
-      if (S.Index == Npos) {
-        S.Hash = H;
-        S.Index = NewIndex;
-        ++Count;
-        return NewIndex;
-      }
-      if (S.Hash == H && SameAt(S.Index))
-        return S.Index;
-    }
-  }
-
-private:
-  struct Slot {
-    uint64_t Hash = 0;
-    uint32_t Index = Npos;
-  };
-
-  /// Finalizer over the caller's (possibly low-entropy) hash so linear
-  /// probing does not cluster (splitmix64 tail).
-  static size_t mix(uint64_t H) {
-    H ^= H >> 30;
-    H *= 0xbf58476d1ce4e5b9ull;
-    H ^= H >> 27;
-    H *= 0x94d049bb133111ebull;
-    H ^= H >> 31;
-    return static_cast<size_t>(H);
-  }
-
-  void rehash(size_t NewCap) {
-    std::vector<Slot> Old = std::move(Slots);
-    Slots.assign(NewCap, Slot{});
-    size_t Mask = NewCap - 1;
-    for (const Slot &S : Old) {
-      if (S.Index == Npos)
-        continue;
-      size_t P = mix(S.Hash) & Mask;
-      while (Slots[P].Index != Npos)
-        P = (P + 1) & Mask;
-      Slots[P] = S;
-    }
-  }
-
-  std::vector<Slot> Slots;
-  size_t Count = 0;
 };
 
-//===----------------------------------------------------------------------===//
-// InternArena
-//===----------------------------------------------------------------------===//
-
-/// Thread-sharded hash-consing arena for NodeBlocks. See the file comment
-/// for the read-published/stage/publish protocol.
+/// Thread-sharded hash-consing arena for NodeBlocks: a StagedTable keyed
+/// by block content. See the file comment for the protocol.
 class InternArena {
 public:
   using BlockPtr = NodeArray::BlockPtr;
+  using PublishStats = bayonet::PublishStats;
 
   /// \p ByteCap bounds retained canonical-block bytes (FIFO-epoch
-  /// eviction at publish boundaries); \p Lanes is the number of lanes that
-  /// will stage misses concurrently.
+  /// eviction at publish boundaries; 0 = unlimited); \p Lanes is the
+  /// number of lanes that will stage misses concurrently.
   InternArena(uint64_t ByteCap, unsigned Lanes);
 
   /// Canonicalizes \p B: returns the published canonical block of equal
@@ -186,13 +86,6 @@ public:
   /// the checkpoint instead). Stages through lane 0.
   BlockPtr seed(const BlockPtr &B);
 
-  struct PublishStats {
-    uint64_t Staged = 0;
-    uint64_t Inserted = 0;
-    uint64_t InsertedBytes = 0;
-    uint64_t Evicted = 0;
-  };
-
   /// Serial step-boundary publication: sorts staged blocks by content
   /// hash, inserts one canonical block per new content class (assigning
   /// the next intern id and stamping every staged duplicate with it), then
@@ -205,20 +98,11 @@ public:
   void drainCounters(uint64_t &Hits, uint64_t &Misses);
 
   /// Retained bytes across published canonical blocks.
-  uint64_t bytes() const { return Bytes; }
+  uint64_t bytes() const { return Table.bytes(); }
   /// Live published content classes (evicted classes excluded).
-  size_t size() const { return Live; }
+  size_t size() const { return Table.size(); }
   /// Total content classes ever published (ids are never reused).
   uint64_t nextId() const { return NextId; }
-
-  /// Canonical whole-NetConfig key: hash-conses the tuple (block intern
-  /// ids, scheduler state, error flag) into a config-class id. Requires
-  /// every block of \p C to be interned (returns 0 otherwise — callers
-  /// fall back to structural identity). Serial boundaries only: the class
-  /// table is not sharded. Two configurations map to the same non-zero
-  /// class iff they are structurally equal, so the id is a sound O(1)
-  /// equality witness for checkpoint fingerprints and tests.
-  uint64_t configClass(const NetConfig &C);
 
   /// Serializes the arena in FIFO order (ids, canonical blocks, id
   /// counter). Blocks dedup through \p T, so blocks shared with the
@@ -233,57 +117,21 @@ public:
   bool restoreFrom(SnapReader &R, BlockReadTable &T);
 
 private:
-  struct Entry {
-    uint64_t Hash = 0;
-    BlockPtr Block;           ///< Null once evicted.
-    uint32_t NextSameHash = FlatIndexMap::Npos;
-    uint32_t Bytes = 0;
-  };
-  struct alignas(64) LaneCounters {
+  /// The arena keeps no payload beside the canonical block itself.
+  struct NoValue {};
+  struct alignas(64) Lane {
     uint64_t Hits = 0;
     uint64_t Misses = 0;
-  };
-  struct PendingBlock {
-    uint64_t Hash = 0;
-    BlockPtr Block;
-    uint32_t NextSameHash = FlatIndexMap::Npos;
-  };
-  struct alignas(64) Lane {
-    std::vector<PendingBlock> Staged;
-    /// Hash -> first staged index (within-lane dedup chains).
-    std::unordered_map<uint64_t, uint32_t> Index;
+    /// This step's staged blocks, for within-lane dedup.
+    std::unordered_set<BlockPtr, BlockContentHash, BlockContentEq> Staged;
   };
 
-  /// Probes the published table only. Returns null on miss.
-  const BlockPtr *findPublished(uint64_t H, const BlockPtr &B) const;
-  BlockPtr stage(unsigned LaneNo, uint64_t H, const BlockPtr &B);
-
+  BlockPtr stage(unsigned LaneNo, const BlockPtr &B);
   static uint32_t entryBytes(const BlockPtr &B);
 
-  uint64_t ByteCap;
-  uint64_t Bytes = 0;
-  uint64_t NextId = 0;
-  size_t Live = 0;
-
-  /// Hash -> first entry index; collisions chain through NextSameHash.
-  /// Read concurrently during a step, written only at serial boundaries.
-  std::unordered_map<uint64_t, uint32_t> Map;
-  std::vector<Entry> Entries;
-  /// Publication order for FIFO eviction (deterministic: publication is
-  /// serial and hash-sorted).
-  std::deque<uint32_t> Fifo;
-
+  StagedTable<BlockPtr, NoValue, BlockContentHash, BlockContentEq> Table;
   std::vector<Lane> Lanes;
-  std::vector<LaneCounters> Counters;
-
-  /// Whole-configuration class table: key hash -> list of (id tuple,
-  /// class id). Tuples are compared exactly, so class equality is sound.
-  struct ConfigClass {
-    std::vector<uint64_t> Key;
-    uint64_t Class = 0;
-  };
-  std::unordered_map<uint64_t, std::vector<ConfigClass>> ConfigClasses;
-  uint64_t NextConfigClass = 0;
+  uint64_t NextId = 0;
 };
 
 } // namespace bayonet

@@ -26,8 +26,6 @@
 
 #include <gtest/gtest.h>
 
-#include <regex>
-
 using namespace bayonet;
 
 namespace {
@@ -301,54 +299,6 @@ TEST_P(FuzzDiffTest, TracingInvariance) {
   EXPECT_EQ(Plain.ConfigsExpanded, Traced.ConfigsExpanded);
   EXPECT_EQ(Plain.MergeHits, Traced.MergeHits);
   EXPECT_GT(Ctx->tracer()->numEvents(), 0u);
-}
-
-// The two trace dialects are renders of the same log: for any generated
-// network, the Bayonet and Chrome renders agree on the complete-span
-// count and on the exact span_id/parent_id nesting sequence; Chrome adds
-// only its two metadata records and per-event categories.
-TEST_P(FuzzDiffTest, TraceFormatInvariance) {
-  NetworkGen Gen(GetParam());
-  std::string Source = Gen.generate();
-  SCOPED_TRACE(Source);
-
-  DiagEngine Diags;
-  auto Net = loadNetwork(Source, Diags);
-  ASSERT_TRUE(Net.has_value()) << Diags.toString();
-
-  auto Ctx = std::make_shared<ObsContext>(true, false);
-  ExactOptions Opts;
-  Opts.Obs = Ctx;
-  ExactResult R = ExactEngine(Net->Spec, Opts).run();
-  ASSERT_TRUE(R.Status.ok());
-
-  std::string Bayo = Ctx->tracer()->renderJson(TraceFormat::Bayonet);
-  std::string Chrome = Ctx->tracer()->renderJson(TraceFormat::Chrome);
-
-  auto numbers = [](const std::string &Json, const std::string &Key) {
-    std::vector<uint64_t> Out;
-    std::regex Re("\"" + Key + "\":([0-9]+)");
-    for (auto It = std::sregex_iterator(Json.begin(), Json.end(), Re);
-         It != std::sregex_iterator(); ++It)
-      Out.push_back(std::stoull((*It)[1].str()));
-    return Out;
-  };
-  auto count = [](const std::string &Hay, const std::string &Needle) {
-    size_t N = 0;
-    for (size_t Pos = Hay.find(Needle); Pos != std::string::npos;
-         Pos = Hay.find(Needle, Pos + Needle.size()))
-      ++N;
-    return N;
-  };
-
-  EXPECT_EQ(count(Bayo, "\"ph\":\"X\""), count(Chrome, "\"ph\":\"X\""));
-  EXPECT_EQ(count(Bayo, "\"ph\":\"i\""), count(Chrome, "\"ph\":\"i\""));
-  EXPECT_EQ(numbers(Bayo, "span_id"), numbers(Chrome, "span_id"));
-  EXPECT_EQ(numbers(Bayo, "parent_id"), numbers(Chrome, "parent_id"));
-  EXPECT_EQ(count(Bayo, "\"ph\":\"M\""), 0u);
-  EXPECT_EQ(count(Chrome, "\"ph\":\"M\""), 2u);
-  EXPECT_EQ(count(Chrome, "\"cat\":\""),
-            count(Chrome, "\"ph\":\"X\"") + count(Chrome, "\"ph\":\"i\""));
 }
 
 // The successor-transition cache must be invisible in the answer: cache

@@ -201,27 +201,6 @@ TEST(Intern, SnapshotReinternRoundTrip) {
   EXPECT_FALSE(Arena3.restoreFrom(Bad, BadT));
 }
 
-// configClass: a whole-configuration equality witness, defined only when
-// every block is interned.
-TEST(Intern, ConfigClassSoundness) {
-  InternArena Arena(1 << 20, 1);
-  BlockPtr B0 = Arena.canon(0, makeBlock(0));
-  Arena.publishStaged();
-
-  NetConfig C1 = configOf(B0, 1);
-  NetConfig C2 = configOf(Arena.canon(0, makeBlock(0)), 1);
-  NetConfig C3 = configOf(B0, 2); // Different scheduler state.
-  uint64_t K1 = Arena.configClass(C1);
-  ASSERT_NE(K1, 0u);
-  EXPECT_EQ(Arena.configClass(C2), K1);
-  EXPECT_NE(Arena.configClass(C3), K1);
-
-  // Un-interned blocks yield 0: callers must fall back to structural
-  // identity rather than trust a partial key.
-  NetConfig Raw = configOf(makeBlock(0), 1);
-  EXPECT_EQ(Arena.configClass(Raw), 0u);
-}
-
 // The protocol claim TSan checks: during a step, any number of lanes may
 // probe the published table (hits) and stage misses into their own lanes
 // concurrently; publication happens strictly after the join. Hit/miss
