@@ -9,8 +9,8 @@
 # snapshot step (a CLI run killed at an injected
 # checkpoint crash and resumed must be byte-identical to a straight run,
 # exact + SMC), a zero-allocation assertion on the exact engine's
-# weight-merge hot path (alloc_check from an armed BAYONET_COUNT_ALLOCS
-# build), a benchmark-regression check against the committed BENCH.json
+# weight arithmetic, small and 128-bit tiers (alloc_check from an armed
+# BAYONET_COUNT_ALLOCS build), a benchmark-regression check against the committed BENCH.json
 # baseline, an assert-enabled Debug build under ASan+UBSan running the
 # PSI, translator and cross-pipeline tests, and a thread-sanitized run of
 # the parallel-determinism, budget, observability, snapshot, and signal
@@ -273,7 +273,7 @@ for Case in exact:gossip4:3 smc:gossip4:3 translated:figure2:10; do
   echo "snapshot: $Engine ($Program) crash -> resume byte-identical"
 done
 
-echo "=== tier-1: zero-allocation merge hot path (gossip4) ==="
+echo "=== tier-1: zero-allocation weight arithmetic (gossip4, loadbalancing) ==="
 cmake -B build-allocs -S . -DBAYONET_COUNT_ALLOCS=ON
 cmake --build build-allocs -j --target alloc_check
 ./build-allocs/bench/alloc_check
@@ -304,12 +304,14 @@ echo "=== tier-1: assert-enabled ASan+UBSan leg (translated pipeline, staged tab
 # into environments it resolves and UBSan aborts on undefined behaviour.
 # The Intern/TxCache/crash-resume cases run the staged-publication table
 # (support/StagedTable.h), whose FIFO points into the published map.
+# The arithmetic suites run BigInt's inline 128-bit tier, whose
+# unsigned __int128 shifts and INT64_MIN negations are UB UBSan traps.
 AsanStart=$SECONDS
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
   -DBAYONET_SANITIZE=address,undefined
 cmake --build build-asan -j --target bayonet_tests
 ./build-asan/tests/bayonet_tests \
-  --gtest_filter='PsiIr*:*CrossEngine*:Translator*:*FuzzDiff*DirectVersusTranslated*:Intern*:TxCache*:*TxCacheMatrix*:Snapshot.CrashResumeExact*'
+  --gtest_filter='PsiIr*:*CrossEngine*:Translator*:*FuzzDiff*DirectVersusTranslated*:Intern*:TxCache*:*TxCacheMatrix*:Snapshot.CrashResumeExact*:BigIntTest*:RationalTest*:SymProbTest*:LinExprTest*:ConstraintTest*'
 echo "asan leg: $((SECONDS - AsanStart)) s"
 
 if [ "$NO_TSAN" = 1 ]; then

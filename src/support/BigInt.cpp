@@ -8,63 +8,111 @@
 
 #include <cassert>
 #include <cmath>
+#include <new>
+#include <utility>
 
 using namespace bayonet;
 
 static const uint64_t LimbBase = 1ULL << 32;
+
+//===----------------------------------------------------------------------===//
+// Heap-tier storage
+//===----------------------------------------------------------------------===//
+
+void BigInt::copyHeap(const BigInt &O) {
+  new (&Limbs) std::vector<uint32_t>(O.Limbs);
+}
+
+void BigInt::stealHeap(BigInt &O) {
+  new (&Limbs) std::vector<uint32_t>(std::move(O.Limbs));
+  O.Limbs.~vector();
+  O.Small = 0;
+  O.Sign = 0;
+  O.Kind = SmallTier;
+  O.Wide = {0, 0};
+}
+
+void BigInt::releaseHeap() { Limbs.~vector(); }
+
+BigInt &BigInt::assignSlow(const BigInt &O) {
+  if (Kind == HeapTier && O.Kind == HeapTier) {
+    Limbs = O.Limbs; // Reuses this value's buffer.
+    Sign = O.Sign;
+    return *this;
+  }
+  if (Kind == HeapTier)
+    releaseHeap();
+  Small = O.Small;
+  Sign = O.Sign;
+  Kind = O.Kind;
+  if (O.Kind == HeapTier)
+    copyHeap(O);
+  else
+    Wide = O.Wide;
+  return *this;
+}
+
+BigInt &BigInt::assignSlow(BigInt &&O) {
+  if (this == &O)
+    return *this;
+  if (Kind == HeapTier)
+    releaseHeap();
+  Small = O.Small;
+  Sign = O.Sign;
+  Kind = O.Kind;
+  if (O.Kind == HeapTier)
+    stealHeap(O);
+  else
+    Wide = O.Wide;
+  return *this;
+}
+
+//===----------------------------------------------------------------------===//
+// Limb views and conversions
+//===----------------------------------------------------------------------===//
 
 void BigInt::trim(std::vector<uint32_t> &Mag) {
   while (!Mag.empty() && Mag.back() == 0)
     Mag.pop_back();
 }
 
+BigInt::Span BigInt::limbs(uint32_t (&Buf)[4]) const {
+  if (Kind == HeapTier)
+    return Limbs;
+  size_t N = 0;
+  for (U128 M = mag128(); M; M >>= 32)
+    Buf[N++] = static_cast<uint32_t>(M);
+  return {Buf, N};
+}
+
 void BigInt::toMag(int &SignOut, std::vector<uint32_t> &MagOut) const {
-  MagOut.clear();
-  if (!isSmall()) {
-    SignOut = Sign;
-    MagOut = Limbs;
-    return;
-  }
-  if (Small == 0) {
-    SignOut = 0;
-    return;
-  }
-  SignOut = Small < 0 ? -1 : 1;
-  // Avoid UB on INT64_MIN by working in uint64.
-  uint64_t Mag = Small < 0 ? 0 - static_cast<uint64_t>(Small)
-                           : static_cast<uint64_t>(Small);
-  MagOut.push_back(static_cast<uint32_t>(Mag));
-  if (Mag >> 32)
-    MagOut.push_back(static_cast<uint32_t>(Mag >> 32));
+  uint32_t Buf[4] = {};
+  Span M = limbs(Buf);
+  SignOut = sign();
+  MagOut.assign(M.begin(), M.end());
 }
 
 BigInt BigInt::fromMag(int Sign, std::vector<uint32_t> Mag) {
   trim(Mag);
-  BigInt R;
-  if (Mag.empty())
-    return R;
-  assert(Sign == 1 || Sign == -1);
-  // Fits in int64?
-  if (Mag.size() <= 2) {
-    uint64_t V = Mag[0];
-    if (Mag.size() == 2)
-      V |= static_cast<uint64_t>(Mag[1]) << 32;
-    if (Sign > 0 && V <= static_cast<uint64_t>(INT64_MAX)) {
-      R.Small = static_cast<int64_t>(V);
-      return R;
-    }
-    if (Sign < 0 && V <= static_cast<uint64_t>(INT64_MAX) + 1) {
-      R.Small = static_cast<int64_t>(0 - V);
-      return R;
-    }
+  if (Mag.size() <= 4) {
+    U128 M = 0;
+    for (size_t I = Mag.size(); I-- > 0;)
+      M = M << 32 | Mag[I];
+    return fromMag128(Mag.empty() ? 0 : Sign, M);
   }
+  assert(Sign == 1 || Sign == -1);
+  BigInt R;
   R.Sign = Sign;
-  R.Limbs = std::move(Mag);
+  R.Kind = HeapTier;
+  new (&R.Limbs) std::vector<uint32_t>(std::move(Mag));
   return R;
 }
 
-int BigInt::cmpMag(const std::vector<uint32_t> &A,
-                   const std::vector<uint32_t> &B) {
+//===----------------------------------------------------------------------===//
+// Limb algorithms (operands wider than 128 bits)
+//===----------------------------------------------------------------------===//
+
+int BigInt::cmpMag(Span A, Span B) {
   if (A.size() != B.size())
     return A.size() < B.size() ? -1 : 1;
   for (size_t I = A.size(); I-- > 0;)
@@ -73,10 +121,9 @@ int BigInt::cmpMag(const std::vector<uint32_t> &A,
   return 0;
 }
 
-std::vector<uint32_t> BigInt::addMag(const std::vector<uint32_t> &A,
-                                     const std::vector<uint32_t> &B) {
-  const std::vector<uint32_t> &Lo = A.size() < B.size() ? A : B;
-  const std::vector<uint32_t> &Hi = A.size() < B.size() ? B : A;
+std::vector<uint32_t> BigInt::addMag(Span A, Span B) {
+  Span Lo = A.size() < B.size() ? A : B;
+  Span Hi = A.size() < B.size() ? B : A;
   std::vector<uint32_t> R;
   R.reserve(Hi.size() + 1);
   uint64_t Carry = 0;
@@ -90,8 +137,7 @@ std::vector<uint32_t> BigInt::addMag(const std::vector<uint32_t> &A,
   return R;
 }
 
-std::vector<uint32_t> BigInt::subMag(const std::vector<uint32_t> &A,
-                                     const std::vector<uint32_t> &B) {
+std::vector<uint32_t> BigInt::subMag(Span A, Span B) {
   assert(cmpMag(A, B) >= 0 && "subMag requires A >= B");
   std::vector<uint32_t> R;
   R.reserve(A.size());
@@ -110,8 +156,7 @@ std::vector<uint32_t> BigInt::subMag(const std::vector<uint32_t> &A,
   return R;
 }
 
-std::vector<uint32_t> BigInt::mulMag(const std::vector<uint32_t> &A,
-                                     const std::vector<uint32_t> &B) {
+std::vector<uint32_t> BigInt::mulMag(Span A, Span B) {
   if (A.empty() || B.empty())
     return {};
   std::vector<uint32_t> R(A.size() + B.size(), 0);
@@ -137,16 +182,13 @@ std::vector<uint32_t> BigInt::mulMag(const std::vector<uint32_t> &A,
 
 /// Schoolbook long division on magnitudes (Knuth algorithm D, simplified
 /// with a per-limb estimate loop). Both quotient and remainder are produced.
-void BigInt::divModMag(const std::vector<uint32_t> &A,
-                       const std::vector<uint32_t> &B,
-                       std::vector<uint32_t> &Quot,
+void BigInt::divModMag(Span A, Span B, std::vector<uint32_t> &Quot,
                        std::vector<uint32_t> &Rem) {
   assert(!B.empty() && "division by zero magnitude");
   Quot.clear();
   Rem.clear();
   if (cmpMag(A, B) < 0) {
-    Rem = A;
-    trim(Rem);
+    Rem.assign(A.begin(), A.end());
     return;
   }
   if (B.size() == 1) {
@@ -172,7 +214,7 @@ void BigInt::divModMag(const std::vector<uint32_t> &A,
     Top <<= 1;
     ++Shift;
   }
-  auto shiftLeft = [](const std::vector<uint32_t> &V, int S) {
+  auto shiftLeft = [](Span V, int S) {
     std::vector<uint32_t> R(V.size() + 1, 0);
     for (size_t I = 0; I < V.size(); ++I) {
       R[I] |= V[I] << S;
@@ -250,45 +292,85 @@ void BigInt::divModMag(const std::vector<uint32_t> &A,
   Rem = std::move(U);
 }
 
+//===----------------------------------------------------------------------===//
+// Arithmetic
+//===----------------------------------------------------------------------===//
+
+U128 BigInt::gcdMag128(U128 X, U128 Y) {
+  // Euclid while either side needs the high word; these gcds mostly pair
+  // a ~2^100 product with a much smaller value, where one step gets there.
+  while (Y && (X >> 64 || Y >> 64)) {
+    U128 T = X % Y;
+    X = Y;
+    Y = T;
+  }
+  if (Y == 0)
+    return X;
+  uint64_t A = static_cast<uint64_t>(X), B = static_cast<uint64_t>(Y);
+  if (A == 0)
+    return B;
+  // One more division step evens out the sizes, then binary gcd on odd
+  // values: subtract, keep the minimum, strip twos; the loop body has no
+  // data-dependent branch.
+  if (A < B)
+    std::swap(A, B);
+  A %= B;
+  if (A == 0)
+    return B;
+  const int Shift = __builtin_ctzll(A | B);
+  A >>= __builtin_ctzll(A);
+  B >>= __builtin_ctzll(B);
+  while (A != B) {
+    const uint64_t D = A > B ? A - B : B - A;
+    B = A < B ? A : B;
+    A = D >> __builtin_ctzll(D);
+  }
+  return static_cast<U128>(A) << Shift;
+}
+
 int BigInt::compare(const BigInt &A, const BigInt &B) {
   if (A.isSmall() && B.isSmall())
     return A.Small < B.Small ? -1 : (A.Small > B.Small ? 1 : 0);
-  int SA, SB;
-  std::vector<uint32_t> MA, MB;
-  A.toMag(SA, MA);
-  B.toMag(SB, MB);
+  const int SA = A.sign(), SB = B.sign();
   if (SA != SB)
     return SA < SB ? -1 : 1;
-  int C = cmpMag(MA, MB);
+  int C;
+  if (A.fits128() && B.fits128()) {
+    const U128 MA = A.mag128(), MB = B.mag128();
+    C = MA < MB ? -1 : MA > MB ? 1 : 0;
+  } else {
+    uint32_t BufA[4] = {}, BufB[4] = {};
+    C = cmpMag(A.limbs(BufA), B.limbs(BufB));
+  }
   return SA < 0 ? -C : C;
 }
 
 BigInt BigInt::operator-() const {
-  if (isSmall() && Small != INT64_MIN) {
+  if (isSmall() && Small != INT64_MIN)
     return BigInt(-Small);
-  }
-  int S;
-  std::vector<uint32_t> M;
-  toMag(S, M);
-  return fromMag(-S, std::move(M));
+  if (fits128())
+    return fromMag128(-sign(), mag128());
+  BigInt R = *this;
+  R.Sign = -Sign;
+  return R;
 }
 
 BigInt BigInt::abs() const { return isNegative() ? -*this : *this; }
 
-BigInt BigInt::operator+(const BigInt &B) const {
-  if (isSmall() && B.isSmall()) {
-    int64_t R;
-    if (!__builtin_add_overflow(Small, B.Small, &R))
-      return BigInt(R);
-  }
-  int SA, SB;
-  std::vector<uint32_t> MA, MB;
-  toMag(SA, MA);
-  B.toMag(SB, MB);
-  if (SA == 0)
-    return B;
+BigInt BigInt::addSigned(const BigInt &A, const BigInt &B, int SB) {
+  const int SA = A.sign();
   if (SB == 0)
-    return *this;
+    return A;
+  if (A.fits128() && B.fits128()) {
+    const U128 MA = A.mag128(), MB = B.mag128();
+    if (SA != SB) // Also covers A == 0.
+      return MA >= MB ? fromMag128(SA, MA - MB) : fromMag128(SB, MB - MA);
+    U128 M = 0;
+    if (!__builtin_add_overflow(MA, MB, &M))
+      return fromMag128(SA, M);
+  }
+  uint32_t BufA[4] = {}, BufB[4] = {};
+  Span MA = A.limbs(BufA), MB = B.limbs(BufB);
   if (SA == SB)
     return fromMag(SA, addMag(MA, MB));
   int C = cmpMag(MA, MB);
@@ -299,13 +381,22 @@ BigInt BigInt::operator+(const BigInt &B) const {
   return fromMag(SB, subMag(MB, MA));
 }
 
+BigInt BigInt::operator+(const BigInt &B) const {
+  if (isSmall() && B.isSmall()) {
+    int64_t R;
+    if (!__builtin_add_overflow(Small, B.Small, &R))
+      return BigInt(R);
+  }
+  return addSigned(*this, B, B.sign());
+}
+
 BigInt BigInt::operator-(const BigInt &B) const {
   if (isSmall() && B.isSmall()) {
     int64_t R;
     if (!__builtin_sub_overflow(Small, B.Small, &R))
       return BigInt(R);
   }
-  return *this + (-B);
+  return addSigned(*this, B, -B.sign());
 }
 
 BigInt BigInt::operator*(const BigInt &B) const {
@@ -314,36 +405,44 @@ BigInt BigInt::operator*(const BigInt &B) const {
     if (!__builtin_mul_overflow(Small, B.Small, &R))
       return BigInt(R);
   }
-  int SA, SB;
-  std::vector<uint32_t> MA, MB;
-  toMag(SA, MA);
-  B.toMag(SB, MB);
-  if (SA == 0 || SB == 0)
+  const int S = sign() * B.sign();
+  if (S == 0)
     return BigInt();
-  return fromMag(SA * SB, mulMag(MA, MB));
+  if (fits128() && B.fits128()) {
+    U128 M = 0;
+    if (!__builtin_mul_overflow(mag128(), B.mag128(), &M))
+      return fromMag128(S, M);
+  }
+  uint32_t BufA[4] = {}, BufB[4] = {};
+  return fromMag(S, mulMag(limbs(BufA), B.limbs(BufB)));
 }
 
 void BigInt::divMod(const BigInt &A, const BigInt &B, BigInt &Quot,
                     BigInt &Rem) {
   assert(!B.isZero() && "division by zero");
+  // Both results are computed before either output is written, so the
+  // outputs may alias the inputs.
   if (A.isSmall() && B.isSmall() &&
       !(A.Small == INT64_MIN && B.Small == -1)) {
-    Quot = BigInt(A.Small / B.Small);
-    Rem = BigInt(A.Small % B.Small);
+    const int64_t Q = A.Small / B.Small, R = A.Small % B.Small;
+    Quot = BigInt(Q);
+    Rem = BigInt(R);
     return;
   }
-  int SA, SB;
-  std::vector<uint32_t> MA, MB, MQ, MR;
-  A.toMag(SA, MA);
-  B.toMag(SB, MB);
-  if (SA == 0) {
-    Quot = BigInt();
-    Rem = BigInt();
+  const int SA = A.sign(), SB = B.sign();
+  if (A.fits128() && B.fits128()) {
+    const U128 MA = A.mag128(), MB = B.mag128();
+    BigInt Q = fromMag128(SA * SB, MA / MB);
+    Rem = fromMag128(SA, MA % MB);
+    Quot = std::move(Q);
     return;
   }
-  divModMag(MA, MB, MQ, MR);
-  Quot = MQ.empty() ? BigInt() : fromMag(SA * SB, std::move(MQ));
-  Rem = MR.empty() ? BigInt() : fromMag(SA, std::move(MR));
+  uint32_t BufA[4] = {}, BufB[4] = {};
+  std::vector<uint32_t> MQ, MR;
+  divModMag(A.limbs(BufA), B.limbs(BufB), MQ, MR);
+  BigInt Q = fromMag(SA * SB, std::move(MQ));
+  Rem = fromMag(SA, std::move(MR));
+  Quot = std::move(Q);
 }
 
 BigInt BigInt::operator/(const BigInt &B) const {
@@ -359,15 +458,28 @@ BigInt BigInt::operator%(const BigInt &B) const {
 }
 
 BigInt BigInt::gcd(BigInt A, BigInt B) {
-  A = A.abs();
-  B = B.abs();
-  while (!B.isZero()) {
+  // Limb Euclid only while both are wider than 128 bits; the first
+  // remainder below 2^128 hands the rest to gcdMag128.
+  while (!A.fits128() && !B.fits128()) {
     BigInt R = A % B;
     A = std::move(B);
     B = std::move(R);
   }
-  return A;
+  if (!A.fits128()) {
+    if (B.isZero())
+      return A.abs();
+    A = A % B;
+  } else if (!B.fits128()) {
+    if (A.isZero())
+      return B.abs();
+    B = B % A;
+  }
+  return fromMag128(1, gcdMag128(A.mag128(), B.mag128()));
 }
+
+//===----------------------------------------------------------------------===//
+// Conversions
+//===----------------------------------------------------------------------===//
 
 bool BigInt::fromString(std::string_view Text, BigInt &Out) {
   Out = BigInt();
@@ -396,7 +508,9 @@ std::string BigInt::toString() const {
   if (isSmall())
     return std::to_string(Small);
   // Repeatedly divide the magnitude by 10^9 and print chunks.
-  std::vector<uint32_t> M = Limbs;
+  uint32_t Buf[4] = {};
+  Span L = limbs(Buf);
+  std::vector<uint32_t> M(L.begin(), L.end());
   std::string Out;
   const uint64_t Chunk = 1000000000ULL;
   while (!M.empty()) {
@@ -420,17 +534,47 @@ std::string BigInt::toString() const {
 double BigInt::toDouble() const {
   if (isSmall())
     return static_cast<double>(Small);
+  uint32_t Buf[4] = {};
+  Span L = limbs(Buf);
   double R = 0;
-  for (size_t I = Limbs.size(); I-- > 0;)
-    R = R * 4294967296.0 + Limbs[I];
+  for (size_t I = L.size(); I-- > 0;)
+    R = R * 4294967296.0 + L[I];
   return Sign < 0 ? -R : R;
+}
+
+double BigInt::toDoubleScaled(int &Exp) const {
+  Exp = 0;
+  if (isSmall())
+    return static_cast<double>(Small);
+  // Gather at least 64 significant bits: the whole inline magnitude, or
+  // the top three heap limbs.
+  U128 Top = 0;
+  if (Kind == HeapTier) {
+    const size_t N = Limbs.size();
+    Top = static_cast<U128>(Limbs[N - 1]) << 64 |
+          static_cast<U128>(Limbs[N - 2]) << 32 | Limbs[N - 3];
+    Exp = static_cast<int>(32 * (N - 3));
+  } else {
+    Top = mag128();
+  }
+  const uint64_t Hi = static_cast<uint64_t>(Top >> 64);
+  if (Hi) {
+    const int Drop = 64 - __builtin_clzll(Hi);
+    Top >>= Drop;
+    Exp += Drop;
+  }
+  const double D = static_cast<double>(static_cast<uint64_t>(Top));
+  return Sign < 0 ? -D : D;
 }
 
 size_t BigInt::hash() const {
   if (isSmall())
     return std::hash<int64_t>()(Small);
+  // Folds the 32-bit limbs in either wide tier, so the hash depends only
+  // on the value.
   size_t H = Sign < 0 ? 0x9e3779b97f4a7c15ULL : 0x517cc1b727220a95ULL;
-  for (uint32_t L : Limbs)
+  uint32_t Buf[4] = {};
+  for (uint32_t L : limbs(Buf))
     H = H * 0x100000001b3ULL ^ L;
   return H;
 }

@@ -8,13 +8,22 @@
 /// Exact rational arithmetic over BigInt. The Bayonet value domain is
 /// Vals = Q (paper Figure 4), and exact inference weights are rationals.
 ///
-/// Small-value fast path: when both components are in BigInt's small
-/// (int64) representation — every dyadic probability the schedulers and
-/// flip() produce — the four operations and the compound assignments run
-/// entirely in machine arithmetic (int64 gcd, overflow-checked products)
-/// and never touch the limb allocator. Overflow at any step falls back to
-/// the general BigInt path, so values promote exactly like BigInt's own
-/// compound operators.
+/// Two fast paths sit in front of the general BigInt path:
+///
+///  - Small: when both components are in BigInt's small (int64) tier —
+///    every dyadic probability the schedulers and flip() produce — the four
+///    operations and the compound assignments run in int64 arithmetic
+///    (int64 gcd, overflow-checked products) and edit the components in
+///    place.
+///  - Wide: when all four components of an operation fit BigInt's inline
+///    tier (magnitudes below 2^128, e.g. products of the ~2^50 weights of
+///    the load-balancing network), addition, multiplication, division,
+///    normalization and comparison run on the unsigned __int128 magnitudes
+///    directly, gcds included.
+///
+/// Overflow at any step falls back to the next path, so every path yields
+/// the same canonical value. None of them allocates; only components of
+/// 2^128 and beyond reach BigInt's heap limbs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,6 +49,15 @@ public:
   Rational(int V) : Num(V), Den(1) {}
   /// Constructs Num/Den and normalizes. \pre !Den.isZero()
   Rational(BigInt Num, BigInt Den);
+
+  // Forced inline: values are copied, moved and destroyed all over the
+  // interpreter, and large translation units would otherwise hit GCC's
+  // unit-growth limit and call these out of line.
+  [[gnu::always_inline]] Rational(const Rational &) = default;
+  [[gnu::always_inline]] Rational(Rational &&) = default;
+  [[gnu::always_inline]] Rational &operator=(const Rational &) = default;
+  [[gnu::always_inline]] Rational &operator=(Rational &&) = default;
+  [[gnu::always_inline]] ~Rational() = default;
 
   /// Parses "a", "-a", or "a/b" in decimal. Returns false on malformed
   /// input or a zero denominator.
@@ -107,7 +125,7 @@ public:
   }
 
   /// True when both components are in BigInt's small (int64)
-  /// representation, i.e. arithmetic takes the allocation-free path.
+  /// representation, i.e. arithmetic takes the int64 path.
   bool isSmallRepr() const { return Num.isSmall() && Den.isSmall(); }
 
   /// Truncation toward zero to an integer rational.
@@ -127,6 +145,10 @@ private:
   /// Big-number add/subtract with Knuth 4.5.1 reduced normalization.
   /// \pre both operands canonical (the class invariant).
   void addBig(const Rational &B, bool Sub);
+  /// addBig on the 128-bit magnitudes. Returns false, leaving *this
+  /// untouched, when an intermediate needs more than 128 bits.
+  /// \pre all four components fits128().
+  bool addWide(const Rational &B, bool Sub);
 
   /// Magnitude of an int64 as uint64 (correct for INT64_MIN).
   static uint64_t mag64(int64_t V) {

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 using namespace bayonet;
 
 namespace {
@@ -219,6 +221,82 @@ TEST(RationalTest, ProbabilityAccumulationExactness) {
     Total += W;
   }
   EXPECT_EQ(Total, Rational(1) - W);
+}
+
+TEST(RationalTest, ToDoubleWithComponentsPastDoubleRange) {
+  // 2000^120 is about 2^1316: both components overflow a double, and
+  // dividing their doubles gave inf/inf = NaN.
+  Rational P(1);
+  for (int I = 0; I < 120; ++I)
+    P *= q(1999, 2000);
+  ASSERT_FALSE(P.den().fits128());
+  // pow's own error is about 120 ulps of 0.9995.
+  EXPECT_NEAR(P.toDouble(), std::pow(0.9995, 120), 1e-13);
+  // (2^1100 + 1) / 2^1101.
+  BigInt P1000(1);
+  for (int I = 0; I < 1000; ++I)
+    P1000 = P1000 + P1000;
+  const BigInt P1100 = P1000 * BigInt(int64_t(1) << 50) *
+                       BigInt(int64_t(1) << 50);
+  Rational H(P1100 + BigInt(1), P1100 + P1100);
+  EXPECT_DOUBLE_EQ(H.toDouble(), 0.5);
+  EXPECT_DOUBLE_EQ((-H).toDouble(), -0.5);
+  // A ratio far from 1 keeps its exponent: 2^100 / 3 and 3 / 2^100.
+  EXPECT_DOUBLE_EQ(Rational(P1100, P1000 * BigInt(3)).toDouble(),
+                   std::ldexp(1.0, 100) / 3);
+  EXPECT_DOUBLE_EQ(Rational(P1000 * BigInt(3), P1100).toDouble(),
+                   std::ldexp(3.0, -100));
+  // Components inside a double's range divide as before.
+  EXPECT_DOUBLE_EQ(q(1, 3).toDouble(), 1.0 / 3);
+  EXPECT_DOUBLE_EQ(q(-7, 2).toDouble(), -3.5);
+}
+
+TEST(RationalTest, WideTierMatchesReference) {
+  // Components of 1..140 bits, so operations run the int64 path, the
+  // 128-bit path, its overflow bail-outs, and the limb path; each result
+  // must match the pure-BigInt reference and be canonical.
+  Xoshiro Rng(0x128);
+  auto randBig = [&Rng](bool Positive) {
+    static const int Widths[] = {8, 40, 63, 64, 65, 100, 127, 128, 129, 140};
+    const int Bits =
+        1 + static_cast<int>(Rng.nextBelow(Widths[Rng.nextBelow(10)]));
+    BigInt V(0);
+    for (int Done = 0; Done < Bits; Done += 32) {
+      const int Take = Bits - Done < 32 ? Bits - Done : 32;
+      V = V * BigInt(int64_t(1) << Take) +
+          BigInt(static_cast<int64_t>(Rng.next() >> (64 - Take)));
+    }
+    if (V.isZero())
+      V = BigInt(1);
+    return (!Positive && (Rng.next() & 1)) ? -V : V;
+  };
+  // Shared factors make the gcd reductions do real work.
+  const BigInt Shared[] = {BigInt(1), BigInt(6),
+                           BigInt(int64_t(1) << 62) * BigInt(4),
+                           BigInt(int64_t(1) << 50) * BigInt(10007)};
+  auto randQ = [&] {
+    const BigInt &K = Shared[Rng.nextBelow(4)];
+    return Rational(randBig(false) * K, randBig(true) * K);
+  };
+  auto canonical = [](const Rational &X) {
+    return !X.den().isNegative() && !X.den().isZero() &&
+           BigInt::gcd(X.num(), X.den()).isOne();
+  };
+  for (int Iter = 0; Iter < 1500; ++Iter) {
+    const Rational A = randQ(), B = randQ();
+    const RefQ RA = RefQ::of(A), RB = RefQ::of(B);
+    EXPECT_TRUE(canonical(A));
+    EXPECT_TRUE(RefQ::add(RA, RB).matches(A + B));
+    EXPECT_TRUE(RefQ::sub(RA, RB).matches(A - B));
+    EXPECT_TRUE(RefQ::mul(RA, RB).matches(A * B));
+    EXPECT_TRUE(RefQ::div(RA, RB).matches(A / B));
+    EXPECT_TRUE(canonical(A + B) && canonical(A * B) && canonical(A / B));
+    const int Ref = BigInt::compare(A.num() * B.den(), B.num() * A.den());
+    EXPECT_EQ(Rational::compare(A, B), Ref);
+    EXPECT_EQ(Rational::compare(B, A), -Ref);
+    EXPECT_TRUE((A - A).isZero());
+    EXPECT_EQ(Rational::compare(A, A), 0);
+  }
 }
 
 } // namespace
