@@ -402,66 +402,10 @@ inline void writeSnapshotJson(const char *Path) {
   std::printf("wrote %s (%zu rows)\n", Path, Rows.size());
 }
 
-/// One serve-overhead measurement: the same observed workload with no
-/// introspection server and with one live (bound, threads parked, never
-/// scraped). The pair bounds what `--serve` costs a run nobody scrapes;
-/// the target is under 2% overhead.
-struct ServeRow {
-  std::string Benchmark;
-  double UnservedSeconds = 0;
-  double ServedSeconds = 0;
-};
-
-inline std::vector<ServeRow> &serveRows() {
-  static std::vector<ServeRow> Rows;
-  return Rows;
-}
-
-inline void addServeRow(std::string Benchmark, double UnservedSeconds,
-                        double ServedSeconds) {
-  for (ServeRow &R : serveRows()) {
-    if (R.Benchmark == Benchmark) {
-      R.UnservedSeconds = UnservedSeconds;
-      R.ServedSeconds = ServedSeconds;
-      return;
-    }
-  }
-  serveRows().push_back(
-      {std::move(Benchmark), UnservedSeconds, ServedSeconds});
-}
-
-/// Writes the serve-overhead rows as a JSON array (no-op when the binary
-/// recorded none).
-inline void writeServeJson(const char *Path) {
-  if (serveRows().empty())
-    return;
-  std::FILE *F = std::fopen(Path, "w");
-  if (!F) {
-    std::fprintf(stderr, "cannot write %s\n", Path);
-    return;
-  }
-  std::fprintf(F, "[\n");
-  const std::vector<ServeRow> &Rows = serveRows();
-  for (size_t I = 0; I < Rows.size(); ++I) {
-    const ServeRow &R = Rows[I];
-    double Pct = R.UnservedSeconds > 0
-                     ? (R.ServedSeconds / R.UnservedSeconds - 1.0) * 100.0
-                     : 0.0;
-    std::fprintf(F,
-                 "  {\"benchmark\": \"%s\", \"unserved_s\": %.6f, "
-                 "\"served_s\": %.6f, \"overhead_pct\": %.2f}%s\n",
-                 R.Benchmark.c_str(), R.UnservedSeconds, R.ServedSeconds,
-                 Pct, I + 1 < Rows.size() ? "," : "");
-  }
-  std::fprintf(F, "]\n");
-  std::fclose(F);
-  std::printf("wrote %s (%zu rows)\n", Path, Rows.size());
-}
-
 /// One profiler-overhead measurement: the same workload with no profiler
 /// attached (every charge site is one null-check branch) and with the
-/// source-attributed cost profiler fully live — attribution stack, lane
-/// shard drains, and board publishes. Targets: the off path within the
+/// source-attributed cost profiler fully live — attribution stack and
+/// lane shard drains. Targets: the off path within the
 /// noise floor (~0%), on under 3%.
 struct ProfileRow {
   std::string Benchmark;
@@ -537,8 +481,6 @@ inline void writeProfileJson(const char *Path) {
         bayonet::benchutil::outPath("BENCH_obs.json").c_str());             \
     bayonet::benchutil::writeSnapshotJson(                                  \
         bayonet::benchutil::outPath("BENCH_snapshot.json").c_str());        \
-    bayonet::benchutil::writeServeJson(                                     \
-        bayonet::benchutil::outPath("BENCH_serve.json").c_str());           \
     bayonet::benchutil::writeProfileJson(                                   \
         bayonet::benchutil::outPath("BENCH_profile.json").c_str());         \
     return 0;                                                               \

@@ -15,7 +15,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-#include "obs/Introspect.h"
 #include "scenarios/Scenarios.h"
 #include "support/Snapshot.h"
 #include "support/ThreadPool.h"
@@ -270,67 +269,12 @@ void BM_ObsOverhead(benchmark::State &State) {
   addObsRow(Name, BestOff, BestOn);
 }
 
-/// Cost of the live introspection server on an observed exact run: the
-/// same workload with tracing + metrics live and no server, then with an
-/// IntrospectServer bound on an ephemeral loopback port but never
-/// scraped. The only mid-run cost `--serve` adds to the engines is the
-/// seqlock board publish at serial boundaries (the handler threads park
-/// in poll/condvar waits), so an unscraped server must be free. Paired
-/// median, same as BM_CheckpointOverhead: each iteration times the pair
-/// back-to-back so scheduling noise cancels. The answers must match
-/// bit-for-bit. Target: under 2% overhead (BENCH_serve.json).
-void BM_ServeOverhead(benchmark::State &State) {
-  unsigned Diamonds = static_cast<unsigned>(State.range(0));
-  LoadedNetwork Net = mustLoad(scenarios::reliabilityChain(Diamonds));
-  std::string Unserved, Served;
-  std::vector<double> PlainTimes, Deltas;
-  auto timedObserved = [&](const std::shared_ptr<ObsContext> &Ctx,
-                           std::string &Value) {
-    ExactOptions Opts;
-    Opts.Threads = 1;
-    Opts.Obs = Ctx;
-    auto T0 = std::chrono::steady_clock::now();
-    ExactResult R = ExactEngine(Net.Spec, Opts).run();
-    double Secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
-            .count();
-    auto V = R.concreteValue();
-    Value = V ? fmt(V->toDouble()) : "?";
-    benchmark::DoNotOptimize(R);
-    return Secs;
-  };
-  for (auto _ : State) {
-    double PlainSecs =
-        timedObserved(std::make_shared<ObsContext>(true, true), Unserved);
-    auto Ctx = std::make_shared<ObsContext>(true, true);
-    IntrospectServer Server(Ctx);
-    std::string Err;
-    if (!Server.start("127.0.0.1:0", Err)) {
-      State.SkipWithError(("cannot bind loopback: " + Err).c_str());
-      return;
-    }
-    double ServedSecs = timedObserved(Ctx, Served);
-    Server.stop();
-    PlainTimes.push_back(PlainSecs);
-    Deltas.push_back(ServedSecs - PlainSecs);
-  }
-  if (Served != Unserved)
-    Unserved += " (SERVED MISMATCH: " + Served + ")";
-  double MedPlain = medianOf(std::move(PlainTimes));
-  // A negative median difference means the cost is below the noise floor.
-  double MedServed = MedPlain + std::max(0.0, medianOf(std::move(Deltas)));
-  std::string Name = "serve overhead, reliability " +
-                     std::to_string(4 * Diamonds + 2) + " nodes";
-  addRow(Name, "exact", "< 2% overhead", Unserved, MedServed);
-  addServeRow(Name, MedPlain, MedServed);
-}
-
 /// Cost of the source-attributed cost profiler on the exact hot path.
 /// Arg 0 ("off"): the same workload with no profiler vs an ObsContext
 /// carrying no profiler either — the off path is one null-check branch
 /// per charge site and must be free (~0%). Arg 1 ("on"): no profiler vs
-/// the profiler fully live — attribution stack, per-lane shard charges,
-/// serial drains, and a board publish per step. Paired median, same as
+/// the profiler fully live — attribution stack, per-lane shard charges
+/// and serial drains. Paired median, same as
 /// BM_CheckpointOverhead: each iteration times the pair back-to-back so
 /// scheduling noise cancels. The answers must match bit-for-bit —
 /// attribution must never perturb. Target: under 3% overhead with the
@@ -406,10 +350,6 @@ BENCHMARK(BM_ObsOverhead)
     ->Arg(6)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CheckpointOverhead)
-    ->Arg(10)
-    ->MinTime(4.0)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ServeOverhead)
     ->Arg(10)
     ->MinTime(4.0)
     ->Unit(benchmark::kMillisecond);

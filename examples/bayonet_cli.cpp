@@ -19,7 +19,6 @@
 ///                [--emit-psi] [--emit-webppl]
 ///                [--stats[=full]] [--dist]
 ///                [--trace-out FILE] [--metrics-out FILE] [--diag-out FILE]
-///                [--serve ADDR:PORT]
 ///                [--profile-out FILE] [--profile-format json|collapsed|
 ///                speedscope] [--profile-annotate] [--log-json]
 ///
@@ -37,7 +36,9 @@
 #include "translate/Translator.h"
 #include "translate/WebPplEmitter.h"
 
+#include <charconv>
 #include <cinttypes>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -46,6 +47,7 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 
 using namespace bayonet;
 
@@ -132,13 +134,6 @@ void usage() {
       "speedscope.app; default json)\n"
       "  --profile-annotate                     print the source annotated "
       "with %% states / %% time\n"
-      "  --serve ADDR:PORT                      embedded introspection "
-      "server: /metrics\n"
-      "                                         (Prometheus), /healthz, "
-      "/statusz, /trace?last=N,\n"
-      "                                         /profile (port 0 picks one; "
-      "prints 'serving: ...'\n"
-      "                                         on stderr)\n"
       "  --log-json                             one JSON object per stderr "
       "log line\n"
       "  --checkpoint-out FILE                  write durable snapshots of "
@@ -148,6 +143,8 @@ void usage() {
       "  --resume FILE                          resume from a snapshot "
       "(falls back to FILE.prev)\n"
       "\n"
+      "Every value flag also takes the --flag=VALUE form.\n"
+      "\n"
       "Checkpointing also turns on via BAYONET_CHECKPOINT_OUT=FILE,\n"
       "BAYONET_CHECKPOINT_EVERY=N and BAYONET_RESUME=FILE (flags win).\n"
       "SIGINT/SIGTERM cancel gracefully: workers drain, a final snapshot\n"
@@ -156,10 +153,9 @@ void usage() {
       "Tracing/metrics/diagnostics/profiling also turn on via\n"
       "BAYONET_TRACE=FILE, BAYONET_METRICS=FILE, BAYONET_DIAG=FILE and\n"
       "BAYONET_PROFILE=FILE (flags win over the environment). Diagnostics\n"
-      "print degeneracy warnings on stderr. The introspection server and\n"
-      "log framing also turn on via BAYONET_SERVE=ADDR:PORT,\n"
-      "BAYONET_PROFILE_FORMAT=json|collapsed|speedscope and\n"
-      "BAYONET_LOG_JSON=1.\n"
+      "print degeneracy warnings on stderr. The profile format and log\n"
+      "framing also turn on via BAYONET_PROFILE_FORMAT=json|collapsed|\n"
+      "speedscope and BAYONET_LOG_JSON=1.\n"
       "\n"
       "Budget flags default from BAYONET_DEADLINE_MS, BAYONET_MAX_STATES,\n"
       "BAYONET_MAX_FRONTIER, BAYONET_MAX_MERGES, BAYONET_MAX_BYTES,\n"
@@ -208,7 +204,6 @@ int runMain(int argc, char **argv) {
   bool EmitPsi = false, EmitWebPpl = false, Stats = false, Dist = false;
   bool StatsFull = false;
   std::string TraceFile, MetricsFile, DiagFile;
-  std::string ServeBind;
   std::string ProfileFile, ProfileFormatStr;
   bool ProfileAnnotate = false;
   bool LogJson = false;
@@ -218,17 +213,14 @@ int runMain(int argc, char **argv) {
 
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
-    auto takeValue = [&](const char *Name) -> const char * {
-      if (I + 1 >= argc) {
-        std::fprintf(stderr, "error: %s needs a value\n", Name);
-        exit(2);
-      }
-      return argv[++I];
-    };
-    // Matches both "--flag FILE" and "--flag=FILE".
-    auto takePath = [&](const char *Name, std::string &Out) -> bool {
+    // Every value flag takes both "--flag VALUE" and "--flag=VALUE".
+    auto takeValue = [&](const char *Name, std::string &Out) -> bool {
       if (Arg == Name) {
-        Out = takeValue(Name);
+        if (I + 1 >= argc) {
+          std::fprintf(stderr, "error: %s needs a value\n", Name);
+          exit(2);
+        }
+        Out = argv[++I];
         return true;
       }
       std::string Prefix = std::string(Name) + "=";
@@ -238,23 +230,31 @@ int runMain(int argc, char **argv) {
       }
       return false;
     };
-    auto takeU64 = [&](const char *Name) -> uint64_t {
-      const char *Val = takeValue(Name);
-      char *End = nullptr;
-      unsigned long long N = std::strtoull(Val, &End, 10);
-      if (End == Val || *End != '\0') {
+    // A decimal integer in [Min, Max]. A sign, trailing junk or overflow
+    // is invalid input, never a wrapped or truncated value.
+    auto takeNum = [&](const char *Name, auto &Out, uint64_t Min = 0,
+                       uint64_t Max = UINT64_MAX) -> bool {
+      std::string Val;
+      if (!takeValue(Name, Val))
+        return false;
+      uint64_t N = 0;
+      auto [End, Err] = std::from_chars(Val.data(), Val.data() + Val.size(), N);
+      if (Err != std::errc() || End != Val.data() + Val.size() || N < Min ||
+          N > Max) {
         std::fprintf(stderr,
-                     "error: %s expects a non-negative integer, got '%s'\n",
-                     Name, Val);
+                     "error: %s expects an integer in [%" PRIu64 ", %" PRIu64
+                     "], got '%s'\n",
+                     Name, Min, Max, Val.c_str());
         exit(2);
       }
-      return N;
+      Out = static_cast<std::remove_reference_t<decltype(Out)>>(N);
+      return true;
     };
     // An on|off table switch: on sets the table's default byte cap.
     auto takeSwitch = [&](const char *Name, uint64_t OnBytes,
                           uint64_t &Out) -> bool {
       std::string Val;
-      if (!takePath(Name, Val))
+      if (!takeValue(Name, Val))
         return false;
       if (Val != "on" && Val != "off") {
         std::fprintf(stderr, "error: %s expects on or off, got '%s'\n", Name,
@@ -264,43 +264,29 @@ int runMain(int argc, char **argv) {
       Out = Val == "on" ? OnBytes : 0;
       return true;
     };
-    if (Arg == "--engine")
-      Engine = takeValue("--engine");
-    else if (Arg == "--particles")
-      IOpts.Particles = std::atoi(takeValue("--particles"));
-    else if (Arg == "--seed")
-      IOpts.Seed = std::strtoull(takeValue("--seed"), nullptr, 10);
-    else if (Arg == "--threads") {
-      const char *Val = takeValue("--threads");
-      char *End = nullptr;
-      long N = std::strtol(Val, &End, 10);
-      if (End == Val || *End != '\0' || N < 0 || N > 4096) {
-        std::fprintf(stderr,
-                     "error: --threads expects a number in [0, 4096], got "
-                     "'%s'\n",
-                     Val);
-        return 2;
-      }
-      IOpts.Threads = static_cast<unsigned>(N);
-    } else if (takeSwitch("--txcache", TxCacheDefaultBytes,
-                          IOpts.TxCacheBytes) ||
-               takeSwitch("--intern", InternDefaultBytes,
-                          IOpts.InternBytes)) {
-      // Handled by takeSwitch.
-    } else if (Arg == "--deadline-ms")
-      IOpts.Limits.DeadlineMs = static_cast<int64_t>(takeU64("--deadline-ms"));
-    else if (Arg == "--max-states")
-      IOpts.Limits.MaxStates = takeU64("--max-states");
-    else if (Arg == "--max-frontier")
-      IOpts.Limits.MaxFrontier = takeU64("--max-frontier");
-    else if (Arg == "--max-merges")
-      IOpts.Limits.MaxMerges = takeU64("--max-merges");
-    else if (Arg == "--max-bytes")
-      IOpts.Limits.MaxBytes = takeU64("--max-bytes");
-    else if (Arg == "--max-sched-steps")
-      IOpts.Limits.MaxSchedSteps = takeU64("--max-sched-steps");
-    else if (Arg == "--on-budget-exceeded") {
-      std::string Val = takeValue("--on-budget-exceeded");
+    std::string Val;
+    if (takeValue("--engine", Engine) ||
+        takeNum("--particles", IOpts.Particles, 1, UINT_MAX) ||
+        takeNum("--seed", IOpts.Seed) ||
+        takeNum("--threads", IOpts.Threads, 0, 4096) ||
+        takeSwitch("--txcache", TxCacheDefaultBytes, IOpts.TxCacheBytes) ||
+        takeSwitch("--intern", InternDefaultBytes, IOpts.InternBytes) ||
+        takeNum("--deadline-ms", IOpts.Limits.DeadlineMs, 0, INT64_MAX) ||
+        takeNum("--max-states", IOpts.Limits.MaxStates) ||
+        takeNum("--max-frontier", IOpts.Limits.MaxFrontier) ||
+        takeNum("--max-merges", IOpts.Limits.MaxMerges) ||
+        takeNum("--max-bytes", IOpts.Limits.MaxBytes) ||
+        takeNum("--max-sched-steps", IOpts.Limits.MaxSchedSteps) ||
+        takeNum("--checkpoint-every", CheckpointEvery, 1) ||
+        takeValue("--trace-out", TraceFile) ||
+        takeValue("--metrics-out", MetricsFile) ||
+        takeValue("--diag-out", DiagFile) ||
+        takeValue("--profile-out", ProfileFile) ||
+        takeValue("--profile-format", ProfileFormatStr) ||
+        takeValue("--checkpoint-out", CheckpointOut) ||
+        takeValue("--resume", ResumePath)) {
+      // Handled by the helper.
+    } else if (takeValue("--on-budget-exceeded", Val)) {
       if (Val == "fail")
         IOpts.OnBudgetExceeded = BudgetPolicy::Fail;
       else if (Val == "fallback-smc")
@@ -312,17 +298,16 @@ int runMain(int argc, char **argv) {
                      Val.c_str());
         return 2;
       }
-    } else if (Arg == "--param") {
-      std::string Bind = takeValue("--param");
-      size_t Eq = Bind.find('=');
+    } else if (takeValue("--param", Val)) {
+      size_t Eq = Val.find('=');
       Rational Value;
       if (Eq == std::string::npos ||
-          !Rational::fromString(Bind.substr(Eq + 1), Value)) {
+          !Rational::fromString(Val.substr(Eq + 1), Value)) {
         std::fprintf(stderr, "error: bad --param '%s' (want NAME=VALUE)\n",
-                     Bind.c_str());
+                     Val.c_str());
         return 2;
       }
-      ParamBinds.emplace_back(Bind.substr(0, Eq), Value);
+      ParamBinds.emplace_back(Val.substr(0, Eq), Value);
     } else if (Arg == "--emit-psi")
       EmitPsi = true;
     else if (Arg == "--emit-webppl")
@@ -332,26 +317,10 @@ int runMain(int argc, char **argv) {
     else if (Arg == "--stats=full") {
       Stats = true;
       StatsFull = true;
-    } else if (takePath("--trace-out", TraceFile) ||
-               takePath("--metrics-out", MetricsFile) ||
-               takePath("--diag-out", DiagFile) ||
-               takePath("--profile-out", ProfileFile) ||
-               takePath("--profile-format", ProfileFormatStr) ||
-               takePath("--serve", ServeBind) ||
-               takePath("--checkpoint-out", CheckpointOut) ||
-               takePath("--resume", ResumePath)) {
-      // Handled by takePath.
     } else if (Arg == "--profile-annotate") {
       ProfileAnnotate = true;
     } else if (Arg == "--log-json") {
       LogJson = true;
-    } else if (Arg == "--checkpoint-every") {
-      CheckpointEvery = takeU64("--checkpoint-every");
-      if (CheckpointEvery == 0) {
-        std::fprintf(stderr,
-                     "error: --checkpoint-every expects a positive count\n");
-        return 2;
-      }
     } else if (Arg == "--dist")
       Dist = true;
     else if (Arg == "--help" || Arg == "-h") {
@@ -403,9 +372,6 @@ int runMain(int argc, char **argv) {
   if (const char *Env = std::getenv("BAYONET_PROFILE_FORMAT");
       Env && ProfileFormatStr.empty())
     ProfileFormatStr = Env;
-  if (const char *Env = std::getenv("BAYONET_SERVE");
-      Env && ServeBind.empty())
-    ServeBind = Env;
   if (const char *Env = std::getenv("BAYONET_LOG_JSON");
       Env && *Env && std::strcmp(Env, "0") != 0)
     LogJson = true;
@@ -428,35 +394,16 @@ int runMain(int argc, char **argv) {
     }
   }
   bool WantProfile = !ProfileFile.empty() || ProfileAnnotate;
-  // --serve needs the trace and metrics sinks live even without output
-  // files: the endpoints render straight off the in-memory registries
-  // (and /profile off the profiler's seqlock board).
   std::shared_ptr<ObsContext> ObsCtx;
   if (!TraceFile.empty() || !MetricsFile.empty() || !DiagFile.empty() ||
-      StatsFull || !ServeBind.empty() || WantProfile)
+      StatsFull || WantProfile)
     ObsCtx = std::make_shared<ObsContext>(
-        /*EnableTrace=*/!TraceFile.empty() || !ServeBind.empty(),
-        /*EnableMetrics=*/!MetricsFile.empty() || StatsFull ||
-            !ServeBind.empty(),
+        /*EnableTrace=*/!TraceFile.empty(),
+        /*EnableMetrics=*/!MetricsFile.empty() || StatsFull,
         /*EnableDiag=*/!DiagFile.empty(),
-        /*EnableProfile=*/WantProfile || !ServeBind.empty());
+        /*EnableProfile=*/WantProfile);
   ObsHandle Obs(ObsCtx);
   IOpts.Obs = ObsCtx;
-
-  // The introspection server mounts the obs context read-only; engines
-  // never see it, so results are identical with it on or off.
-  std::shared_ptr<IntrospectServer> Server;
-  if (!ServeBind.empty()) {
-    Server = std::make_shared<IntrospectServer>(ObsCtx);
-    std::string ServeErr;
-    if (!Server->start(ServeBind, ServeErr)) {
-      reportError("cannot serve on '" + ServeBind + "': " + ServeErr);
-      return 2;
-    }
-    logLine(LogLevel::Info, "serve.start", "serving: " + Server->address(),
-            {{"address", Server->address()},
-             {"port", std::to_string(Server->port())}});
-  }
 
   // Checkpoint/restore: flags win, BAYONET_CHECKPOINT_OUT /
   // BAYONET_CHECKPOINT_EVERY / BAYONET_RESUME fill in what they left
@@ -484,15 +431,9 @@ int runMain(int argc, char **argv) {
   // Writes the requested exporter files; called once all spans are closed.
   // Captures by value so main()'s catch handlers can still flush through
   // GFlushObs after this frame has unwound.
-  auto exportObs = [ObsCtx, Server, TraceFile, MetricsFile, DiagFile,
-                    StatsFull, ProfileFile, ProfileFmt, ProfileAnnotate,
+  auto exportObs = [ObsCtx, TraceFile, MetricsFile, DiagFile, StatsFull,
+                    ProfileFile, ProfileFmt, ProfileAnnotate,
                     FileName]() -> bool {
-    // Stop serving before touching the exporter files — on every exit
-    // path, including error unwinds through GFlushObs — so no in-flight
-    // scrape races the final renders and the bound port is released
-    // before the process reports its exit status.
-    if (Server)
-      Server->stop();
     if (!ObsCtx)
       return true;
     if (ObsCtx->metrics()) {

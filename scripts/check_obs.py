@@ -2,25 +2,15 @@
 """Validates the bayonet observability exporter outputs.
 
 Usage: check_obs.py TRACE_JSON METRICS_PROM [DIAG_JSON]
-       check_obs.py --prometheus TARGET
-       check_obs.py --statusz TARGET
-       check_obs.py --profile TARGET [--canon | --canon-work]
+       check_obs.py --profile PROFILE_JSON [--canon | --canon-work]
 
 Checks that the Chrome-trace file is valid JSON with a well-nested span
 tree covering every pipeline phase, and that the metrics file is parseable
-Prometheus text exposition with sane counter values. When DIAG_JSON is
-given, also validates the --diag-out inference-diagnostics report schema
-and its internal invariants. Exits non-zero with a diagnostic on the
-first violation.
-
-The --prometheus and --statusz modes validate a single live-introspection
-endpoint instead of exporter files; TARGET is either a file path or an
-http:// URL (typically http://127.0.0.1:PORT/metrics served by --serve).
---prometheus runs the exposition-format checks minus the required-metric
-floor values (a mid-run scrape may precede the first expansion);
---statusz validates the progress-snapshot schema and prints the serial
-step and publish count so callers can assert forward progress between
-two scrapes.
+Prometheus text exposition in the bayonet_ namespace with sane counter
+values and histograms whose +Inf bucket equals their _count. When
+DIAG_JSON is given, also validates the --diag-out inference-diagnostics
+report schema and its internal invariants. Exits non-zero with a
+diagnostic on the first violation.
 
 --profile validates a --profile-out JSON cost profile: schema, per-frame
 count invariants, and (when the engine stamped totals) that the frames'
@@ -39,7 +29,6 @@ from both.
 """
 import json
 import sys
-import urllib.request
 
 REQUIRED_SPANS = [
     "lex",
@@ -128,15 +117,6 @@ def check_trace(path):
           f"{len(steps)} scheduler rounds)")
 
 
-def read_target(target):
-    """Reads a file path or an http:// URL into text."""
-    if target.startswith("http://") or target.startswith("https://"):
-        with urllib.request.urlopen(target, timeout=10) as resp:
-            return resp.read().decode("utf-8")
-    with open(target) as f:
-        return f.read()
-
-
 def parse_prom(text, label):
     """Parses Prometheus 0.0.4 text exposition into {sample_name: value}."""
     values = {}
@@ -158,7 +138,11 @@ def parse_prom(text, label):
 
 
 def check_metrics(path):
-    values = parse_prom(read_target(path), path)
+    with open(path) as f:
+        values = parse_prom(f.read(), path)
+    for name in values:
+        if not name.startswith("bayonet_"):
+            fail(f"{path}: unexpected metric namespace: {name}")
     for want in REQUIRED_METRICS:
         hits = [k for k in values if k == want or k.startswith(want + "_")]
         if not hits:
@@ -168,6 +152,12 @@ def check_metrics(path):
     if (values.get("bayonet_merge_hits_total", 0) >
             values.get("bayonet_merge_attempts_total", 0)):
         fail(f"{path}: merge hits exceed merge attempts")
+    # Histogram sample triplets agree: +Inf bucket == _count.
+    for name, val in values.items():
+        if name.endswith("_count"):
+            inf = values.get(name[:-len("_count")] + '_bucket{le="+Inf"}')
+            if inf is not None and inf != val:
+                fail(f"{path}: {name} {val} != +Inf bucket {inf}")
     print(f"check_obs: metrics OK ({len(values)} samples)")
 
 
@@ -275,71 +265,6 @@ def check_diag(path):
           f"{len(doc['warnings'])} warnings)")
 
 
-def check_prometheus(target):
-    """A live /metrics scrape: format-valid, family names known, histograms
-    internally consistent. No floor values — a mid-run scrape may land
-    before the first expansion is charged."""
-    values = parse_prom(read_target(target), target)
-    if not values:
-        fail(f"{target}: empty exposition")
-    for name in values:
-        if not name.startswith("bayonet_"):
-            fail(f"{target}: unexpected metric namespace: {name}")
-    if (values.get("bayonet_merge_hits_total", 0) >
-            values.get("bayonet_merge_attempts_total", 0)):
-        fail(f"{target}: merge hits exceed merge attempts")
-    # Histogram sample triplets agree: +Inf bucket == _count.
-    for name, val in values.items():
-        if name.endswith("_count"):
-            inf = values.get(name[:-len("_count")] + '_bucket{le="+Inf"}')
-            if inf is not None and inf != val:
-                fail(f"{target}: {name} {val} != +Inf bucket {inf}")
-    print(f"check_obs: prometheus OK ({len(values)} samples)")
-
-
-STATUSZ_KEYS = [
-    "engine",
-    "phase",
-    "step",
-    "frontier",
-    "active_particles",
-    "particles",
-    "states_expanded",
-    "sched_steps",
-    "merge_attempts",
-    "merge_hits",
-    "merge_hit_rate",
-    "ess_fraction",
-    "resamples",
-    "txcache_bytes",
-    "checkpoint",
-    "publishes",
-    "published",
-    "uptime_s",
-]
-
-
-def check_statusz(target):
-    doc = json.loads(read_target(target))
-    for key in STATUSZ_KEYS:
-        if key not in doc:
-            fail(f"{target}: statusz missing '{key}'")
-    for key in ("writes", "bytes_total", "age_s"):
-        if key not in doc["checkpoint"]:
-            fail(f"{target}: statusz checkpoint missing '{key}'")
-    if doc["published"] and not doc["engine"]:
-        fail(f"{target}: published board with empty engine tag")
-    if doc["merge_hits"] > doc["merge_attempts"]:
-        fail(f"{target}: merge hits exceed merge attempts")
-    if doc["step"] < 0:
-        fail(f"{target}: negative step {doc['step']}")
-    # step= / publishes= are grepped by callers asserting forward progress
-    # between two scrapes.
-    print(f"check_obs: statusz OK engine={doc['engine'] or '-'} "
-          f"phase={doc['phase'] or '-'} step={doc['step']} "
-          f"publishes={doc['publishes']}")
-
-
 PROFILE_COUNT_KEYS = [
     "states",
     "execs",
@@ -353,56 +278,57 @@ PROFILE_COUNT_KEYS = [
 ]
 
 
-def check_profile(target, canon=False):
-    doc = json.loads(read_target(target))
+def check_profile(path, canon=False):
+    with open(path) as f:
+        doc = json.load(f)
     for key in ("schema", "deterministic_columns", "nondeterministic_columns",
                 "totals", "frames"):
         if key not in doc:
-            fail(f"{target}: profile missing '{key}'")
+            fail(f"{path}: profile missing '{key}'")
     if doc["schema"] != 1:
-        fail(f"{target}: unsupported profile schema {doc['schema']!r}")
+        fail(f"{path}: unsupported profile schema {doc['schema']!r}")
     if doc["deterministic_columns"] != PROFILE_COUNT_KEYS:
-        fail(f"{target}: deterministic_columns "
+        fail(f"{path}: deterministic_columns "
              f"{doc['deterministic_columns']} != {PROFILE_COUNT_KEYS}")
     if doc["nondeterministic_columns"] != ["wall_ns", "allocs"]:
-        fail(f"{target}: nondeterministic_columns should be "
+        fail(f"{path}: nondeterministic_columns should be "
              f"['wall_ns', 'allocs']")
     if not isinstance(doc["frames"], list) or not doc["frames"]:
-        fail(f"{target}: no frames (profiling enabled but nothing charged?)")
+        fail(f"{path}: no frames (profiling enabled but nothing charged?)")
 
     totals = doc["totals"]
     if totals is not None:
         for key in PROFILE_COUNT_KEYS:
             if key not in totals:
-                fail(f"{target}: totals missing '{key}'")
+                fail(f"{path}: totals missing '{key}'")
 
     states_sum = 0
     stacks = set()
     for i, fr in enumerate(doc["frames"]):
         for key in ["stack", "loc", "wall_ns", "allocs"] + PROFILE_COUNT_KEYS:
             if key not in fr:
-                fail(f"{target}: frames[{i}] missing '{key}'")
+                fail(f"{path}: frames[{i}] missing '{key}'")
         if not fr["stack"] or not isinstance(fr["stack"], str):
-            fail(f"{target}: frames[{i}] has an empty stack key")
+            fail(f"{path}: frames[{i}] has an empty stack key")
         if fr["stack"] in stacks:
-            fail(f"{target}: duplicate stack key {fr['stack']!r}")
+            fail(f"{path}: duplicate stack key {fr['stack']!r}")
         stacks.add(fr["stack"])
         for key in PROFILE_COUNT_KEYS + ["wall_ns", "allocs"]:
             v = fr[key]
             if not isinstance(v, int) or v < 0:
-                fail(f"{target}: frames[{i}].{key} = {v!r} is not a "
+                fail(f"{path}: frames[{i}].{key} = {v!r} is not a "
                      f"non-negative integer")
         if fr["merge_hits"] > fr["merge_attempts"]:
-            fail(f"{target}: frames[{i}]: merge hits exceed attempts")
+            fail(f"{path}: frames[{i}]: merge hits exceed attempts")
         states_sum += fr["states"]
     # The frames' sorted order is part of the deterministic contract.
     keys = [fr["stack"] for fr in doc["frames"]]
     if keys != sorted(keys):
-        fail(f"{target}: frames not sorted by stack key")
+        fail(f"{path}: frames not sorted by stack key")
     # The states column partitions the engine's work total exactly: every
     # unit is charged to exactly one frame (samplers leave totals null).
     if totals is not None and states_sum != totals["states"]:
-        fail(f"{target}: frame states sum {states_sum} != engine total "
+        fail(f"{path}: frame states sum {states_sum} != engine total "
              f"{totals['states']}")
 
     if canon:
@@ -431,12 +357,6 @@ def main():
                 print(__doc__, file=sys.stderr)
                 sys.exit(2)
         check_profile(sys.argv[2], canon)
-        return
-    if len(sys.argv) == 3 and sys.argv[1] == "--prometheus":
-        check_prometheus(sys.argv[2])
-        return
-    if len(sys.argv) == 3 and sys.argv[1] == "--statusz":
-        check_statusz(sys.argv[2])
         return
     if len(sys.argv) not in (3, 4):
         print(__doc__, file=sys.stderr)

@@ -4,9 +4,7 @@
 # observability + diagnostics exporters (including diag determinism
 # across thread counts), a profile-determinism step (canonical profile
 # count columns byte-identical across thread counts and TxCache
-# settings), a live-introspection step (mid-run /metrics and
-# /statusz scrapes against --serve with a graceful SIGTERM shutdown), a
-# snapshot step (a CLI run killed at an injected
+# settings), a snapshot step (a CLI run killed at an injected
 # checkpoint crash and resumed must be byte-identical to a straight run,
 # exact + SMC), a zero-allocation assertion on the exact engine's
 # weight arithmetic, small and 128-bit tiers (alloc_check from an armed
@@ -177,59 +175,6 @@ for Run in exact:gossip4 smc:gossip4 translated:figure2; do
     "work columns identical across txcache on/off"
 done
 
-echo "=== tier-1: live introspection server (mid-run scrape + SIGTERM) ==="
-# Serve on an ephemeral port during a multi-second SMC run, scrape
-# /metrics and /statusz mid-run through check_obs.py, require the statusz
-# publish counter to advance between scrapes, then SIGTERM the run and
-# require the CLI's graceful-cancel exit code 3.
-: > "$ObsTmp/serve_err.txt"
-./build/examples/bayonet examples/programs/gossip4.bay \
-  --engine smc --particles 200000 --seed 7 --serve=127.0.0.1:0 \
-  > "$ObsTmp/serve_out.txt" 2> "$ObsTmp/serve_err.txt" &
-ServePid=$!
-ServeAddr=""
-for _ in $(seq 1 100); do
-  ServeAddr="$(sed -n 's/^serving: //p' "$ObsTmp/serve_err.txt" | head -1)"
-  [ -n "$ServeAddr" ] && break
-  sleep 0.05
-done
-if [ -z "$ServeAddr" ]; then
-  echo "serve: server never reported its address" >&2
-  kill "$ServePid" 2> /dev/null || true
-  exit 1
-fi
-python3 scripts/check_obs.py --prometheus "http://$ServeAddr/metrics"
-FirstPub=-1
-Advanced=0
-for _ in $(seq 1 40); do
-  StatusLine="$(python3 scripts/check_obs.py --statusz \
-    "http://$ServeAddr/statusz")" || break
-  Pub="$(printf '%s' "$StatusLine" | sed -n 's/.*publishes=\([0-9]*\).*/\1/p')"
-  if [ "$FirstPub" = -1 ]; then
-    FirstPub="$Pub"
-  elif [ "$Pub" -gt "$FirstPub" ]; then
-    echo "$StatusLine"
-    Advanced=1
-    break
-  fi
-  sleep 0.05
-done
-if [ "$Advanced" != 1 ]; then
-  echo "serve: statusz publish counter never advanced mid-run" >&2
-  kill "$ServePid" 2> /dev/null || true
-  exit 1
-fi
-kill -TERM "$ServePid" 2> /dev/null || true
-set +e
-wait "$ServePid"
-ServeExit=$?
-set -e
-if [ "$ServeExit" != 3 ]; then
-  echo "serve: expected graceful-cancel exit 3 after SIGTERM, got $ServeExit" >&2
-  exit 1
-fi
-echo "serve: mid-run scrapes OK, publishes advanced, SIGTERM -> exit 3"
-
 echo "=== tier-1: snapshot crash -> resume determinism ==="
 # Kill the CLI at an injected checkpoint crash (a real _exit(137)), resume
 # from the snapshot it left behind, and require the resumed output to be
@@ -323,6 +268,6 @@ echo "=== tier-1: thread-sanitized parallel determinism + budgets ==="
 cmake -B build-tsan -S . -DBAYONET_SANITIZE=thread
 cmake --build build-tsan -j --target bayonet_tests
 BAYONET_THREADS=4 ./build-tsan/tests/bayonet_tests \
-  --gtest_filter='ParallelDeterminism.*:Budget.*:Obs.*:Introspect.*:Snapshot.*:Signal.*:Profile.*:Intern.*'
+  --gtest_filter='ParallelDeterminism.*:Budget.*:Obs.*:Snapshot.*:Signal.*:Profile.*:Intern.*'
 
 echo "=== tier-1: all checks passed ==="

@@ -150,12 +150,6 @@ InferenceResult bayonet::runInference(const LoadedNetwork &Net,
     Span InferSpan = O.span("inference");
     if (O.tracing())
       InferSpan.arg("engine", engineChoiceName(Opts.Engine));
-    if (ProgressBoard *PB = O.progress()) {
-      ProgressUpdate U;
-      U.EngineTag = packTag(engineChoiceName(Opts.Engine));
-      U.PhaseTag = packTag("init");
-      PB->publish(U);
-    }
     if (O) {
       // A budget trip becomes a trace event attached to whatever span is
       // open when it fires, plus a counter tick. The observer runs on the
@@ -178,12 +172,6 @@ InferenceResult bayonet::runInference(const LoadedNetwork &Net,
         (Opts.Engine == EngineChoice::Exact ||
          Opts.Engine == EngineChoice::Translated)) {
       R.ExactStatus = R.Status;
-      if (ProgressBoard *PB = O.progress()) {
-        ProgressUpdate U;
-        U.EngineTag = packTag("smc");
-        U.PhaseTag = packTag("fallback");
-        PB->publish(U);
-      }
       O.count(&EngineMetricIds::Fallbacks);
       O.event("fallback-smc",
               {{"from", engineChoiceName(Opts.Engine)},
@@ -250,15 +238,6 @@ InferenceResult bayonet::runInference(const LoadedNetwork &Net,
     } else {
       R.Diagnostics.Engine = engineChoiceName(R.EngineUsed);
       R.Diagnostics.TvDivergence = Tv;
-    }
-    if (ProgressBoard *PB = O.progress()) {
-      ProgressUpdate U;
-      U.EngineTag = packTag(engineChoiceName(R.EngineUsed));
-      U.PhaseTag = packTag("finished");
-      U.StatesExpanded = R.Spent.StatesExpanded;
-      U.MergeHits = R.Spent.MergeHits;
-      U.SchedSteps = R.Spent.SchedSteps;
-      PB->publish(U);
     }
   } catch (const InferenceError &E) {
     R.Status = E.status();

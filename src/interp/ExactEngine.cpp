@@ -369,6 +369,22 @@ void ExactEngine::accumulateQuery(const NetConfig &C, const SymProb &WtIn,
 
 namespace {
 
+/// The run's cumulative boundary counters; a round's delta is the
+/// difference of the snapshots on either side of it.
+BoundaryDelta counters(const ExactResult &R) {
+  return {.Expanded = R.ConfigsExpanded,
+          .MergeAttempts = R.MergeAttempts,
+          .MergeHits = R.MergeHits,
+          .TxHits = R.TxHits,
+          .TxMisses = R.TxMisses,
+          .TxEvictions = R.TxEvictions,
+          .TxBytes = R.TxBytes,
+          .InternHits = R.InternHits,
+          .InternMisses = R.InternMisses,
+          .InternEvictions = R.InternEvictions,
+          .InternBytes = R.InternBytes};
+}
+
 /// Folds a worker-lane partial result into the final result. Weight sums
 /// are exact, so the fixed lane order only pins tie-breaking details like
 /// which unsupported-reason string wins.
@@ -823,15 +839,7 @@ ExactResult ExactEngine::run() const {
     // quantities are therefore independent of the thread count). Rounds
     // cut short by a stop charge nothing (Bound.abort).
     Boundary::Step StepObs = Bound.beginStep(Step, Cur.size());
-    const size_t PrevExpanded = Result.ConfigsExpanded;
-    const size_t PrevAttempts = Result.MergeAttempts;
-    const size_t PrevHits = Result.MergeHits;
-    const uint64_t PrevTxHits = Result.TxHits;
-    const uint64_t PrevTxMisses = Result.TxMisses;
-    const uint64_t PrevTxEvictions = Result.TxEvictions;
-    const uint64_t PrevInternHits = Result.InternHits;
-    const uint64_t PrevInternMisses = Result.InternMisses;
-    const uint64_t PrevInternEvictions = Result.InternEvictions;
+    const BoundaryDelta Before = counters(Result);
 
     Frontier Next;
     if (Threads <= 1 || Cur.size() < Opts.ParallelThreshold) {
@@ -1010,22 +1018,11 @@ ExactResult ExactEngine::run() const {
     if (Arena)
       Arena->drainCounters(Result.InternHits, Result.InternMisses);
     publish(Cache, "txcache", true, Result.TxEvictions, Result.TxBytes);
-    Bound.commit(StepObs,
-                 {.Step = Step,
-                  .FrontierIn = Cur.size(),
-                  .FrontierOut = Next.size(),
-                  .Expanded = Result.ConfigsExpanded - PrevExpanded,
-                  .MergeAttempts = Result.MergeAttempts - PrevAttempts,
-                  .MergeHits = Result.MergeHits - PrevHits,
-                  .TxHits = Result.TxHits - PrevTxHits,
-                  .TxMisses = Result.TxMisses - PrevTxMisses,
-                  .TxEvictions = Result.TxEvictions - PrevTxEvictions,
-                  .TxBytes = Result.TxBytes,
-                  .InternHits = Result.InternHits - PrevInternHits,
-                  .InternMisses = Result.InternMisses - PrevInternMisses,
-                  .InternEvictions =
-                      Result.InternEvictions - PrevInternEvictions,
-                  .InternBytes = Result.InternBytes});
+    BoundaryDelta D = counters(Result) - Before;
+    D.Step = Step;
+    D.FrontierIn = Cur.size();
+    D.FrontierOut = Next.size();
+    Bound.commit(StepObs, D);
     Cur = std::move(Next);
   }
   Bound.finish({.States = Result.ConfigsExpanded,

@@ -102,7 +102,6 @@ std::optional<EngineStatus> Boundary::attach(const BoundaryLayout &L) {
     }
     PF->beginLanes(L.Lanes);
   }
-  publish("run", {});
   if (CP && CP->resumed()) {
     Resume = CP->beginEngine(Engine, SpecFp, OptsFp);
     if (!Resume)
@@ -254,7 +253,6 @@ void Boundary::commit(Step &S, const BoundaryDelta &D) {
       break;
     }
     PF->drainLanes();
-    PF->publishBoard();
   }
 
   // 3. Diagnostics and their trace events.
@@ -313,21 +311,6 @@ void Boundary::commit(Step &S, const BoundaryDelta &D) {
   if (O.tracing() && names(K).Out)
     S.Sp.arg(names(K).Out,
              K == EngineKind::Exact ? D.Expanded : D.FrontierOut);
-
-  // 5. Live progress: the same serial boundary as every charge above, so
-  // publication order and cost are thread-count-independent and results
-  // are untouched with the introspection server on or off.
-  States += D.Expanded + D.Active;
-  Attempts += D.MergeAttempts;
-  Hits += D.MergeHits;
-  Resamples += D.Resampled;
-  Steps = static_cast<uint64_t>(D.Step) + 1;
-  publish(K == EngineKind::Psi ? "stmt" : "step",
-          {.Step = D.Step,
-           .Frontier = D.FrontierOut,
-           .Active = D.Alive,
-           .EssFraction = K == EngineKind::Smc ? Ess : -1.0,
-           .TxBytes = D.TxBytes});
 }
 
 void Boundary::abort() {
@@ -353,35 +336,16 @@ void Boundary::finish(const RunSummary &S, bool Completed) {
     if (names(K).Peak)
       RunSpan.arg(names(K).Peak, S.Peak);
   }
-  if (PF) {
-    // A run that ended at a completed boundary has frames whose States sum
-    // to the engine's own counter exactly; stamping it as the total lets
-    // consumers cross-check the attribution (check_obs.py --profile).
-    // Samplers leave the totals unset.
-    if (Completed && K != EngineKind::Smc)
-      PF->setTotals({.States = S.States});
-    PF->publishBoard();
-  }
-  publish("done", {.Step = static_cast<int64_t>(Steps)});
+  // A run that ended at a completed boundary has frames whose States sum
+  // to the engine's own counter exactly; stamping it as the total lets
+  // consumers cross-check the attribution (check_obs.py --profile).
+  // Samplers leave the totals unset.
+  if (PF && Completed && K != EngineKind::Smc)
+    PF->setTotals({.States = S.States});
   if (!DC || !Completed)
     return;
   if (K == EngineKind::Smc)
     DC->finishSampler(S.Support);
   else
     DC->finishExact(S.Support, S.Residual);
-}
-
-void Boundary::publish(const char *Phase, ProgressUpdate PU) {
-  ProgressBoard *PB = O.progress();
-  if (!PB)
-    return;
-  PU.EngineTag = packTag(Engine.c_str());
-  PU.PhaseTag = packTag(Phase);
-  PU.Particles = Particles;
-  PU.StatesExpanded = States;
-  PU.MergeAttempts = Attempts;
-  PU.MergeHits = Hits;
-  PU.Resamples = Resamples;
-  PU.SchedSteps = Steps;
-  PB->publish(PU);
 }

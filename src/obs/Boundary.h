@@ -7,8 +7,8 @@
 /// \file
 /// The bookkeeping every engine does at its serial step boundaries, kept in
 /// one place. An engine does inference; at each boundary it calls this
-/// record, which feeds the seven sinks — budget, checkpoint, metrics,
-/// profiler, diagnostics, progress board and trace. A run is
+/// record, which feeds the six sinks — budget, checkpoint, metrics,
+/// profiler, diagnostics and trace. A run is
 ///
 ///   attach  { open  beginStep  (commit | abort) }*  finish
 ///
@@ -18,8 +18,8 @@
 ///   2. discard on abort: abort() drops the lane shards and restores the
 ///      engine's counters to the last boundary;
 ///   3. publish in a fixed order: commit() fans a BoundaryDelta out to
-///      metrics, profiler, diagnostics, step-span args and progress board,
-///      always in that order.
+///      metrics, profiler, diagnostics and step-span args, always in that
+///      order.
 ///
 /// Per-state charges (BudgetTracker::chargeStates/chargeBytes/chargeMerges,
 /// the profiler's lane arrays) and cache publication stay inside the
@@ -62,6 +62,22 @@ struct BoundaryDelta {
   bool Resampled = false;
   /// PSI: the frame of the statement this boundary completed.
   uint32_t ProfSlot = Profiler::InvalidSlot;
+
+  /// The delta between two cumulative counter snapshots: the counts
+  /// subtract, every other field is the later snapshot's.
+  friend BoundaryDelta operator-(BoundaryDelta After,
+                                 const BoundaryDelta &Before) {
+    After.Expanded -= Before.Expanded;
+    After.MergeAttempts -= Before.MergeAttempts;
+    After.MergeHits -= Before.MergeHits;
+    After.TxHits -= Before.TxHits;
+    After.TxMisses -= Before.TxMisses;
+    After.TxEvictions -= Before.TxEvictions;
+    After.InternHits -= Before.InternHits;
+    After.InternMisses -= Before.InternMisses;
+    After.InternEvictions -= Before.InternEvictions;
+    return After;
+  }
 };
 
 /// The engine's profiler frames and population, fixed at attach.
@@ -100,8 +116,8 @@ public:
   std::function<void()> Save, Restore;
 
   /// Restores a resumed run's common snapshot section, then opens the run
-  /// span, starts the diagnostics series, lays out the profiler frames,
-  /// publishes the "run" phase and, on resume, opens the engine section.
+  /// span, starts the diagnostics series, lays out the profiler frames
+  /// and, on resume, opens the engine section.
   /// Returns the Invalid status of a requested resume that found no valid
   /// snapshot for this engine.
   std::optional<EngineStatus> attach(const BoundaryLayout &L);
@@ -139,14 +155,12 @@ public:
   /// a cancel's final snapshot from the mark).
   void abort();
 
-  /// Ends the run: run-span args, publishes "done" and, when \p Completed,
-  /// stamps the exact engines' profiler totals and closes diagnostics.
+  /// Ends the run: run-span args and, when \p Completed, stamps the exact
+  /// engines' profiler totals and closes diagnostics.
   void finish(const RunSummary &S, bool Completed = true);
 
 private:
   void registerDefs(const NetworkSpec &Spec);
-  /// Publishes \p PU with the engine, phase and running totals filled in.
-  void publish(const char *Phase, ProgressUpdate PU);
 
   const EngineKind K;
   const std::string Engine;
@@ -161,8 +175,6 @@ private:
   std::vector<Profiler::DefFrames> Defs;
   uint32_t StepSlot = Profiler::InvalidSlot, ExpandSlot = StepSlot,
            MergeSlot = StepSlot, InternSlot = StepSlot, ResampleSlot = StepSlot;
-  /// Board totals over the boundaries this process committed.
-  uint64_t States = 0, Attempts = 0, Hits = 0, Resamples = 0, Steps = 0;
   Span RunSpan;
   std::optional<Profiler::Scope> RunFrame;
 };

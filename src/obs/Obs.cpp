@@ -95,9 +95,6 @@ ObsContext::ObsContext(bool EnableTrace, bool EnableMetrics, bool EnableDiag,
   Ids.CheckpointBytes = Reg->counter(
       "bayonet_checkpoint_bytes_total",
       "Total snapshot bytes written by the Checkpointer");
-  Ids.CheckpointAge = Reg->gauge(
-      "bayonet_checkpoint_age_seconds",
-      "Seconds since the last snapshot write (freshened at scrape time)");
 }
 
 std::string ObsContext::renderFullStats() const {

@@ -19,7 +19,6 @@
 #define BAYONET_OBS_OBS_H
 
 #include "obs/Diagnostics.h"
-#include "obs/Introspect.h"
 #include "obs/Metrics.h"
 #include "obs/Profile.h"
 #include "obs/Trace.h"
@@ -58,8 +57,6 @@ struct EngineMetricIds {
   MetricId InternBytes;     ///< Gauge (max): retained intern-arena bytes.
   MetricId CheckpointWrites; ///< Counter: durable snapshots written.
   MetricId CheckpointBytes; ///< Counter: total snapshot bytes written.
-  MetricId CheckpointAge;   ///< Gauge: seconds since the last snapshot
-                            ///< write (freshened at /metrics scrape time).
 };
 
 /// Owns the observability state for one run: an optional tracer, an
@@ -79,11 +76,6 @@ public:
   const Profiler *profiler() const { return Prof.get(); }
   const EngineMetricIds &ids() const { return Ids; }
 
-  /// The live progress board. Always present (it is a fixed block of
-  /// atomics) so publication never needs a null check beyond the handle's.
-  ProgressBoard &progress() { return Board; }
-  const ProgressBoard &progress() const { return Board; }
-
   /// Enriched human-readable stats table (the `--stats=full` view):
   /// every registered metric with its aggregated value, histograms with
   /// count/sum/buckets.
@@ -95,7 +87,6 @@ private:
   std::unique_ptr<DiagCollector> Diag;
   std::unique_ptr<Profiler> Prof;
   EngineMetricIds Ids;
-  ProgressBoard Board;
 };
 
 /// Cheap value-type handle the engines thread through their hot paths. A
@@ -150,12 +141,6 @@ public:
   /// The diagnostics collector, or null when diagnostics are off. Engines
   /// only touch it at serial checkpoint boundaries.
   DiagCollector *diag() const { return Ctx ? Ctx->diag() : nullptr; }
-
-  /// The live progress board, or null without a context. Engines publish
-  /// to it at the same serial boundaries that charge BudgetTracker, so
-  /// publication cost (a dozen relaxed stores) is thread-count-independent
-  /// and can never perturb results.
-  ProgressBoard *progress() const { return Ctx ? &Ctx->progress() : nullptr; }
 
   /// The cost profiler, or null when profiling is off. The serial thread
   /// owns its attribution stack and aggregates; lanes only write their

@@ -12,49 +12,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <cstring>
 
 using namespace bayonet;
-
-//===----------------------------------------------------------------------===//
-// ProfileBoard
-//===----------------------------------------------------------------------===//
-
-void ProfileBoard::publish(std::string_view Json) {
-  if (Json.size() > NumWords * 8)
-    Json = Json.substr(0, NumWords * 8);
-  uint64_t S = Seq.load(std::memory_order_relaxed);
-  Seq.store(S + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  Len.store(Json.size(), std::memory_order_relaxed);
-  for (size_t I = 0; I * 8 < Json.size(); ++I) {
-    uint64_t Word = 0;
-    size_t N = std::min<size_t>(8, Json.size() - I * 8);
-    std::memcpy(&Word, Json.data() + I * 8, N);
-    W[I].store(Word, std::memory_order_relaxed);
-  }
-  Seq.store(S + 2, std::memory_order_release);
-}
-
-bool ProfileBoard::read(std::string &Out) const {
-  for (;;) {
-    uint64_t S1 = Seq.load(std::memory_order_acquire);
-    if (S1 & 1)
-      continue; // Writer mid-publish; the write is bounded and lock-free.
-    uint64_t N = Len.load(std::memory_order_relaxed);
-    if (N > NumWords * 8)
-      N = NumWords * 8;
-    Out.assign(N, '\0');
-    for (size_t I = 0; I * 8 < N; ++I) {
-      uint64_t Word = W[I].load(std::memory_order_relaxed);
-      std::memcpy(Out.data() + I * 8, &Word,
-                  std::min<size_t>(8, N - I * 8));
-    }
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (Seq.load(std::memory_order_relaxed) == S1)
-      return S1 != 0;
-  }
-}
 
 //===----------------------------------------------------------------------===//
 // Interning and the attribution stack
@@ -475,46 +434,6 @@ std::string Profiler::renderAnnotated(std::string_view Source) const {
     ++Line;
   }
   return Out;
-}
-
-//===----------------------------------------------------------------------===//
-// Live publication
-//===----------------------------------------------------------------------===//
-
-void Profiler::publishBoard() {
-  // Top keys by self work, rendered small enough for the 8 KiB board.
-  // Runs at every step-boundary drain, so the slot list and the JSON
-  // buffer are member scratch reused across boundaries (reallocating them
-  // per drain dominated BM_ProfileOverhead's allocs_per_iter).
-  constexpr size_t TopN = 12;
-  std::vector<uint32_t> &Slots = BoardSlots;
-  Slots.clear();
-  Slots.reserve(Sites.size());
-  for (uint32_t S = 0; S < Sites.size(); ++S)
-    if (Cells[S].anyDeterministic())
-      Slots.push_back(S);
-  std::sort(Slots.begin(), Slots.end(), [this](uint32_t A, uint32_t B) {
-    uint64_t WA = selfWeight(Cells[A]), WB = selfWeight(Cells[B]);
-    if (WA != WB)
-      return WA > WB;
-    return stackKey(A) < stackKey(B);
-  });
-  if (Slots.size() > TopN)
-    Slots.resize(TopN);
-  std::string &Json = BoardJson;
-  Json.clear();
-  Json += "{\"enabled\":true,\"top\":[";
-  for (size_t I = 0; I < Slots.size(); ++I) {
-    if (I)
-      Json += ",";
-    uint32_t S = Slots[I];
-    Json += "{\"stack\":" + jsonEsc(stackKey(S)) + ",";
-    appendCountFields(Json, Cells[S]);
-    Json += ",\"wall_ns\":" + std::to_string(Cells[S].WallNs);
-    Json += "}";
-  }
-  Json += "]}\n";
-  Board.publish(Json);
 }
 
 //===----------------------------------------------------------------------===//

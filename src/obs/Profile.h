@@ -28,9 +28,8 @@
 /// explicitly nondeterministic and excluded from every fingerprint.
 ///
 /// Export views: deterministic JSON (count columns sorted by key),
-/// collapsed-stack and speedscope flamegraphs, an annotated source
-/// listing, and a live seqlock-published top-N board served by the
-/// introspection server's /profile endpoint.
+/// collapsed-stack and speedscope flamegraphs, and an annotated source
+/// listing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,8 +38,6 @@
 
 #include "support/Diag.h"
 
-#include <array>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -88,36 +85,6 @@ struct ProfCounts {
     InternHits += O.InternHits;
     InternMisses += O.InternMisses;
   }
-};
-
-/// Seqlock-published live profile: the serial thread renders the current
-/// top-N keys as JSON into a fixed block of relaxed atomic words at each
-/// shard drain; HTTP handler threads read it lock-free (the ProgressBoard
-/// protocol — one writer, retry on an odd or moved sequence).
-class ProfileBoard {
-public:
-  ProfileBoard() = default;
-  ProfileBoard(const ProfileBoard &) = delete;
-  ProfileBoard &operator=(const ProfileBoard &) = delete;
-
-  /// Publishes \p Json (writer thread only). Truncated to the board
-  /// capacity (8 KiB) on overflow — the writer renders top-N small.
-  void publish(std::string_view Json);
-
-  /// Reads the last published JSON (any thread). Returns false when
-  /// nothing has ever been published.
-  bool read(std::string &Out) const;
-
-  /// Successful publish() calls so far.
-  uint64_t publishes() const {
-    return Seq.load(std::memory_order_acquire) / 2;
-  }
-
-private:
-  static constexpr size_t NumWords = 1024; // 8 KiB payload capacity.
-  std::atomic<uint64_t> Seq{0};
-  std::atomic<uint64_t> Len{0};
-  std::array<std::atomic<uint64_t>, NumWords> W{};
 };
 
 /// The profiler. Construction is cheap; all registration and aggregate
@@ -270,17 +237,6 @@ public:
   bool haveTotals() const { return HaveTotals; }
 
   //===--------------------------------------------------------------------===//
-  // Live publication
-  //===--------------------------------------------------------------------===//
-
-  ProfileBoard &board() { return Board; }
-  const ProfileBoard &board() const { return Board; }
-
-  /// Renders the current top-N keys and seqlock-publishes them (serial
-  /// thread, typically right after drainLanes()).
-  void publishBoard();
-
-  //===--------------------------------------------------------------------===//
   // Checkpoint (serial boundaries only; see support/Snapshot.h)
   //===--------------------------------------------------------------------===//
 
@@ -349,12 +305,6 @@ private:
   ProfCounts Totals;
   bool HaveTotals = false;
   uint64_t (*AllocSource)() = nullptr;
-  ProfileBoard Board;
-  /// Publication scratch, reused across step boundaries: the board is
-  /// re-rendered at every drain, and per-drain vector/string churn was
-  /// the dominant allocation in BM_ProfileOverhead.
-  std::vector<uint32_t> BoardSlots;
-  std::string BoardJson;
 };
 
 } // namespace bayonet

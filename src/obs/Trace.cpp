@@ -117,17 +117,6 @@ void Tracer::endSpan(size_t Index, uint64_t Id) {
   auto It = std::find(OpenStack.rbegin(), OpenStack.rend(), Id);
   if (It != OpenStack.rend())
     OpenStack.erase(std::next(It).base());
-  recentPush(Index);
-}
-
-void Tracer::recentPush(size_t Index) {
-  // Caller holds Mu.
-  if (Recent.size() < RecentCap) {
-    Recent.push_back(Index);
-  } else {
-    Recent[RecentStart] = Index;
-    RecentStart = (RecentStart + 1) % RecentCap;
-  }
 }
 
 void Tracer::spanArg(size_t Index, std::string Key, std::string Value) {
@@ -201,8 +190,6 @@ bool Tracer::restoreFrom(SnapReader &R) {
   AdoptQueue.clear();
   AdoptNext = 0;
   NextId = 1;
-  Recent.clear();
-  RecentStart = 0;
   uint64_t N = R.count();
   Events.reserve(N);
   for (uint64_t I = 0; I < N && R.ok(); ++I) {
@@ -245,13 +232,6 @@ bool Tracer::restoreFrom(SnapReader &R) {
         AdoptQueue.push_back(I);
         break;
       }
-  // Rebuild the recent-completion ring. The snapshot doesn't record
-  // completion order, so begin order stands in — deterministic, and the
-  // ring converges back to true completion order as the resumed run
-  // closes spans.
-  for (size_t I = 0; I < Events.size(); ++I)
-    if (Events[I].Phase == 'X' && !Events[I].Open)
-      recentPush(I);
   return true;
 }
 
@@ -279,23 +259,6 @@ std::string Tracer::renderChromeJson() const {
     if (I)
       Out += ",\n";
     appendEventJson(Out, Events[I]);
-  }
-  Out += "\n]}\n";
-  return Out;
-}
-
-std::string Tracer::renderRecentJson(size_t LastN) const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  size_t Have = Recent.size();
-  size_t N = std::min(LastN, Have);
-  std::string Out = "{\"traceEvents\":[\n";
-  // Recent is a ring: RecentStart is the oldest entry once the ring is
-  // full. Emit the last N completions, oldest of those first.
-  for (size_t I = 0; I < N; ++I) {
-    size_t Pos = (RecentStart + (Have - N) + I) % Have;
-    if (I)
-      Out += ",\n";
-    appendEventJson(Out, Events[Recent[Pos]]);
   }
   Out += "\n]}\n";
   return Out;

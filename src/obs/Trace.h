@@ -99,12 +99,6 @@ public:
   /// without relying on timestamps.
   std::string renderChromeJson() const;
 
-  /// Renders the most recent \p LastN *completed* spans (a fixed-size ring
-  /// updated when spans end) as `{"traceEvents":[...]}`, oldest first.
-  /// This is what `GET /trace?last=N` serves mid-run: open spans are
-  /// excluded, so the payload is always well-formed.
-  std::string renderRecentJson(size_t LastN) const;
-
   //===--------------------------------------------------------------------===//
   // Checkpoint support (support/Snapshot.h)
   //===--------------------------------------------------------------------===//
@@ -147,17 +141,10 @@ private:
   void endSpan(size_t Index, uint64_t Id);
   void spanArg(size_t Index, std::string Key, std::string Value);
   uint64_t nowUs() const;
-  void recentPush(size_t Index);
   void appendEventJson(std::string &Out, const Event &E) const;
 
   mutable std::mutex Mu;
   std::vector<Event> Events;
-  /// Ring of Events indices of the most recently *completed* spans, in
-  /// completion order (RecentStart is the oldest entry once full). Serves
-  /// `GET /trace?last=N` without walking the whole log.
-  static constexpr size_t RecentCap = 1024;
-  std::vector<size_t> Recent;
-  size_t RecentStart = 0;
   std::vector<uint64_t> OpenStack; ///< Ids of currently open spans.
   uint64_t NextId = 1;
   std::chrono::steady_clock::time_point Epoch;

@@ -83,6 +83,14 @@ SymProb applyGuards(SymProb W, const std::vector<Constraint> &Guards) {
   return W;
 }
 
+/// The run's cumulative boundary counters; a statement's delta is the
+/// difference of the snapshots on either side of it.
+BoundaryDelta counters(const PsiExactResult &R) {
+  return {.Expanded = R.BranchesExpanded,
+          .MergeAttempts = R.MergeAttempts,
+          .MergeHits = R.MergeHits};
+}
+
 /// The exact interpreter over distributions.
 class Interp {
 public:
@@ -505,21 +513,18 @@ private:
     // stay probe-free, their work folded into the enclosing delta.
     Boundary::Step St = Bound.beginStep(TopIdx, D.size());
     const size_t DistIn = D.size();
-    const size_t PrevExpanded = Result.BranchesExpanded;
-    const size_t PrevAttempts = Result.MergeAttempts;
-    const size_t PrevHits = Result.MergeHits;
+    const BoundaryDelta Before = counters(Result);
     ++Depth;
     execStmtInner(S, D);
     --Depth;
     if (Aborted)
       return; // Incomplete statement: nothing is charged.
-    Bound.commit(St, {.Step = TopIdx,
-                      .FrontierIn = DistIn,
-                      .FrontierOut = D.size(),
-                      .Expanded = Result.BranchesExpanded - PrevExpanded,
-                      .MergeAttempts = Result.MergeAttempts - PrevAttempts,
-                      .MergeHits = Result.MergeHits - PrevHits,
-                      .ProfSlot = S.ProfSlot});
+    BoundaryDelta Delta = counters(Result) - Before;
+    Delta.Step = TopIdx;
+    Delta.FrontierIn = DistIn;
+    Delta.FrontierOut = D.size();
+    Delta.ProfSlot = S.ProfSlot;
+    Bound.commit(St, Delta);
   }
 
   /// Pushes \p V onto queue \p Q for a PushBack/PushFront \p S; a push

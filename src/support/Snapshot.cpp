@@ -855,8 +855,6 @@ void Checkpointer::writeNow(const std::string &Engine, uint64_t SpecFp,
   WriteSpan.end();
   OH.count(&EngineMetricIds::CheckpointWrites);
   OH.count(&EngineMetricIds::CheckpointBytes, File.size());
-  if (Obs)
-    Obs->progress().noteCheckpointWrite(File.size());
   ++WritesDone;
   if (CrashAtWrite && WritesDone == CrashAtWrite) {
     if (Opts.HardExit)

@@ -211,28 +211,6 @@ TEST(Obs, ChromeTraceFormatSchema) {
             countSubstr(Json, "\"ph\":\"X\""));
 }
 
-// The /trace ring: the last N *completed* spans, oldest first.
-TEST(Obs, RecentRingReturnsLastCompletedSpans) {
-  Tracer T;
-  { Span A = T.span("first"); }
-  { Span B = T.span("second"); }
-  { Span C = T.span("third"); }
-  Span Open = T.span("still-open");
-  std::string Recent = T.renderRecentJson(2);
-  EXPECT_EQ(Recent.find("\"name\":\"first\""), std::string::npos);
-  EXPECT_EQ(Recent.find("\"name\":\"still-open\""), std::string::npos)
-      << "open spans are not in the completion ring";
-  size_t SecondAt = Recent.find("\"name\":\"second\"");
-  size_t ThirdAt = Recent.find("\"name\":\"third\"");
-  ASSERT_NE(SecondAt, std::string::npos);
-  ASSERT_NE(ThirdAt, std::string::npos);
-  EXPECT_LT(SecondAt, ThirdAt) << "oldest of the last N renders first";
-  Open.end();
-  std::string All = T.renderRecentJson(100);
-  EXPECT_NE(All.find("\"name\":\"first\""), std::string::npos);
-  EXPECT_NE(All.find("\"name\":\"still-open\""), std::string::npos);
-}
-
 //===----------------------------------------------------------------------===//
 // End-to-end determinism
 //===----------------------------------------------------------------------===//
@@ -735,10 +713,10 @@ TEST(Obs, LogJsonEscapesControlCharsAndInvalidUtf8) {
 // Golden pin: engine boundary outputs
 //===----------------------------------------------------------------------===//
 
-// Every engine feeds its sinks (budget, checkpoint, metrics, profiler,
-// diagnostics, progress board, trace) at serial boundaries. These runs pin
-// what those sinks end up holding — the timestamp-stripped trace, the
-// metric fingerprint, the DiagReport JSON, and the canonical profile
+// Every engine feeds its six sinks (budget, checkpoint, metrics, profiler,
+// diagnostics, trace) at serial boundaries. These runs pin what those
+// sinks end up holding — the timestamp-stripped trace, the metric
+// fingerprint, the DiagReport JSON, and the canonical profile
 // counts — byte for byte against files under tests/golden/, for a
 // completed run, a budget-tripped run, a checkpointed run, and a
 // cancelled checkpointed run of each engine. On a mismatch the actual

@@ -8,9 +8,8 @@
 /// Unit tests for the profiler core: attribution-stack interning, the
 /// wall-time-only Scope contract, pre-order def registration, lane shard
 /// drain/discard semantics, checkpoint round-trips that survive intern
-/// re-ordering, the deterministic canonical rendering, the three export
-/// views, and the seqlock ProfileBoard (including concurrent readers —
-/// this suite runs under TSan).
+/// re-ordering, the deterministic canonical rendering, and the three
+/// export views.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,9 +20,7 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace bayonet;
@@ -371,86 +368,4 @@ TEST(Profile, SnapshotRoundTripPreservesCanonicalCounts) {
     Profiler Q;
     EXPECT_FALSE(Q.restoreFrom(R));
   }
-}
-
-//===----------------------------------------------------------------------===//
-// ProfileBoard (seqlock)
-//===----------------------------------------------------------------------===//
-
-TEST(Profile, BoardPublishReadRoundTrip) {
-  ProfileBoard B;
-  std::string Out;
-  EXPECT_FALSE(B.read(Out)) << "nothing published yet";
-  EXPECT_EQ(B.publishes(), 0u);
-
-  B.publish("{\"enabled\":true}");
-  ASSERT_TRUE(B.read(Out));
-  EXPECT_EQ(Out, "{\"enabled\":true}");
-  EXPECT_EQ(B.publishes(), 1u);
-
-  // Re-publish replaces; oversized payloads truncate to the 8 KiB board.
-  B.publish("second");
-  ASSERT_TRUE(B.read(Out));
-  EXPECT_EQ(Out, "second");
-  std::string Big(10000, 'x');
-  B.publish(Big);
-  ASSERT_TRUE(B.read(Out));
-  EXPECT_EQ(Out.size(), 8192u);
-  EXPECT_EQ(Out, Big.substr(0, 8192));
-}
-
-TEST(Profile, BoardConcurrentReadersSeeTornFreePayloads) {
-  ProfileBoard B;
-  std::atomic<bool> Stop{false};
-  std::atomic<uint64_t> Reads{0};
-  // Each payload is one repeated character: a torn read would mix them.
-  std::vector<std::thread> Readers;
-  for (int T = 0; T < 3; ++T)
-    Readers.emplace_back([&] {
-      std::string Out;
-      while (!Stop.load(std::memory_order_relaxed)) {
-        if (!B.read(Out))
-          continue;
-        ASSERT_FALSE(Out.empty());
-        char C = Out[0];
-        EXPECT_TRUE(C == 'a' || C == 'b');
-        EXPECT_EQ(Out, std::string(Out.size(), C)) << "torn seqlock read";
-        Reads.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  for (int I = 0; I < 4000; ++I)
-    B.publish(std::string(I % 2 ? 500 : 900, I % 2 ? 'a' : 'b'));
-  // With the publisher quiescent a read cannot retry forever, so wait for at
-  // least one success instead of racing the publish storm above.
-  while (Reads.load(std::memory_order_relaxed) == 0)
-    std::this_thread::yield();
-  Stop.store(true, std::memory_order_relaxed);
-  for (std::thread &T : Readers)
-    T.join();
-  EXPECT_GT(Reads.load(), 0u);
-  EXPECT_EQ(B.publishes(), 4000u);
-}
-
-TEST(Profile, PublishBoardRendersTopFramesBySelfWeight) {
-  Profiler P;
-  uint32_t Hot = P.push("hot");
-  P.pop();
-  uint32_t Cold = P.push("cold");
-  P.pop();
-  ProfCounts C;
-  C.States = 100;
-  P.charge(Hot, C);
-  ProfCounts D;
-  D.States = 1;
-  P.charge(Cold, D);
-  P.publishBoard();
-
-  std::string Out;
-  ASSERT_TRUE(P.board().read(Out));
-  EXPECT_NE(Out.find("\"enabled\":true"), std::string::npos);
-  size_t HotPos = Out.find("\"stack\":\"hot\"");
-  size_t ColdPos = Out.find("\"stack\":\"cold\"");
-  ASSERT_NE(HotPos, std::string::npos);
-  ASSERT_NE(ColdPos, std::string::npos);
-  EXPECT_LT(HotPos, ColdPos) << "top list sorts by self weight";
 }

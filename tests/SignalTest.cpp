@@ -16,7 +16,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "api/Bayonet.h"
-#include "obs/Introspect.h"
 #include "support/Snapshot.h"
 
 #include "TestNetworks.h"
@@ -29,9 +28,6 @@
 #include <cstring>
 #include <thread>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 using namespace bayonet;
@@ -183,68 +179,4 @@ TEST(Signal, MidRunCancelLeavesResumableStream) {
   EXPECT_EQ(Straight.Spent.StatesExpanded, Resumed.Spent.StatesExpanded);
   std::remove(Path.c_str());
   std::remove((Path + ".prev").c_str());
-}
-
-namespace {
-
-/// True when a TCP connect to 127.0.0.1:Port succeeds (and closes it).
-bool canConnect(uint16_t Port) {
-  int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (Fd < 0)
-    return false;
-  sockaddr_in Addr{};
-  Addr.sin_family = AF_INET;
-  Addr.sin_port = htons(Port);
-  ::inet_pton(AF_INET, "127.0.0.1", &Addr.sin_addr);
-  bool Ok = ::connect(Fd, reinterpret_cast<sockaddr *>(&Addr),
-                      sizeof(Addr)) == 0;
-  ::close(Fd);
-  return Ok;
-}
-
-} // namespace
-
-// The CLI's exit-path ordering contract: on every exit path — including a
-// signal-driven cancelled one — the introspection server is stopped and
-// its threads joined BEFORE the trace/metrics exporter files are
-// rendered, so no scrape can observe a half-flushed registry and the
-// flush itself needs no locks against live handlers. This mirrors the
-// exportObs lambda in examples/bayonet_cli.cpp step for step.
-TEST(Signal, ServerStopsBeforeObsFlushOnCancelledExit) {
-  GTestCancel = CancelToken();
-  struct sigaction Old = installHandler(SIGTERM);
-
-  LoadedNetwork Net = load(testnets::PaperExample);
-  auto Ctx = std::make_shared<ObsContext>(true, true, true);
-  auto Server = std::make_shared<IntrospectServer>(Ctx);
-  std::string Err;
-  ASSERT_TRUE(Server->start("127.0.0.1:0", Err)) << Err;
-  uint16_t Port = Server->port();
-  ASSERT_TRUE(canConnect(Port)) << "server must be live mid-run";
-
-  ::raise(SIGTERM);
-  sigaction(SIGTERM, &Old, nullptr);
-  ASSERT_TRUE(GTestCancel.cancelRequested());
-
-  InferenceOptions Opts;
-  Opts.Cancel = GTestCancel;
-  Opts.Obs = Ctx;
-  InferenceResult R = runInference(Net, Opts);
-  EXPECT_FALSE(R.Status.ok());
-  EXPECT_NE(R.Status.toString().find("cancelled"), std::string::npos);
-
-  // Step 1 of the exit path: stop the server. Its threads are joined, so
-  // the port must refuse connections...
-  Server->stop();
-  EXPECT_FALSE(Server->running());
-  EXPECT_FALSE(canConnect(Port));
-
-  // ...and step 2, the exporter flush, still renders everything the
-  // cancelled run produced.
-  std::string Trace = Ctx->tracer()->renderChromeJson();
-  EXPECT_NE(Trace.find("\"name\":\"inference\""), std::string::npos);
-  std::string Prom = Ctx->metrics()->renderProm();
-  EXPECT_NE(Prom.find("# TYPE bayonet_states_expanded_total counter"),
-            std::string::npos);
-  EXPECT_FALSE(Ctx->diag()->report().toJson().empty());
 }
