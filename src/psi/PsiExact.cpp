@@ -39,6 +39,58 @@ struct Branch {
 
 using Dist = std::vector<Branch>;
 
+/// Moves every branch of \p From to the end of \p Into.
+void append(Dist &Into, Dist &From) {
+  if (Into.empty())
+    Into = std::move(From);
+  else
+    Into.insert(Into.end(), std::make_move_iterator(From.begin()),
+                std::make_move_iterator(From.end()));
+  From.clear();
+}
+
+/// Where a branch resumes: statements [Idx, End) of Block.
+struct Frame {
+  const std::vector<PStmtPtr> *Block;
+  size_t Idx, End;
+};
+
+/// One branch and the statements it has still to run in its pass.
+struct Task {
+  Branch B;
+  std::vector<Frame> K;
+  /// So far this Repeat iteration is the identity on the live slots: no
+  /// fork, no general eval, no live slot changed.
+  bool Still = false;
+};
+
+/// What a pass runs: the Body statements, after the While condition Cond
+/// when that is set.
+struct Pass {
+  Frame Body;
+  const PExpr *Cond = nullptr;
+  /// Repeat: the slots dead at the iteration merge, by slot, so branches
+  /// can park. Null for every other pass.
+  const std::vector<bool> *Dead = nullptr;
+
+  /// A loop iteration (While or Repeat) rather than a top-level statement.
+  bool iteration() const { return Cond || Dead; }
+};
+
+/// Where the branches of one pass end up.
+struct PassOut {
+  Dist Done;   ///< Ran the pass to its end.
+  Dist Exit;   ///< While: the condition was false.
+  Dist Parked; ///< Repeat: the iteration was the identity on live slots.
+};
+
+/// One lane's counts during a pass; the spine commits lanes in lane order.
+struct Tally {
+  SymProb Err;
+  size_t Expanded = 0, MergeAttempts = 0, MergeHits = 0;
+  uint64_t *Execs = nullptr; ///< The lane's profiler exec shard, or null.
+};
+
 /// One outcome of evaluating an expression on a fixed environment.
 struct Outcome {
   PsiValue V;
@@ -101,6 +153,14 @@ public:
         O(Opts.Obs), Dead(computeMergeLiveness(P)),
         Bound(EngineKind::Psi, "psi", Opts.Obs.get(), BT,
               Opts.Checkpoint.get()) {
+    for (const auto &[S, Slots] : Dead) {
+      if (S->Kind != PStmtKind::Repeat)
+        continue;
+      std::vector<bool> &Mask = IterDead[S];
+      Mask.assign(P.VarNames.size(), false);
+      for (unsigned Slot : Slots.Iter)
+        Mask[Slot] = true;
+    }
     if (Opts.Checkpoint) {
       // The PSI IR has no structural identity beyond its text: fingerprint
       // the printed program (deterministic, covers every statement).
@@ -113,17 +173,17 @@ public:
                          .value();
       Bound.Payload = [this](SnapWriter &W) { serializeState(W); };
     }
-    // A mid-statement stop (cancellation, deadline, byte trip) discards the
-    // statement's partial work and reports the last statement boundary.
+    // A mid-pass stop (cancellation, deadline, byte trip) discards the
+    // pass's partial work and reports the last boundary: a top-level
+    // statement or an iteration of a top-level loop.
     Bound.Save = [this] { Saved = this->Result; };
     Bound.Restore = [this] { this->Result = Saved; };
   }
 
   void run() {
-    // Every IR statement becomes a profiler frame under the engine root.
-    // The interpreter spine is serial (parallelism lives inside
-    // expandBranches/splitCond), so one lane shard suffices.
-    if (auto St = Bound.attach({.Psi = &P})) {
+    // Every IR statement becomes a profiler frame under the engine root,
+    // with one exec shard per lane of a sharded pass.
+    if (auto St = Bound.attach({.Lanes = Threads, .Psi = &P})) {
       Result.Status = *St;
       return;
     }
@@ -187,14 +247,14 @@ public:
         Aborted = true;
         break;
       }
-      execStmt(*P.Body[I], D);
+      execTop(I, D);
     }
     TopD = nullptr;
     RunSummary Summary{.States = Result.BranchesExpanded,
                        .Peak = Result.MaxDistSize};
     if (Aborted || stopped()) {
       // The run span records the work done; a budget or cancel stop then
-      // reports the last completed statement boundary (bit-identical for
+      // reports the last completed boundary (bit-identical for
       // every thread count for the deterministic stop classes).
       Bound.finish(Summary, /*Completed=*/false);
       Bound.abort();
@@ -224,18 +284,18 @@ private:
   /// Dead slots at every merge point; mergeDist resets them to PsiValue()
   /// so environments that differ only in dead values merge.
   const PsiLiveness Dead;
+  /// Each Repeat's iteration-merge dead slots as a per-slot mask, for the
+  /// parking test.
+  std::unordered_map<const PStmt *, std::vector<bool>> IterDead;
   Boundary Bound;
   Profiler *PF = nullptr;
-  /// The reported statistics as of the last statement boundary.
+  /// The reported statistics as of the last boundary.
   PsiExactResult Saved;
   /// The top-level distribution and statement index, valid while run()'s
   /// statement loop is live: snapshots are only taken at its boundaries,
   /// where this pair is the whole resumable state.
   Dist *TopD = nullptr;
   int64_t TopIdx = 0;
-  /// Statement nesting depth; only top-level statements are boundaries, so
-  /// obs cost is bounded by the program's length.
-  unsigned Depth = 0;
   bool Aborted = false;
 
   /// Serializes the engine state as of the current top-level statement
@@ -281,17 +341,8 @@ private:
 
   bool stopped() const { return BT && BT->stop(); }
 
-  void fail(Branch &B, const std::string &Reason, SymProb &ErrMass) {
-    (void)Reason;
-    ErrMass += B.W;
-  }
-  void fail(Branch &B, const std::string &Reason) {
-    fail(B, Reason, Result.ErrorMass);
-  }
-
   /// The environment of outcome \p I of \p N evaluated on \p B: a copy,
-  /// except that the last outcome takes B's own — every caller consumes the
-  /// branches it expands, and most statements have a single outcome.
+  /// except that the last outcome takes B's own.
   static Env outcomeEnv(Branch &B, size_t I, size_t N) {
     if (I + 1 < N)
       return B.Vars;
@@ -302,83 +353,21 @@ private:
     return Threads > 1 && N >= Opts.ParallelThreshold;
   }
 
-  /// Expands every branch of \p D independently through \p PerBranch,
-  /// which receives (branch, successor sink, error-mass accumulator) and
-  /// must only touch those. Serial below the threshold; above it the
-  /// distribution is sharded into contiguous chunks and per-lane outputs
-  /// are committed in lane order, so the successor distribution is
-  /// independent of the thread count (weights are exact, so even the
-  /// one-lane order would give identical masses after merging).
-  template <typename Fn> Dist expandBranches(Dist &D, Fn PerBranch) {
-    if (!useParallel(D.size())) {
-      Dist Next;
-      Next.reserve(D.size());
-      for (Branch &B : D) {
-        if (stopped()) {
-          Aborted = true; // Mid-statement stop; run() restores the boundary.
-          break;
-        }
-        ++Result.BranchesExpanded;
-        chargeBranch(B);
-        PerBranch(B, Next, Result.ErrorMass);
-      }
-      return Next;
-    }
-    struct Shard {
-      Dist Out;
-      SymProb Err;
-      size_t Expanded = 0;
-    };
-    const size_t Lanes = Threads;
-    const size_t Chunk = (D.size() + Lanes - 1) / Lanes;
-    std::vector<Shard> Shards(Lanes);
-    ThreadPool::global().parallelFor(Lanes, [&](size_t Lane) {
-      Shard &S = Shards[Lane];
-      size_t Lo = std::min(D.size(), Lane * Chunk);
-      size_t Hi = std::min(D.size(), Lo + Chunk);
-      S.Out.reserve(Hi - Lo);
-      for (size_t I = Lo; I < Hi; ++I) {
-        if (StopF && StopF->load(std::memory_order_acquire))
-          return; // Drain; partial shard output is discarded by run().
-        ++S.Expanded;
-        chargeBranch(D[I]);
-        PerBranch(D[I], S.Out, S.Err);
-      }
-    }, StopF);
-    if (stopped()) {
-      Aborted = true;
-      return {};
-    }
-    if (Result.WorkerBranchesExpanded.size() < Lanes)
-      Result.WorkerBranchesExpanded.resize(Lanes, 0);
-    size_t Total = 0;
-    for (const Shard &S : Shards)
-      Total += S.Out.size();
-    Dist Next;
-    Next.reserve(Total);
-    for (size_t Lane = 0; Lane < Lanes; ++Lane) {
-      Shard &S = Shards[Lane];
-      Result.BranchesExpanded += S.Expanded;
-      Result.WorkerBranchesExpanded[Lane] += S.Expanded;
-      Result.ErrorMass += S.Err;
-      for (Branch &B : S.Out)
-        Next.push_back(std::move(B));
-    }
-    return Next;
-  }
-
   static void resetDead(Env &E, const std::vector<unsigned> &DeadSlots) {
     for (unsigned Slot : DeadSlots)
       E[Slot] = PsiValue();
   }
 
   /// Merges equal environments of \p D after resetting \p DeadSlots in
-  /// each (before it is hashed, on the serial and the parallel path alike,
-  /// so the merged distribution is independent of the thread count).
-  void mergeDist(Dist &D, const std::vector<unsigned> &DeadSlots) {
+  /// each, counting into \p Attempts and \p Hits. On the spine (\p Spine)
+  /// a large distribution is merged in hash-sharded lanes; the dead slots
+  /// are reset before hashing on both paths, so the merged distribution is
+  /// independent of the thread count.
+  void mergeDist(Dist &D, const std::vector<unsigned> &DeadSlots,
+                 size_t &Attempts, size_t &Hits, bool Spine) {
     if (!Opts.MergeEnvs || D.size() < 2)
       return;
-    if (!useParallel(D.size())) {
+    if (!Spine || !useParallel(D.size())) {
       // Open-addressing merge index over the dense distribution
       // (support/Intern.h): the environment hash is computed once per
       // branch and reused for the probe, and the table allocates nothing
@@ -387,7 +376,7 @@ private:
       Merged.reserve(D.size());
       FlatIndexMap Index;
       Index.reserve(D.size());
-      Result.MergeAttempts += D.size();
+      Attempts += D.size();
       for (Branch &B : D) {
         resetDead(B.Vars, DeadSlots);
         uint64_t H = EnvHash()(B.Vars);
@@ -398,7 +387,7 @@ private:
           Merged.push_back(std::move(B));
         } else {
           Merged[At].W += std::move(B.W);
-          ++Result.MergeHits;
+          ++Hits;
           if (BT)
             BT->chargeMerges();
         }
@@ -462,15 +451,15 @@ private:
       return;
     }
     size_t Total = 0;
-    size_t Hits = 0;
+    size_t Merges = 0;
     for (size_t B = 0; B < Lanes; ++B) {
       Total += Merged[B].size();
-      Hits += BucketHits[B];
+      Merges += BucketHits[B];
     }
-    Result.MergeAttempts += D.size(); // Every routed env is one lookup.
-    Result.MergeHits += Hits;
+    Attempts += D.size(); // Every routed env is one lookup.
+    Hits += Merges;
     if (BT)
-      BT->chargeMerges(Hits);
+      BT->chargeMerges(Merges);
     D.clear();
     D.reserve(Total);
     for (size_t B = 0; B < Lanes; ++B)
@@ -478,45 +467,41 @@ private:
         D.push_back(std::move(Br));
   }
 
-  void execBlock(const std::vector<PStmtPtr> &Body, Dist &D) {
-    for (const PStmtPtr &S : Body) {
-      if (Aborted || D.empty())
-        return;
-      execStmt(*S, D);
-    }
+  /// Pushes \p V onto queue \p Q for a PushBack/PushFront \p S; a push
+  /// onto a full bounded queue drops the value. True when \p Q changed.
+  static bool push(const PStmt &S, PsiValue &Q, PsiValue V) {
+    auto &Elems = Q.elems();
+    if (S.Capacity >= 0 && static_cast<int64_t>(Elems.size()) >= S.Capacity)
+      return false;
+    if (S.Kind == PStmtKind::PushBack)
+      Elems.push_back(std::move(V));
+    else
+      Elems.insert(Elems.begin(), std::move(V));
+    return true;
   }
 
-  void execStmt(const PStmt &S, Dist &D) {
-    // run() opened a top-level statement's boundary; nested statements keep
-    // only the budget decision.
-    if (Depth > 0 && !Bound.budget(D.size())) {
-      Aborted = true;
+  //===--------------------------------------------------------------------===//
+  // Execution: one branch at a time
+  //===--------------------------------------------------------------------===//
+
+  /// Runs top-level statement \p I as one boundary: a loop iterates on the
+  /// spine, every other statement is one pass over the distribution.
+  void execTop(size_t I, Dist &D) {
+    const PStmt &S = *P.Body[I];
+    if (!sizeOk(D.size()))
       return;
-    }
-    Result.MaxDistSize = std::max(Result.MaxDistSize, D.size());
-    if (D.size() > Opts.MaxDist) {
-      Result.QueryUnsupported = true;
-      Result.UnsupportedReason = "distribution size limit exceeded";
-      Result.Status.Code = StatusCode::BudgetExceeded;
-      Result.Status.Violation = {BudgetClass::Frontier, D.size(),
-                                 Opts.MaxDist};
-      Aborted = true;
-      return;
-    }
-    if (Depth > 0) {
-      ++Depth;
-      execStmtInner(S, D);
-      --Depth;
-      return;
-    }
-    // Top-level statements are the PSI engine's rounds: nested statements
-    // stay probe-free, their work folded into the enclosing delta.
     Boundary::Step St = Bound.beginStep(TopIdx, D.size());
     const size_t DistIn = D.size();
     const BoundaryDelta Before = counters(Result);
-    ++Depth;
-    execStmtInner(S, D);
-    --Depth;
+    if (S.Kind == PStmtKind::Repeat || S.Kind == PStmtKind::While) {
+      if (PF)
+        PF->laneExecs(0)[S.ProfSlot] += D.size();
+      loop(S, D, nullptr);
+    } else {
+      PassOut Out;
+      pass(D, {.Body = {&P.Body, I, I + 1}}, Out, nullptr);
+      D = std::move(Out.Done);
+    }
     if (Aborted)
       return; // Incomplete statement: nothing is charged.
     BoundaryDelta Delta = counters(Result) - Before;
@@ -527,180 +512,295 @@ private:
     Bound.commit(St, Delta);
   }
 
-  /// Pushes \p V onto queue \p Q for a PushBack/PushFront \p S; a push
-  /// onto a full bounded queue drops the value.
-  static void push(const PStmt &S, PsiValue &Q, PsiValue V) {
-    auto &Elems = Q.elems();
-    if (S.Capacity >= 0 && static_cast<int64_t>(Elems.size()) >= S.Capacity)
+  /// Records the peak distribution size and enforces MaxDist. False = stop.
+  bool sizeOk(size_t N) {
+    Result.MaxDistSize = std::max(Result.MaxDistSize, N);
+    if (N <= Opts.MaxDist)
+      return true;
+    Result.QueryUnsupported = true;
+    Result.UnsupportedReason = "distribution size limit exceeded";
+    Result.Status.Code = StatusCode::BudgetExceeded;
+    Result.Status.Violation = {BudgetClass::Frontier, N, Opts.MaxDist};
+    Aborted = true;
+    return false;
+  }
+
+  /// Runs loop \p S over \p D at distribution level, merging once per
+  /// iteration after resetting the slots dead there. On the spine
+  /// (\p Nested null: a top-level loop) every iteration is a budget
+  /// boundary; a loop nested in a branch runs inside that branch's lane.
+  /// In a Repeat, a branch whose iteration was the identity on the live
+  /// slots parks: it ran deterministically on them, so every later
+  /// iteration would be the identity too. It skips them and rejoins the
+  /// distribution after the loop.
+  void loop(const PStmt &S, Dist &D, Tally *Nested) {
+    const MergeDeadSlots &Slots = Dead.at(&S);
+    const bool IsWhile = S.Kind == PStmtKind::While;
+    const Pass C{.Body = {&S.Then, 0, S.Then.size()},
+                 .Cond = IsWhile ? S.E.get() : nullptr,
+                 .Dead = IsWhile ? nullptr : &IterDead.at(&S)};
+    size_t &Attempts = Nested ? Nested->MergeAttempts : Result.MergeAttempts;
+    size_t &Hits = Nested ? Nested->MergeHits : Result.MergeHits;
+    Dist Exit, Parked;
+    const int64_t Count = IsWhile ? Opts.WhileFuel : S.Count;
+    for (int64_t Iter = 0; Iter < Count && !D.empty(); ++Iter) {
+      // A top-level repeat is the translated scheduler loop: give each
+      // iteration its own "round" span, nested under the stmt span.
+      Span RoundSpan = !Nested && !IsWhile ? O.span("psi.round") : Span();
+      if (!Nested && !IsWhile && O.tracing()) {
+        RoundSpan.arg("iter", static_cast<uint64_t>(Iter));
+        RoundSpan.arg("dist", static_cast<uint64_t>(D.size()));
+      }
+      if (!iterationOk(D.size(), Nested))
+        return;
+      PassOut Out;
+      pass(D, C, Out, Nested);
+      if (!Aborted)
+        mergeDist(Out.Done, Slots.Iter, Attempts, Hits, !Nested);
+      if (Aborted)
+        return;
+      D = std::move(Out.Done);
+      append(Exit, Out.Exit);
+      append(Parked, Out.Parked);
+    }
+    if (IsWhile) {
+      SymProb &Err = Nested ? Nested->Err : Result.ErrorMass;
+      for (Branch &B : D)
+        Err += std::move(B.W); // The while loop exceeded the fuel bound.
+      D = std::move(Exit);
+      mergeDist(D, Slots.Exit, Attempts, Hits, !Nested);
+    } else if (!Parked.empty()) {
+      append(D, Parked);
+      mergeDist(D, Slots.Iter, Attempts, Hits, !Nested);
+    }
+  }
+
+  /// The boundary before a loop iteration. On the spine: the budget
+  /// decision and the size limit. Nested in a lane: only the stop flag, as
+  /// budget decisions are taken at serial points. False = stop.
+  bool iterationOk(size_t N, const Tally *Nested) {
+    if (Nested)
+      return !StopF || !StopF->load(std::memory_order_acquire);
+    if (!Bound.budget(N)) {
+      Aborted = true;
+      return false;
+    }
+    return sizeOk(N);
+  }
+
+  /// Runs every branch of \p D (consumed) through one pass of \p C. On the
+  /// spine (\p Nested null) a large distribution is cut into contiguous
+  /// chunks, one per lane, each running into its own output and tally;
+  /// lanes are committed in lane order, so outputs and counts are the same
+  /// for every thread count. A nested pass runs inside its enclosing lane.
+  void pass(Dist &D, const Pass &C, PassOut &Out, Tally *Nested) {
+    auto Run = [&](size_t Lo, size_t Hi, PassOut &LaneOut, Tally &T) {
+      for (size_t I = Lo; I < Hi; ++I) {
+        if (StopF && StopF->load(std::memory_order_acquire))
+          return; // Drain; run() discards the partial pass.
+        // Branches entering an iteration are the analogue of the direct
+        // engine's configurations run through one scheduler step.
+        if (C.iteration()) {
+          ++T.Expanded;
+          chargeBranch(D[I]);
+        }
+        runBranch(std::move(D[I]), C, LaneOut, T);
+      }
+    };
+    if (Nested) {
+      Run(0, D.size(), Out, *Nested);
       return;
-    if (S.Kind == PStmtKind::PushBack)
-      Elems.push_back(std::move(V));
+    }
+    const size_t Lanes = useParallel(D.size()) ? Threads : 1;
+    const size_t Chunk = (D.size() + Lanes - 1) / Lanes;
+    std::vector<PassOut> Outs(Lanes);
+    std::vector<Tally> Tallies(Lanes);
+    auto RunLane = [&](size_t Lane) {
+      Tallies[Lane].Execs = PF ? PF->laneExecs(Lane) : nullptr;
+      size_t Lo = std::min(D.size(), Lane * Chunk);
+      Run(Lo, std::min(D.size(), Lo + Chunk), Outs[Lane], Tallies[Lane]);
+    };
+    if (Lanes == 1)
+      RunLane(0);
     else
-      Elems.insert(Elems.begin(), std::move(V));
-  }
-
-  void execStmtInner(const PStmt &S, Dist &D) {
-    if (PF)
-      // One exec per branch entering the statement (the PSI analogue of
-      // per-world statement executions). Staged in the lane shard, folded
-      // only at completed top-level boundaries.
-      PF->laneExecs(0)[S.ProfSlot] += D.size();
-    switch (S.Kind) {
-    case PStmtKind::Assign: {
-      D = expandBranches(D, [&](Branch &B, Dist &Out, SymProb &Err) {
-        PsiValue V;
-        if (evalConcrete(*S.E, B.Vars, V)) {
-          if (!B.W.isZero()) {
-            B.Vars[S.Var] = std::move(V);
-            Out.push_back(std::move(B));
-          }
-          return;
-        }
-        std::vector<Outcome> Outs = eval(*S.E, B.Vars);
-        for (size_t I = 0; I < Outs.size(); ++I) {
-          Outcome &O = Outs[I];
-          SymProb W = applyGuards(B.W.scaled(O.Prob), O.Guards);
-          if (W.isZero())
-            continue;
-          Branch NB{outcomeEnv(B, I, Outs.size()), std::move(W)};
-          if (O.Failed) {
-            fail(NB, O.FailReason, Err);
-            continue;
-          }
-          NB.Vars[S.Var] = std::move(O.V);
-          Out.push_back(std::move(NB));
-        }
-      });
+      ThreadPool::global().parallelFor(Lanes, RunLane, StopF);
+    if (stopped()) {
+      Aborted = true; // Mid-pass stop; run() restores the boundary.
       return;
     }
-    case PStmtKind::PushBack:
-    case PStmtKind::PushFront: {
-      D = expandBranches(D, [&](Branch &B, Dist &Out, SymProb &Err) {
-        PsiValue V;
-        if (B.Vars[S.Var].isTuple() && evalConcrete(*S.E, B.Vars, V)) {
-          if (!B.W.isZero()) {
-            push(S, B.Vars[S.Var], std::move(V));
-            Out.push_back(std::move(B));
-          }
-          return;
-        }
-        std::vector<Outcome> Outs = eval(*S.E, B.Vars);
-        for (size_t I = 0; I < Outs.size(); ++I) {
-          Outcome &O = Outs[I];
-          SymProb W = applyGuards(B.W.scaled(O.Prob), O.Guards);
-          if (W.isZero())
-            continue;
-          Branch NB{outcomeEnv(B, I, Outs.size()), std::move(W)};
-          if (O.Failed) {
-            fail(NB, O.FailReason, Err);
-            continue;
-          }
-          if (!NB.Vars[S.Var].isTuple()) {
-            fail(NB, "push on a non-queue value", Err);
-            continue;
-          }
-          push(S, NB.Vars[S.Var], std::move(O.V));
-          Out.push_back(std::move(NB));
-        }
-      });
-      return;
-    }
-    case PStmtKind::PopFront: {
-      D = expandBranches(D, [&](Branch &B, Dist &Out, SymProb &Err) {
-        if (!B.Vars[S.Var].isTuple() || B.Vars[S.Var].elems().empty()) {
-          fail(B, "takeFront on an empty queue", Err);
-          return;
-        }
-        auto &Elems = B.Vars[S.Var].elems();
-        B.Vars[S.Var2] = Elems.front();
-        Elems.erase(Elems.begin());
-        Out.push_back(std::move(B));
-      });
-      return;
-    }
-    case PStmtKind::Observe:
-    case PStmtKind::Assert: {
-      Dist Next;
-      bool IsObserve = S.Kind == PStmtKind::Observe;
-      splitCond(*S.E, D,
-                [&](Branch B, bool Truth) {
-                  if (Truth) {
-                    Next.push_back(std::move(B));
-                    return;
-                  }
-                  if (!IsObserve)
-                    fail(B, "assertion failed");
-                  // Observe failure: mass silently discarded.
-                });
-      D = std::move(Next);
-      return;
-    }
-    case PStmtKind::If: {
-      Dist ThenD, ElseD;
-      splitCond(*S.E, D, [&](Branch B, bool Truth) {
-        (Truth ? ThenD : ElseD).push_back(std::move(B));
-      });
-      execBlock(S.Then, ThenD);
-      execBlock(S.Else, ElseD);
-      D = std::move(ThenD);
-      for (Branch &B : ElseD)
-        D.push_back(std::move(B));
-      mergeDist(D, Dead.at(&S).Exit);
-      return;
-    }
-    case PStmtKind::While: {
-      Dist Live = std::move(D);
-      D.clear();
-      for (int64_t Iter = 0; Iter < Opts.WhileFuel && !Live.empty();
-           ++Iter) {
-        if (Aborted)
-          return;
-        Dist Continue;
-        splitCond(*S.E, Live, [&](Branch B, bool Truth) {
-          if (Truth)
-            Continue.push_back(std::move(B));
-          else
-            D.push_back(std::move(B));
-        });
-        execBlock(S.Then, Continue);
-        mergeDist(Continue, Dead.at(&S).Iter);
-        Live = std::move(Continue);
-      }
-      for (Branch &B : Live)
-        fail(B, "while loop exceeded the fuel bound");
-      mergeDist(D, Dead.at(&S).Exit);
-      return;
-    }
-    case PStmtKind::Repeat: {
-      for (int64_t Iter = 0; Iter < S.Count && !D.empty(); ++Iter) {
-        if (Aborted)
-          return;
-        // A top-level repeat is the translated scheduler loop: give each
-        // iteration its own "round" span, nested under the stmt span.
-        Span RoundSpan = Depth == 1 ? O.span("psi.round") : Span();
-        if (Depth == 1 && O.tracing()) {
-          RoundSpan.arg("iter", static_cast<uint64_t>(Iter));
-          RoundSpan.arg("dist", static_cast<uint64_t>(D.size()));
-        }
-        execBlock(S.Then, D);
-        mergeDist(D, Dead.at(&S).Iter);
-      }
-      return;
-    }
+    if (Lanes > 1 && Result.WorkerBranchesExpanded.size() < Lanes)
+      Result.WorkerBranchesExpanded.resize(Lanes, 0);
+    for (size_t Lane = 0; Lane < Lanes; ++Lane) {
+      Tally &T = Tallies[Lane];
+      Result.BranchesExpanded += T.Expanded;
+      if (Lanes > 1)
+        Result.WorkerBranchesExpanded[Lane] += T.Expanded;
+      Result.ErrorMass += std::move(T.Err);
+      Result.MergeAttempts += T.MergeAttempts;
+      Result.MergeHits += T.MergeHits;
+      append(Out.Done, Outs[Lane].Done);
+      append(Out.Exit, Outs[Lane].Exit);
+      append(Out.Parked, Outs[Lane].Parked);
     }
   }
 
-  /// Evaluates \p Cond on one branch, emitting (branch, truth) pairs.
-  /// Symbolic scalar conditions split on [E != 0] / [E == 0]; failures go
-  /// to \p Err.
+  /// Runs one branch through a pass straight-line, forking only where a
+  /// statement has several outcomes (a draw, a symbolic split, a failure).
+  /// Every branch it leads to ends in \p Out, in T.Err, or dropped by a
+  /// failed observe.
+  void runBranch(Branch B, const Pass &C, PassOut &Out, Tally &T) {
+    std::vector<Task> Work;
+    auto Start = [&](Branch NB, bool Still) {
+      Work.push_back({std::move(NB), {C.Body}, Still});
+    };
+    PsiValue X;
+    if (!C.Cond)
+      Start(std::move(B), C.Dead != nullptr);
+    else if (evalConcrete(*C.Cond, B.Vars, X) && X.isRational())
+      X.rational().isZero() ? Out.Exit.push_back(std::move(B))
+                            : Start(std::move(B), false);
+    else
+      splitCond(*C.Cond, B, T.Err, [&](Branch NB, bool Truth) {
+        Truth ? Start(std::move(NB), false) : Out.Exit.push_back(std::move(NB));
+      });
+    while (!Work.empty()) {
+      Task Tk = std::move(Work.back());
+      Work.pop_back();
+      if (exec(Tk, C, T, Work))
+        (Tk.Still ? Out.Parked : Out.Done).push_back(std::move(Tk.B));
+    }
+  }
+
+  /// Runs \p Tk until its continuation is empty (true) or it ends: by a
+  /// failure, a failed observe, or a fork whose successors are pushed onto
+  /// \p Work. Deterministic statements run through evalConcrete in place.
+  bool exec(Task &Tk, const Pass &C, Tally &T, std::vector<Task> &Work) {
+    Env &V = Tk.B.Vars;
+    while (!Tk.K.empty()) {
+      Frame &F = Tk.K.back();
+      if (F.Idx == F.End) {
+        Tk.K.pop_back();
+        continue;
+      }
+      const PStmt &S = *(*F.Block)[F.Idx++];
+      if (T.Execs)
+        ++T.Execs[S.ProfSlot];
+      PsiValue X;
+      switch (S.Kind) {
+      case PStmtKind::Assign:
+        if (!evalConcrete(*S.E, V, X))
+          break;
+        write(Tk, C, S.Var, std::move(X));
+        continue;
+      case PStmtKind::PushBack:
+      case PStmtKind::PushFront:
+        if (!V[S.Var].isTuple() || !evalConcrete(*S.E, V, X))
+          break;
+        if (push(S, V[S.Var], std::move(X)))
+          touch(Tk, C, S.Var);
+        continue;
+      case PStmtKind::PopFront: {
+        PsiValue &Q = V[S.Var];
+        if (!Q.isTuple() || Q.elems().empty()) {
+          T.Err += std::move(Tk.B.W); // takeFront on an empty queue.
+          return false;
+        }
+        PsiValue Head = std::move(Q.elems().front());
+        Q.elems().erase(Q.elems().begin());
+        touch(Tk, C, S.Var);
+        write(Tk, C, S.Var2, std::move(Head));
+        continue;
+      }
+      case PStmtKind::If:
+      case PStmtKind::Observe:
+      case PStmtKind::Assert:
+        if (!evalConcrete(*S.E, V, X) || !X.isRational())
+          break;
+        if (!decide(Tk, S, !X.rational().isZero(), T))
+          return false;
+        continue;
+      case PStmtKind::While:
+      case PStmtKind::Repeat: {
+        // A nested loop runs at distribution level on this one branch.
+        Dist D;
+        D.push_back(std::move(Tk.B));
+        loop(S, D, &T);
+        for (Branch &B : D)
+          Work.push_back({std::move(B), Tk.K, false});
+        return false;
+      }
+      }
+      fork(S, Tk, T, Work);
+      return false;
+    }
+    return true;
+  }
+
+  /// Runs \p S on \p Tk through the general evaluator: one successor task
+  /// per outcome of nonzero weight, failures to T.Err.
+  void fork(const PStmt &S, Task &Tk, Tally &T, std::vector<Task> &Work) {
+    if (S.Kind == PStmtKind::If || S.Kind == PStmtKind::Observe ||
+        S.Kind == PStmtKind::Assert) {
+      splitCond(*S.E, Tk.B, T.Err, [&](Branch NB, bool Truth) {
+        Task NT{std::move(NB), Tk.K, false};
+        if (decide(NT, S, Truth, T))
+          Work.push_back(std::move(NT));
+      });
+      return;
+    }
+    std::vector<Outcome> Outs = eval(*S.E, Tk.B.Vars);
+    for (size_t I = 0; I < Outs.size(); ++I) {
+      Outcome &O = Outs[I];
+      SymProb W = applyGuards(Tk.B.W.scaled(O.Prob), O.Guards);
+      if (W.isZero())
+        continue;
+      Branch NB{outcomeEnv(Tk.B, I, Outs.size()), std::move(W)};
+      PsiValue &Slot = NB.Vars[S.Var];
+      if (O.Failed || (S.Kind != PStmtKind::Assign && !Slot.isTuple())) {
+        T.Err += std::move(NB.W); // Failed, or a push on a non-queue value.
+        continue;
+      }
+      if (S.Kind == PStmtKind::Assign)
+        Slot = std::move(O.V);
+      else
+        push(S, Slot, std::move(O.V));
+      Work.push_back({std::move(NB), Tk.K, false});
+    }
+  }
+
+  /// Applies the decided condition of an If/Observe/Assert \p S to \p Tk.
+  /// False when the branch ends: a failed observe drops its mass, a failed
+  /// assert sends it to the error mass.
+  static bool decide(Task &Tk, const PStmt &S, bool Truth, Tally &T) {
+    if (S.Kind == PStmtKind::If) {
+      const std::vector<PStmtPtr> &Block = Truth ? S.Then : S.Else;
+      if (!Block.empty())
+        Tk.K.push_back({&Block, 0, Block.size()});
+      return true;
+    }
+    if (!Truth && S.Kind == PStmtKind::Assert)
+      T.Err += std::move(Tk.B.W);
+    return Truth;
+  }
+
+  /// Notes that \p Tk changed slot \p Slot: an iteration that changes a
+  /// slot live at its Repeat's merge is not a fixpoint.
+  static void touch(Task &Tk, const Pass &C, unsigned Slot) {
+    if (Tk.Still && !(*C.Dead)[Slot])
+      Tk.Still = false;
+  }
+
+  static void write(Task &Tk, const Pass &C, unsigned Slot, PsiValue X) {
+    if (Tk.Still && Tk.B.Vars[Slot] != X)
+      touch(Tk, C, Slot);
+    Tk.B.Vars[Slot] = std::move(X);
+  }
+
+  /// Evaluates \p Cond on \p B through the general evaluator, emitting
+  /// (branch, truth) pairs. Symbolic scalar conditions split on [E != 0] /
+  /// [E == 0]; failures go to \p Err.
   template <typename Fn>
-  void splitCondOne(const PExpr &Cond, Branch &B, SymProb &Err, Fn Emit) {
-    PsiValue V;
-    if (evalConcrete(Cond, B.Vars, V) && V.isRational()) {
-      if (!B.W.isZero())
-        Emit(std::move(B), !V.rational().isZero());
-      return;
-    }
+  void splitCond(const PExpr &Cond, Branch &B, SymProb &Err, Fn Emit) {
     std::vector<Outcome> Outs = eval(Cond, B.Vars);
     for (size_t I = 0; I < Outs.size(); ++I) {
       Outcome &O = Outs[I];
@@ -708,12 +808,8 @@ private:
       if (W.isZero())
         continue;
       Branch NB{outcomeEnv(B, I, Outs.size()), std::move(W)};
-      if (O.Failed) {
-        fail(NB, O.FailReason, Err);
-        continue;
-      }
-      if (!O.V.isScalar()) {
-        fail(NB, "tuple used as a condition", Err);
+      if (O.Failed || !O.V.isScalar()) {
+        Err += std::move(NB.W); // Failed, or a tuple used as a condition.
         continue;
       }
       if (O.V.isRational()) {
@@ -728,65 +824,6 @@ private:
       NB.W = NB.W.restricted(Constraint(E, RelKind::EQ));
       if (!NB.W.isZero())
         Emit(std::move(NB), false);
-    }
-  }
-
-  /// Evaluates a condition across a distribution, calling \p Sink with each
-  /// resulting (branch, truth) pair. Large distributions evaluate in
-  /// parallel shards; the collected pairs are replayed into \p Sink in
-  /// shard order, so Sink runs serially and sees a thread-count-independent
-  /// branch order.
-  template <typename Fn>
-  void splitCond(const PExpr &Cond, Dist &D, Fn Sink) {
-    if (!useParallel(D.size())) {
-      for (Branch &B : D) {
-        if (stopped()) {
-          Aborted = true; // Mid-statement stop; run() restores the boundary.
-          return;
-        }
-        ++Result.BranchesExpanded;
-        chargeBranch(B);
-        splitCondOne(Cond, B, Result.ErrorMass, [&](Branch NB, bool Truth) {
-          Sink(std::move(NB), Truth);
-        });
-      }
-      return;
-    }
-    struct Shard {
-      std::vector<std::pair<Branch, bool>> Out;
-      SymProb Err;
-      size_t Expanded = 0;
-    };
-    const size_t Lanes = Threads;
-    const size_t Chunk = (D.size() + Lanes - 1) / Lanes;
-    std::vector<Shard> Shards(Lanes);
-    ThreadPool::global().parallelFor(Lanes, [&](size_t Lane) {
-      Shard &S = Shards[Lane];
-      size_t Lo = std::min(D.size(), Lane * Chunk);
-      size_t Hi = std::min(D.size(), Lo + Chunk);
-      for (size_t I = Lo; I < Hi; ++I) {
-        if (StopF && StopF->load(std::memory_order_acquire))
-          return; // Drain; partial shard output is discarded by run().
-        ++S.Expanded;
-        chargeBranch(D[I]);
-        splitCondOne(Cond, D[I], S.Err, [&](Branch NB, bool Truth) {
-          S.Out.emplace_back(std::move(NB), Truth);
-        });
-      }
-    }, StopF);
-    if (stopped()) {
-      Aborted = true;
-      return;
-    }
-    if (Result.WorkerBranchesExpanded.size() < Lanes)
-      Result.WorkerBranchesExpanded.resize(Lanes, 0);
-    for (size_t Lane = 0; Lane < Lanes; ++Lane) {
-      Shard &S = Shards[Lane];
-      Result.BranchesExpanded += S.Expanded;
-      Result.WorkerBranchesExpanded[Lane] += S.Expanded;
-      Result.ErrorMass += S.Err;
-      for (auto &[NB, Truth] : S.Out)
-        Sink(std::move(NB), Truth);
     }
   }
 

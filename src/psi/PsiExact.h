@@ -5,13 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Exact inference for PSI IR programs: the program is executed on a
-/// distribution of environments; probabilistic draws and comparisons on
-/// symbolic parameters split the distribution, merge points (If joins, loop
-/// iterations) merge environments that agree on every live slot
-/// (psi/PsiLiveness.h). Weights are exact piecewise rationals. This is
-/// the standalone probabilistic-inference backend that translated Bayonet
-/// programs run on (mirroring the paper's use of the PSI solver).
+/// Exact inference for PSI IR programs over a distribution of weighted
+/// environments. Each environment runs straight through the statements,
+/// one branch at a time; it forks only where a statement has several
+/// outcomes (a draw, a split on a symbolic parameter, a failure). After
+/// every loop iteration, environments that agree on every live slot
+/// (psi/PsiLiveness.h) merge. Weights are exact piecewise rationals. This
+/// is the standalone probabilistic-inference backend that translated
+/// Bayonet programs run on (mirroring the paper's use of the PSI solver).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,19 +43,23 @@ struct PsiExactResult {
 
   /// Outcome of the run: Ok, or why it stopped early (budget/cancellation).
   /// On a non-Ok status the statistics are the partial state as of the last
-  /// completed statement boundary.
+  /// boundary: a top-level statement or an iteration of a top-level loop.
   EngineStatus Status;
   /// Wall-clock time spent inside run(), milliseconds.
   double WallMs = 0;
 
+  /// Environments entering a loop iteration: the analogue of the direct
+  /// engine's configurations run through one scheduler step.
   size_t BranchesExpanded = 0;
+  /// Peak distribution size at a top-level statement or an iteration of a
+  /// top-level loop.
   size_t MaxDistSize = 0;
-  /// Branches expanded per worker lane (parallel statements only; empty
-  /// when everything ran serially). Summed over statements, by lane.
+  /// Branches expanded per worker lane (sharded passes only; empty when
+  /// everything ran serially). Summed over passes, by lane.
   std::vector<size_t> WorkerBranchesExpanded;
   /// Environments that merged into an existing distribution entry.
   size_t MergeHits = 0;
-  /// Merge-table lookups at loop/branch boundaries (hit rate =
+  /// Merge-table lookups after loop iterations (hit rate =
   /// MergeHits/MergeAttempts).
   size_t MergeAttempts = 0;
 
@@ -71,8 +76,8 @@ struct PsiExactResult {
 
 /// Options for the exact PSI engine.
 struct PsiExactOptions {
-  /// Merge environments at merge points, after resetting the slots dead
-  /// there.
+  /// Merge environments after each loop iteration, after resetting the
+  /// slots dead there.
   bool MergeEnvs = true;
   /// Iteration bound for while loops.
   int64_t WhileFuel = 100000;
@@ -82,12 +87,14 @@ struct PsiExactOptions {
   /// (BAYONET_THREADS env or hardware_concurrency); 1 = the serial code
   /// path. Exact weights make results bit-identical for every value.
   unsigned Threads = 0;
-  /// Minimum distribution size before a statement fans out to the pool.
+  /// Minimum distribution size before a pass over it (a top-level
+  /// statement or an iteration of a top-level loop) fans out to the pool.
   size_t ParallelThreshold = 64;
-  /// Optional resource governor. Branch expansions are charged as states,
-  /// statements as scheduler steps; the tracker is consulted at every
-  /// statement boundary, so budget stops are bit-identical for any Threads
-  /// value. Null = ungoverned (no overhead).
+  /// Optional resource governor. Branches entering a loop iteration are
+  /// charged as states and their bytes; top-level statements and
+  /// iterations of top-level loops are scheduler steps, where the tracker
+  /// is consulted and the byte gauge restarts, so budget stops are
+  /// bit-identical for any Threads value. Null = ungoverned (no overhead).
   std::shared_ptr<BudgetTracker> Budget;
   /// Optional observability context: spans per run / top-level statement /
   /// top-level repeat round, metrics charged as deltas at statement

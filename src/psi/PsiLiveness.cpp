@@ -83,7 +83,6 @@ private:
       addUses(*S.E, Live);
       return;
     case PStmtKind::If: {
-      Table[&S].Exit = deadSlots(Live);
       SlotSet Else = Live;
       block(S.Then, Live);
       block(S.Else, Else);

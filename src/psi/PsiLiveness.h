@@ -6,8 +6,8 @@
 ///
 /// \file
 /// Backward liveness over a PSI IR program, reported at the points where
-/// the exact engine merges equal environments: the join after an If, the
-/// per-iteration merge of Repeat and While, and the exit merge of While.
+/// the exact engine merges equal environments: the per-iteration merge of
+/// Repeat and While, and the exit merge of While.
 /// A slot is dead at such a point when no path from it reads the slot
 /// before writing it. Resetting dead slots to a canonical value there lets
 /// environments that agree on everything still live merge — the
@@ -33,11 +33,11 @@ namespace bayonet {
 struct MergeDeadSlots {
   /// After each iteration's body (Repeat, While).
   std::vector<unsigned> Iter;
-  /// At the join after an If, or the exit merge of a While.
+  /// At the exit merge of a While.
   std::vector<unsigned> Exit;
 };
 
-/// Dead-slot lists for every If, Repeat and While statement of a program,
+/// Dead-slot lists for every Repeat and While statement of a program,
 /// keyed by statement.
 using PsiLiveness = std::unordered_map<const PStmt *, MergeDeadSlots>;
 

@@ -237,6 +237,77 @@ TEST(Budget, PsiExactStatesBudgetDeterministicAcrossThreads) {
   }
 }
 
+// PsiExact restarts its byte gauge at every scheduler iteration, like the
+// direct engine at every step, so the gauge measures one iteration's
+// distribution and a byte budget sized from it means the same at any
+// iteration and any thread count.
+TEST(Budget, PsiExactByteBudgetIsPerIteration) {
+  LoadedNetwork Net = load(scenarios::gossip(4));
+  DiagEngine Diags;
+  auto Psi = translateToPsi(Net.Spec, Diags);
+  ASSERT_TRUE(Psi.has_value()) << Diags.toString();
+  auto runWith = [&](unsigned Threads, const BudgetLimits &L,
+                     BudgetSpend *Spent = nullptr) {
+    PsiExactOptions Opts;
+    Opts.Threads = Threads;
+    Opts.ParallelThreshold = 1;
+    Opts.Budget = std::make_shared<BudgetTracker>(L);
+    PsiExactResult R = PsiExact(*Psi, Opts).run();
+    if (Spent)
+      *Spent = Opts.Budget->spendSnapshot();
+    return R;
+  };
+  auto Fingerprint = [&](const PsiExactResult &R) {
+    return R.ErrorMass.toString(Net.Spec.Params) + "|" +
+           std::to_string(R.BranchesExpanded) + "|" +
+           std::to_string(R.MaxDistSize) + "|" +
+           std::to_string(R.MergeAttempts) + "|" +
+           std::to_string(R.MergeHits);
+  };
+  BudgetSpend Free;
+  PsiExactResult Base = runWith(1, BudgetLimits{}, &Free);
+  ASSERT_TRUE(Base.Status.ok()) << Base.Status.toString();
+  ASSERT_GT(Free.PeakBytes, 0u);
+  // The direct engine's gauge, also reset per step, on the same network:
+  // per-iteration bytes are of the same order, not the sum over a loop.
+  ExactOptions EOpts;
+  EOpts.Budget = std::make_shared<BudgetTracker>();
+  ASSERT_TRUE(ExactEngine(Net.Spec, EOpts).run().Status.ok());
+  EXPECT_LE(Free.PeakBytes, 2 * EOpts.Budget->spendSnapshot().PeakBytes);
+
+  BudgetLimits Roomy;
+  Roomy.MaxBytes = 4 * Free.PeakBytes;
+  PsiExactResult Fits = runWith(1, Roomy);
+  ASSERT_TRUE(Fits.Status.ok()) << Fits.Status.toString();
+  EXPECT_TRUE(Fits.QueryMass == Base.QueryMass);
+  EXPECT_EQ(Fingerprint(Fits), Fingerprint(Base));
+
+  BudgetLimits Tight;
+  Tight.MaxBytes = Free.PeakBytes / 2;
+  PsiExactResult Tripped = runWith(1, Tight);
+  ASSERT_EQ(Tripped.Status.Code, StatusCode::BudgetExceeded);
+  EXPECT_EQ(Tripped.Status.Violation.Which, BudgetClass::Bytes);
+  EXPECT_GT(Tripped.BranchesExpanded, 0u);
+  EXPECT_LT(Tripped.BranchesExpanded, Base.BranchesExpanded);
+  for (unsigned Threads : {2u, 8u}) {
+    PsiExactResult R = runWith(Threads, Tight);
+    ASSERT_EQ(R.Status.Code, StatusCode::BudgetExceeded) << Threads;
+    EXPECT_EQ(R.Status.Violation.Which, BudgetClass::Bytes) << Threads;
+    EXPECT_EQ(Fingerprint(R), Fingerprint(Tripped)) << Threads;
+  }
+
+  // The engine's own distribution cap trips at an iteration boundary with
+  // a typed status.
+  PsiExactOptions Capped;
+  Capped.Threads = 1;
+  Capped.MaxDist = Base.MaxDistSize / 2;
+  PsiExactResult R = PsiExact(*Psi, Capped).run();
+  ASSERT_EQ(R.Status.Code, StatusCode::BudgetExceeded);
+  EXPECT_EQ(R.Status.Violation.Which, BudgetClass::Frontier);
+  EXPECT_GT(R.Status.Violation.Observed, Capped.MaxDist);
+  EXPECT_TRUE(R.QueryUnsupported);
+}
+
 TEST(Budget, SamplerSchedStepBudgetDeterministicAcrossThreads) {
   LoadedNetwork Net = load(scenarios::reliabilityChain(2));
   auto runWith = [&](unsigned Threads) {

@@ -818,7 +818,7 @@ TEST(ObsGolden, SmcBudgetTrip) {
 
 TEST(ObsGolden, TranslatedBudgetTrip) {
   expectGolden({"budget_translated_figure2", "figure2.bay",
-                EngineChoice::Translated, 0, 1000000});
+                EngineChoice::Translated, 0, 500000});
 }
 
 TEST(ObsGolden, ExactCheckpointEveryBoundary) {
@@ -849,5 +849,5 @@ TEST(ObsGolden, SmcCancelWritesFinalSnapshot) {
 
 TEST(ObsGolden, TranslatedCancelWritesFinalSnapshot) {
   expectGolden({"cancel_translated_figure2", "figure2.bay",
-                EngineChoice::Translated, 0, 0, "cancel-at-50000", true});
+                EngineChoice::Translated, 0, 0, "cancel-at-1000", true});
 }

@@ -132,6 +132,58 @@ TEST(ParallelDeterminism, PsiExactTranslatedBitIdentical) {
   }
 }
 
+// A loop nested inside a branch runs at distribution level on that one
+// branch, inside the lane that runs the branch: its merges and counts stay
+// lane-local, so a sharded pass over such branches is bit-identical too.
+TEST(ParallelDeterminism, PsiExactNestedLoopsBitIdentical) {
+  // repeat 3 { k = 0; while (k < 2 && flip(1/2)) { k = k + 1; } x = x + k; }
+  // if (x > 2) { repeat 2 { y = y + flip(1/2); } }
+  // k is 0, 1, 2 with probability 1/2, 1/4, 1/4, so E[x] = 9/4; x > 2 has
+  // probability 13/32, so E[x + y] = 9/4 + 13/32 = 85/32.
+  PsiProgram P;
+  unsigned X = P.addVar("x");
+  unsigned Y = P.addVar("y");
+  unsigned K = P.addVar("k");
+  std::vector<PStmtPtr> Inc, Step, Tail, Late;
+  Inc.push_back(sAssign(K, pBin(BinOpKind::Add, pVar(K), pInt(1))));
+  Step.push_back(sAssign(K, pInt(0)));
+  Step.push_back(sWhile(pBin(BinOpKind::And,
+                             pBin(BinOpKind::Lt, pVar(K), pInt(2)),
+                             pFlip(pConst(q(1, 2)))),
+                        std::move(Inc)));
+  Step.push_back(sAssign(X, pBin(BinOpKind::Add, pVar(X), pVar(K))));
+  Late.push_back(
+      sAssign(Y, pBin(BinOpKind::Add, pVar(Y), pFlip(pConst(q(1, 2))))));
+  Tail.push_back(sRepeat(2, std::move(Late)));
+  P.Body.push_back(sAssign(X, pInt(0)));
+  P.Body.push_back(sAssign(Y, pInt(0)));
+  P.Body.push_back(sRepeat(3, std::move(Step)));
+  P.Body.push_back(
+      sIf(pBin(BinOpKind::Gt, pVar(X), pInt(2)), std::move(Tail)));
+  P.Result = pBin(BinOpKind::Add, pVar(X), pVar(Y));
+  P.Kind = QueryKind::Expectation;
+
+  auto runWith = [&](unsigned Threads) {
+    PsiExactOptions Opts;
+    Opts.Threads = Threads;
+    Opts.ParallelThreshold = 1;
+    return PsiExact(P, Opts).run();
+  };
+  PsiExactResult Base = runWith(1);
+  ASSERT_TRUE(Base.concreteValue().has_value());
+  EXPECT_EQ(*Base.concreteValue(), q(85, 32));
+  EXPECT_EQ(Base.OkMass.concreteValue(), q(1));
+  for (unsigned Threads : {2u, 8u}) {
+    PsiExactResult R = runWith(Threads);
+    EXPECT_TRUE(R.QueryMass == Base.QueryMass) << Threads;
+    EXPECT_TRUE(R.OkMass == Base.OkMass) << Threads;
+    EXPECT_TRUE(R.ErrorMass == Base.ErrorMass) << Threads;
+    EXPECT_EQ(R.BranchesExpanded, Base.BranchesExpanded) << Threads;
+    EXPECT_EQ(R.MergeAttempts, Base.MergeAttempts) << Threads;
+    EXPECT_EQ(R.MergeHits, Base.MergeHits) << Threads;
+  }
+}
+
 TEST(ParallelDeterminism, SamplerSeededRunsIdenticalAcrossThreadCounts) {
   DiagEngine Diags;
   auto Net = loadNetwork(scenarios::reliabilityChain(2), Diags);

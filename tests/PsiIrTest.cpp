@@ -263,6 +263,129 @@ TEST(PsiIrTest, ReadThatOnlyDecidesFailureIsAUse) {
   EXPECT_EQ(R.ErrorMass.concreteValue(), q(1, 2));
 }
 
+// Parking: inside a Repeat, a branch whose iteration ran without a fork,
+// without the general evaluator and without changing a live slot skips the
+// remaining iterations. The tests below pin where that must and must not
+// happen.
+
+TEST(PsiIrTest, WhileNeverParksAndSpendsItsFuel) {
+  // while (x == 1) { t = 0; }: the body leaves the live state unchanged,
+  // but a While has no parking, so x = 1 still runs out of fuel.
+  PsiProgram P;
+  unsigned X = P.addVar("x");
+  unsigned T = P.addVar("t");
+  P.Body.push_back(sAssign(X, pFlip(pConst(q(1, 2)))));
+  std::vector<PStmtPtr> Body;
+  Body.push_back(sAssign(T, pInt(0)));
+  P.Body.push_back(
+      sWhile(pBin(BinOpKind::Eq, pVar(X), pInt(1)), std::move(Body)));
+  P.Result = pInt(1);
+  PsiExactOptions Opts;
+  Opts.WhileFuel = 50;
+  PsiExactResult R = PsiExact(P, Opts).run();
+  EXPECT_EQ(R.ErrorMass.concreteValue(), q(1, 2));
+  EXPECT_EQ(R.OkMass.concreteValue(), q(1, 2));
+  // Both environments enter the first iteration, x = 1 all 50.
+  EXPECT_EQ(R.BranchesExpanded, 51u);
+}
+
+/// repeat 6 { if (done == 0) { x = x + flip(1/2); k = k + 1;
+/// done = flip(1/3); } }: k records when an environment stopped, so the
+/// stopped ones stay distinct. When \p Counter, a live iteration counter
+/// c = c + 1 keeps every environment changing, so nothing can park.
+PsiProgram stopAtRandom(bool Counter) {
+  PsiProgram P;
+  unsigned X = P.addVar("x");
+  unsigned K = P.addVar("k");
+  unsigned Done = P.addVar("done");
+  unsigned C = P.addVar("c");
+  std::vector<PStmtPtr> Then, Body;
+  Then.push_back(
+      sAssign(X, pBin(BinOpKind::Add, pVar(X), pFlip(pConst(q(1, 2))))));
+  Then.push_back(sAssign(K, pBin(BinOpKind::Add, pVar(K), pInt(1))));
+  Then.push_back(sAssign(Done, pFlip(pConst(q(1, 3)))));
+  Body.push_back(
+      sIf(pBin(BinOpKind::Eq, pVar(Done), pInt(0)), std::move(Then)));
+  if (Counter)
+    Body.push_back(sAssign(C, pBin(BinOpKind::Add, pVar(C), pInt(1))));
+  for (unsigned Slot : {X, K, Done, C})
+    P.Body.push_back(sAssign(Slot, pInt(0)));
+  P.Body.push_back(sRepeat(6, std::move(Body)));
+  // x + 0 * (k + c) keeps k and c live to the end.
+  P.Result = pBin(
+      BinOpKind::Add, pVar(X),
+      pBin(BinOpKind::Mul, pInt(0), pBin(BinOpKind::Add, pVar(K), pVar(C))));
+  P.Kind = QueryKind::Expectation;
+  return P;
+}
+
+TEST(PsiIrTest, ParkedAndDrawingEnvironmentsMix) {
+  // Environments with done = 1 reach a fixpoint and park while the others
+  // keep drawing. E[x] = 1/2 * sum_{k<6} (2/3)^k = 3/2 * (1 - (2/3)^6).
+  PsiExactResult Parked = runBothWays(stopAtRandom(false));
+  EXPECT_EQ(*Parked.concreteValue(), q(665, 486));
+  EXPECT_EQ(Parked.OkMass.concreteValue(), q(1));
+  // The twin whose counter rules parking out gives the same masses.
+  PsiExactResult Twin = runBothWays(stopAtRandom(true));
+  EXPECT_TRUE(Twin.QueryMass == Parked.QueryMass);
+  EXPECT_TRUE(Twin.OkMass == Parked.OkMass);
+  EXPECT_TRUE(Twin.ErrorMass == Parked.ErrorMass);
+  EXPECT_LT(Parked.BranchesExpanded, Twin.BranchesExpanded);
+}
+
+TEST(PsiIrTest, FixpointRewritingADeadTemporaryParks) {
+  // repeat 1000 { n = x < 3; if (n > 0) { x = x + 1; } }: from x = 3 on,
+  // every iteration writes n = 0 and nothing else. n is dead at the merge
+  // (the translator's __n guard), so the environment parks at iteration 4
+  // and the loop ends there.
+  PsiProgram P;
+  unsigned X = P.addVar("x");
+  unsigned N = P.addVar("n");
+  std::vector<PStmtPtr> Then, Body;
+  Then.push_back(sAssign(X, pBin(BinOpKind::Add, pVar(X), pInt(1))));
+  Body.push_back(sAssign(N, pBin(BinOpKind::Lt, pVar(X), pInt(3))));
+  Body.push_back(
+      sIf(pBin(BinOpKind::Gt, pVar(N), pInt(0)), std::move(Then)));
+  P.Body.push_back(sAssign(X, pInt(0)));
+  P.Body.push_back(sRepeat(1000, std::move(Body)));
+  P.Result = pVar(X);
+  P.Kind = QueryKind::Expectation;
+  ASSERT_TRUE(deadAtIter(P, *P.Body[1], N));
+  PsiExactResult R = PsiExact(P).run();
+  EXPECT_EQ(*R.concreteValue(), q(3));
+  EXPECT_EQ(R.BranchesExpanded, 4u);
+}
+
+TEST(PsiIrTest, FailedObserveIsNeverParked) {
+  // repeat 5 { observe(x == 1); } with x = flip(1/2): x = 1 parks, x = 0
+  // is dropped by the observe and must stay dropped after the loop.
+  PsiProgram P;
+  unsigned X = P.addVar("x");
+  P.Body.push_back(sAssign(X, pFlip(pConst(q(1, 2)))));
+  std::vector<PStmtPtr> Body;
+  Body.push_back(sObserve(pBin(BinOpKind::Eq, pVar(X), pInt(1))));
+  P.Body.push_back(sRepeat(5, std::move(Body)));
+  P.Result = pVar(X);
+  PsiExactResult R = runBothWays(P);
+  EXPECT_EQ(R.OkMass.concreteValue(), q(1, 2));
+  EXPECT_EQ(*R.concreteValue(), q(1));
+  EXPECT_EQ(R.BranchesExpanded, 2u);
+}
+
+TEST(PsiIrTest, ForkingIterationIsNeverParked) {
+  // repeat 3 { observe(flip(1/2)); }: the surviving branch leaves every
+  // slot unchanged but halves its weight, so it must run all three
+  // iterations: Ok mass 1/8, not the 1/2 a parked branch would keep.
+  PsiProgram P;
+  std::vector<PStmtPtr> Body;
+  Body.push_back(sObserve(pFlip(pConst(q(1, 2)))));
+  P.Body.push_back(sRepeat(3, std::move(Body)));
+  P.Result = pInt(1);
+  PsiExactResult R = runBothWays(P);
+  EXPECT_EQ(R.OkMass.concreteValue(), q(1, 8));
+  EXPECT_EQ(R.BranchesExpanded, 3u);
+}
+
 TEST(PsiIrTest, TupleConstructionAndProjection) {
   PsiProgram P;
   unsigned T = P.addVar("t");
