@@ -17,10 +17,16 @@
 ///                [--on-budget-exceeded fail|fallback-smc]
 ///                [--param NAME=VALUE]...
 ///                [--emit-psi] [--emit-webppl]
-///                [--stats[=full]] [--dist]
+///                [--stats] [--dist]
 ///                [--trace-out FILE] [--metrics-out FILE] [--diag-out FILE]
-///                [--profile-out FILE] [--profile-format json|collapsed|
-///                speedscope] [--profile-annotate] [--log-json]
+///                [--profile-out FILE] [--profile-format json|collapsed]
+///                [--profile-annotate]
+///                [--checkpoint-out FILE] [--checkpoint-every N]
+///                [--resume FILE]
+///
+/// Flags are the only configuration. The one environment variable read is
+/// the test hook BAYONET_FAULT (e.g. "crash-at-checkpoint=3"), so a test can
+/// kill a real process at a checkpoint and resume it.
 ///
 /// Exit codes: 0 = answered, 1 = query unsupported by the engine,
 /// 2 = invalid input (usage, parse, check, untranslatable), 3 = budget
@@ -29,7 +35,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "api/Bayonet.h"
-#include "obs/Log.h"
 #include "support/Diag.h"
 #include "support/Snapshot.h"
 #include "support/ThreadPool.h"
@@ -113,8 +118,6 @@ void usage() {
       "program\n"
       "  --stats                                print engine statistics and "
       "resource spend\n"
-      "  --stats=full                           also print the full metrics "
-      "table on stderr\n"
       "  --dist                                 print the exact terminal "
       "distribution\n"
       "  --trace-out FILE                       write a Chrome-trace JSON "
@@ -127,15 +130,12 @@ void usage() {
       "merge trajectory)\n"
       "  --profile-out FILE                     write a source-attributed "
       "cost profile\n"
-      "  --profile-format json|collapsed|speedscope\n"
-      "                                         profile renderer (collapsed "
-      "feeds flamegraph.pl,\n"
-      "                                         speedscope loads at "
-      "speedscope.app; default json)\n"
+      "  --profile-format json|collapsed        profile renderer (collapsed "
+      "feeds flamegraph.pl\n"
+      "                                         and speedscope; default "
+      "json)\n"
       "  --profile-annotate                     print the source annotated "
       "with %% states / %% time\n"
-      "  --log-json                             one JSON object per stderr "
-      "log line\n"
       "  --checkpoint-out FILE                  write durable snapshots of "
       "the run\n"
       "  --checkpoint-every N                   snapshot every N serial "
@@ -145,22 +145,9 @@ void usage() {
       "\n"
       "Every value flag also takes the --flag=VALUE form.\n"
       "\n"
-      "Checkpointing also turns on via BAYONET_CHECKPOINT_OUT=FILE,\n"
-      "BAYONET_CHECKPOINT_EVERY=N and BAYONET_RESUME=FILE (flags win).\n"
       "SIGINT/SIGTERM cancel gracefully: workers drain, a final snapshot\n"
       "is written, exporters flush, and the exit code is 3.\n"
-      "\n"
-      "Tracing/metrics/diagnostics/profiling also turn on via\n"
-      "BAYONET_TRACE=FILE, BAYONET_METRICS=FILE, BAYONET_DIAG=FILE and\n"
-      "BAYONET_PROFILE=FILE (flags win over the environment). Diagnostics\n"
-      "print degeneracy warnings on stderr. The profile format and log\n"
-      "framing also turn on via BAYONET_PROFILE_FORMAT=json|collapsed|\n"
-      "speedscope and BAYONET_LOG_JSON=1.\n"
-      "\n"
-      "Budget flags default from BAYONET_DEADLINE_MS, BAYONET_MAX_STATES,\n"
-      "BAYONET_MAX_FRONTIER, BAYONET_MAX_MERGES, BAYONET_MAX_BYTES,\n"
-      "BAYONET_MAX_SCHED_STEPS, BAYONET_FAULT and "
-      "BAYONET_ON_BUDGET_EXCEEDED.\n"
+      "--diag-out also prints degeneracy warnings on stderr.\n"
       "\n"
       "exit codes: 0 ok, 1 query unsupported, 2 invalid input, 3 budget "
       "exceeded\n"
@@ -191,24 +178,20 @@ int exitCodeFor(const EngineStatus &S, bool QueryUnsupported) {
 int runMain(int argc, char **argv) {
   std::string FileName, Engine = "exact";
   InferenceOptions IOpts;
-  IOpts.Limits = BudgetLimits::fromEnv();
-  if (const char *Env = std::getenv("BAYONET_ON_BUDGET_EXCEEDED")) {
-    if (std::strcmp(Env, "fallback-smc") == 0)
-      IOpts.OnBudgetExceeded = BudgetPolicy::FallbackSmc;
-    else if (std::strcmp(Env, "fail") != 0) {
-      reportError(std::string("bad BAYONET_ON_BUDGET_EXCEEDED '") + Env +
-                  "' (want fail or fallback-smc)");
-      return 2;
-    }
+  // The CLI hard-exits on an injected crash fault (emulating a killed
+  // process); in-process tests use soft crashes instead.
+  CheckpointOptions CkOpts;
+  CkOpts.HardExit = true;
+  // BAYONET_FAULT is a test hook, not a setting: it arms fault injection in
+  // the budget and snapshot layers, each ignoring the other's tokens.
+  if (const char *Fault = std::getenv("BAYONET_FAULT")) {
+    IOpts.Limits.Fault = Fault;
+    CkOpts.Fault = Fault;
   }
   bool EmitPsi = false, EmitWebPpl = false, Stats = false, Dist = false;
-  bool StatsFull = false;
   std::string TraceFile, MetricsFile, DiagFile;
-  std::string ProfileFile, ProfileFormatStr;
+  std::string ProfileFile, ProfileFormat = "json";
   bool ProfileAnnotate = false;
-  bool LogJson = false;
-  std::string CheckpointOut, ResumePath;
-  uint64_t CheckpointEvery = 0; // 0 = flag unset (env or default applies).
   std::vector<std::pair<std::string, Rational>> ParamBinds;
 
   for (int I = 1; I < argc; ++I) {
@@ -277,14 +260,14 @@ int runMain(int argc, char **argv) {
         takeNum("--max-merges", IOpts.Limits.MaxMerges) ||
         takeNum("--max-bytes", IOpts.Limits.MaxBytes) ||
         takeNum("--max-sched-steps", IOpts.Limits.MaxSchedSteps) ||
-        takeNum("--checkpoint-every", CheckpointEvery, 1) ||
+        takeNum("--checkpoint-every", CkOpts.Every, 1) ||
         takeValue("--trace-out", TraceFile) ||
         takeValue("--metrics-out", MetricsFile) ||
         takeValue("--diag-out", DiagFile) ||
         takeValue("--profile-out", ProfileFile) ||
-        takeValue("--profile-format", ProfileFormatStr) ||
-        takeValue("--checkpoint-out", CheckpointOut) ||
-        takeValue("--resume", ResumePath)) {
+        takeValue("--profile-format", ProfileFormat) ||
+        takeValue("--checkpoint-out", CkOpts.OutPath) ||
+        takeValue("--resume", CkOpts.ResumePath)) {
       // Handled by the helper.
     } else if (takeValue("--on-budget-exceeded", Val)) {
       if (Val == "fail")
@@ -314,14 +297,9 @@ int runMain(int argc, char **argv) {
       EmitWebPpl = true;
     else if (Arg == "--stats")
       Stats = true;
-    else if (Arg == "--stats=full") {
-      Stats = true;
-      StatsFull = true;
-    } else if (Arg == "--profile-annotate") {
+    else if (Arg == "--profile-annotate")
       ProfileAnnotate = true;
-    } else if (Arg == "--log-json") {
-      LogJson = true;
-    } else if (Arg == "--dist")
+    else if (Arg == "--dist")
       Dist = true;
     else if (Arg == "--help" || Arg == "-h") {
       usage();
@@ -356,67 +334,25 @@ int runMain(int argc, char **argv) {
   }
   IOpts.CollectTerminals = Dist;
 
-  // Observability: flags win, BAYONET_TRACE / BAYONET_METRICS fill in
-  // whichever output the flags left unset. --stats=full needs the metrics
-  // registry live even without a metrics file.
-  if (const char *Env = std::getenv("BAYONET_TRACE"); Env && TraceFile.empty())
-    TraceFile = Env;
-  if (const char *Env = std::getenv("BAYONET_METRICS");
-      Env && MetricsFile.empty())
-    MetricsFile = Env;
-  if (const char *Env = std::getenv("BAYONET_DIAG"); Env && DiagFile.empty())
-    DiagFile = Env;
-  if (const char *Env = std::getenv("BAYONET_PROFILE");
-      Env && ProfileFile.empty())
-    ProfileFile = Env;
-  if (const char *Env = std::getenv("BAYONET_PROFILE_FORMAT");
-      Env && ProfileFormatStr.empty())
-    ProfileFormatStr = Env;
-  if (const char *Env = std::getenv("BAYONET_LOG_JSON");
-      Env && *Env && std::strcmp(Env, "0") != 0)
-    LogJson = true;
-  setLogJson(LogJson);
-  enum class ProfileFormat { Json, Collapsed, Speedscope };
-  ProfileFormat ProfileFmt = ProfileFormat::Json;
-  if (!ProfileFormatStr.empty()) {
-    if (ProfileFormatStr == "json")
-      ProfileFmt = ProfileFormat::Json;
-    else if (ProfileFormatStr == "collapsed")
-      ProfileFmt = ProfileFormat::Collapsed;
-    else if (ProfileFormatStr == "speedscope")
-      ProfileFmt = ProfileFormat::Speedscope;
-    else {
-      std::fprintf(stderr,
-                   "error: --profile-format expects json, collapsed, or "
-                   "speedscope, got '%s'\n",
-                   ProfileFormatStr.c_str());
-      return 2;
-    }
+  if (ProfileFormat != "json" && ProfileFormat != "collapsed") {
+    std::fprintf(stderr,
+                 "error: --profile-format expects json or collapsed, got "
+                 "'%s'\n",
+                 ProfileFormat.c_str());
+    return 2;
   }
   bool WantProfile = !ProfileFile.empty() || ProfileAnnotate;
   std::shared_ptr<ObsContext> ObsCtx;
   if (!TraceFile.empty() || !MetricsFile.empty() || !DiagFile.empty() ||
-      StatsFull || WantProfile)
+      WantProfile)
     ObsCtx = std::make_shared<ObsContext>(
         /*EnableTrace=*/!TraceFile.empty(),
-        /*EnableMetrics=*/!MetricsFile.empty() || StatsFull,
+        /*EnableMetrics=*/!MetricsFile.empty(),
         /*EnableDiag=*/!DiagFile.empty(),
         /*EnableProfile=*/WantProfile);
   ObsHandle Obs(ObsCtx);
   IOpts.Obs = ObsCtx;
 
-  // Checkpoint/restore: flags win, BAYONET_CHECKPOINT_OUT /
-  // BAYONET_CHECKPOINT_EVERY / BAYONET_RESUME fill in what they left
-  // unset. The CLI hard-exits on an injected crash fault (emulating a
-  // killed process); in-process tests use soft crashes instead.
-  CheckpointOptions CkOpts = CheckpointOptions::fromEnv();
-  if (!CheckpointOut.empty())
-    CkOpts.OutPath = CheckpointOut;
-  if (!ResumePath.empty())
-    CkOpts.ResumePath = ResumePath;
-  if (CheckpointEvery)
-    CkOpts.Every = CheckpointEvery;
-  CkOpts.HardExit = true;
   std::shared_ptr<Checkpointer> Checkpoint;
   if (CkOpts.enabled()) {
     Checkpoint = std::make_shared<Checkpointer>(CkOpts);
@@ -431,9 +367,8 @@ int runMain(int argc, char **argv) {
   // Writes the requested exporter files; called once all spans are closed.
   // Captures by value so main()'s catch handlers can still flush through
   // GFlushObs after this frame has unwound.
-  auto exportObs = [ObsCtx, TraceFile, MetricsFile, DiagFile, StatsFull,
-                    ProfileFile, ProfileFmt, ProfileAnnotate,
-                    FileName]() -> bool {
+  auto exportObs = [ObsCtx, TraceFile, MetricsFile, DiagFile, ProfileFile,
+                    ProfileFormat, ProfileAnnotate, FileName]() -> bool {
     if (!ObsCtx)
       return true;
     if (ObsCtx->metrics()) {
@@ -464,29 +399,16 @@ int runMain(int argc, char **argv) {
       DiagReport DR = ObsCtx->diag()->report();
       if (!writeFile(DiagFile, DR.toJson()))
         return false;
-      // The degeneracy / blowup warning line(s) — the classic human line,
-      // or one JSON object each under --log-json.
+      // The degeneracy / blowup warnings, also in the report's "warnings".
       for (const std::string &W : DR.Summary.Warnings)
-        logLine(LogLevel::Warn, "diag.warning", W,
-                {{"engine", DR.Summary.Engine}});
+        std::fprintf(stderr, "warning: %s\n", W.c_str());
     }
     if (Profiler *P = ObsCtx->profiler()) {
-      if (!ProfileFile.empty()) {
-        std::string Text;
-        switch (ProfileFmt) {
-        case ProfileFormat::Json:
-          Text = P->renderJson();
-          break;
-        case ProfileFormat::Collapsed:
-          Text = P->renderCollapsed();
-          break;
-        case ProfileFormat::Speedscope:
-          Text = P->renderSpeedscope();
-          break;
-        }
-        if (!writeFile(ProfileFile, Text))
-          return false;
-      }
+      if (!ProfileFile.empty() &&
+          !writeFile(ProfileFile, ProfileFormat == "collapsed"
+                                      ? P->renderCollapsed()
+                                      : P->renderJson()))
+        return false;
       if (ProfileAnnotate) {
         std::ifstream In(FileName);
         std::stringstream Src;
@@ -494,8 +416,6 @@ int runMain(int argc, char **argv) {
         std::fprintf(stderr, "%s", P->renderAnnotated(Src.str()).c_str());
       }
     }
-    if (StatsFull)
-      std::fprintf(stderr, "%s", ObsCtx->renderFullStats().c_str());
     return true;
   };
   GFlushObs = [exportObs] { (void)exportObs(); };

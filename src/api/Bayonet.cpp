@@ -33,6 +33,13 @@ const char *bayonet::engineChoiceName(EngineChoice E) {
 
 namespace {
 
+/// Fallback sizing: particles per millisecond of remaining deadline (floor
+/// 64, cap InferenceOptions::Particles).
+constexpr unsigned FallbackParticlesPerMs = 8;
+
+/// The CrossCheckTv exact reference gives up past this many states.
+constexpr uint64_t TvRefMaxStates = 200000;
+
 ResourceSpend spendOf(const BudgetTracker &T, double WallMs) {
   ResourceSpend S;
   S.StatesExpanded = T.statesSpent();
@@ -126,14 +133,7 @@ InferenceResult bayonet::runInference(const LoadedNetwork &Net,
   ObsHandle O(Opts.Obs);
   try {
     auto Tracker = std::make_shared<BudgetTracker>(Opts.Limits, Opts.Cancel);
-    // Checkpoint/restore driver: explicit, or built from the environment
-    // (BAYONET_CHECKPOINT_OUT / BAYONET_CHECKPOINT_EVERY / BAYONET_RESUME).
-    std::shared_ptr<Checkpointer> Checkpoint = Opts.Checkpoint;
-    if (!Checkpoint) {
-      CheckpointOptions CO = CheckpointOptions::fromEnv();
-      if (CO.enabled())
-        Checkpoint = std::make_shared<Checkpointer>(CO);
-    }
+    const std::shared_ptr<Checkpointer> &Checkpoint = Opts.Checkpoint;
     if (Checkpoint) {
       // Restore before the "inference" span opens: the snapshot's trace is
       // installed wholesale and its open spans (this one included) are
@@ -182,7 +182,7 @@ InferenceResult bayonet::runInference(const LoadedNetwork &Net,
       BudgetLimits FallbackLimits; // The fallback gets time budget only.
       if (RemainMs >= 0) {
         uint64_t Sized =
-            static_cast<uint64_t>(RemainMs) * Opts.FallbackParticlesPerMs;
+            static_cast<uint64_t>(RemainMs) * FallbackParticlesPerMs;
         Particles = static_cast<unsigned>(std::clamp<uint64_t>(
             Sized, 64, Opts.Particles ? Opts.Particles : 64));
         // Keep the fallback itself bounded, but give it enough room to
@@ -223,7 +223,7 @@ InferenceResult bayonet::runInference(const LoadedNetwork &Net,
       ExactOptions EO;
       EO.Threads = Opts.Threads;
       BudgetLimits RefLimits;
-      RefLimits.MaxStates = Opts.TvRefMaxStates;
+      RefLimits.MaxStates = TvRefMaxStates;
       EO.Budget = std::make_shared<BudgetTracker>(RefLimits, Opts.Cancel);
       ExactResult Ref = ExactEngine(Net.Spec, EO).run();
       if (Ref.Status.Code == StatusCode::Ok && !Ref.QueryUnsupported)

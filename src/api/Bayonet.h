@@ -85,12 +85,17 @@ enum class BudgetPolicy : uint8_t {
   FallbackSmc, ///< Degrade to SMC sized from the remaining time budget.
 };
 
-/// Options for a governed inference run through runInference().
+/// Options for a governed inference run through runInference(). These
+/// fields are the only configuration: runInference reads no environment
+/// variable. The two test hooks live elsewhere: BAYONET_THREADS sets the
+/// ThreadPool's process default, and the CLI maps BAYONET_FAULT onto
+/// BudgetLimits::Fault and CheckpointOptions::Fault.
 struct InferenceOptions {
   EngineChoice Engine = EngineChoice::Exact;
   unsigned Particles = 1000; ///< For the sampling engines and the fallback.
   uint64_t Seed = 0x5eed;
-  unsigned Threads = 0;          ///< 0 = process default, 1 = serial.
+  /// 0 = process default (BAYONET_THREADS or the hardware), 1 = serial.
+  unsigned Threads = 0;
   bool CollectTerminals = false; ///< Exact engine: keep the terminal dist.
   /// Exact engine: byte cap for the successor-transition cache (--txcache).
   /// 0 disables it; results are bit-identical either way.
@@ -98,16 +103,12 @@ struct InferenceOptions {
   /// Exact engine: byte cap for the hash-consing intern arena (--intern).
   /// 0 disables it; results are bit-identical either way.
   uint64_t InternBytes = InternDefaultBytes;
-  /// Resource budgets (default: unlimited). See BudgetLimits::fromEnv()
-  /// for the BAYONET_* environment variables.
+  /// Resource budgets (default: unlimited).
   BudgetLimits Limits;
   BudgetPolicy OnBudgetExceeded = BudgetPolicy::Fail;
   /// Cooperative cancellation handle; requestCancel() stops the run (and
   /// any fallback) promptly, draining in-flight pool workers.
   CancelToken Cancel;
-  /// Fallback sizing heuristic: particles per millisecond of remaining
-  /// deadline (floor 64, cap Particles). Ignored without a deadline.
-  unsigned FallbackParticlesPerMs = 8;
   /// Optional observability context, threaded through to the engine that
   /// runs (and the fallback). The run emits an "inference" span, budget
   /// trips and fallbacks become trace events and counters. Null = off.
@@ -115,15 +116,12 @@ struct InferenceOptions {
   /// Cross-engine check: after a sampling engine answers a probability
   /// query, run a small budgeted exact reference and record the total
   /// variation divergence |p_exact - p_smc| in the diagnostics. The
-  /// reference is silently skipped when it exceeds TvRefMaxStates (exact
+  /// reference is silently skipped when it exceeds 200,000 states (exact
   /// inference was not cheap). Off by default.
   bool CrossCheckTv = false;
-  uint64_t TvRefMaxStates = 200000;
   /// Optional durable checkpoint/restore driver (support/Snapshot.h),
   /// threaded into the primary engine (never the SMC fallback or the
-  /// cross-check reference). When null, one is created automatically from
-  /// the BAYONET_CHECKPOINT_OUT / BAYONET_CHECKPOINT_EVERY /
-  /// BAYONET_RESUME environment variables when any is set.
+  /// cross-check reference). Null = no checkpointing.
   std::shared_ptr<Checkpointer> Checkpoint;
 };
 

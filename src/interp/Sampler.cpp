@@ -16,6 +16,13 @@
 
 using namespace bayonet;
 
+namespace {
+
+/// SMC resamples when the live fraction of particles drops below this.
+constexpr double ResampleThreshold = 0.5;
+
+} // namespace
+
 void Sampler::initParticle(Population &Pop, size_t I,
                            int64_t InitSchedState) const {
   NetConfig &Config = Pop.Configs[I];
@@ -129,10 +136,10 @@ SampleResult Sampler::run() const {
   };
   Boundary Bound(EngineKind::Smc, EngineName, Opts.Obs.get(), BT, CP);
   if (CP) {
-    // The resample threshold enters bit-exactly: a double compares by value
-    // only through its bit pattern.
+    // The resample threshold stays in the fingerprint, bit-exactly, so
+    // SMC snapshots written by earlier builds still match and resume.
     uint64_t ThresholdBits = 0;
-    std::memcpy(&ThresholdBits, &Opts.ResampleThreshold,
+    std::memcpy(&ThresholdBits, &ResampleThreshold,
                 sizeof(ThresholdBits));
     Bound.SpecFp = specFingerprint(Spec);
     Bound.OptsFp = Fingerprint()
@@ -309,7 +316,7 @@ SampleResult Sampler::run() const {
     // stream (identical copies sharing a stream would evolve identically).
     bool DidResample = false;
     if (Opts.Mode == SampleOptions::Method::Smc && Alive > 0 &&
-        Alive < Opts.Particles * Opts.ResampleThreshold) {
+        Alive < Opts.Particles * ResampleThreshold) {
       DidResample = true;
       Span ResampleSpan = O.span("smc.resample");
       Profiler::Scope ProfResampleScope(PF, "resample");

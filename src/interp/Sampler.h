@@ -37,8 +37,6 @@ struct SampleOptions {
   Method Mode = Method::Smc;
   unsigned Particles = 1000;
   uint64_t Seed = 0x5eed;
-  /// SMC resamples when the live fraction drops below this threshold.
-  double ResampleThreshold = 0.5;
   /// Worker lanes for particle stepping. 0 = the process default
   /// (BAYONET_THREADS env or hardware_concurrency); 1 = serial. Each
   /// particle owns an independent PRNG substream (xoshiro jump splitting)

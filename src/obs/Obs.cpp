@@ -6,9 +6,6 @@
 
 #include "obs/Obs.h"
 
-#include <cstdio>
-#include <cstdlib>
-
 using namespace bayonet;
 
 ObsContext::ObsContext(bool EnableTrace, bool EnableMetrics, bool EnableDiag,
@@ -95,64 +92,4 @@ ObsContext::ObsContext(bool EnableTrace, bool EnableMetrics, bool EnableDiag,
   Ids.CheckpointBytes = Reg->counter(
       "bayonet_checkpoint_bytes_total",
       "Total snapshot bytes written by the Checkpointer");
-}
-
-std::string ObsContext::renderFullStats() const {
-  std::string Out = "=== bayonet stats (full) ===\n";
-  if (!Reg) {
-    Out += "(metrics disabled)\n";
-    return Out;
-  }
-  char Buf[160];
-  for (const MetricValue &V : Reg->snapshot()) {
-    switch (V.Kind) {
-    case MetricKind::Counter:
-    case MetricKind::Gauge:
-      std::snprintf(Buf, sizeof(Buf), "%-36s %12llu\n", V.Name.c_str(),
-                    static_cast<unsigned long long>(V.Value));
-      Out += Buf;
-      break;
-    case MetricKind::Histogram: {
-      std::snprintf(Buf, sizeof(Buf), "%-36s count=%llu sum=%.3f\n",
-                    V.Name.c_str(),
-                    static_cast<unsigned long long>(V.Value), V.Sum);
-      Out += Buf;
-      for (size_t I = 0; I < V.BucketCounts.size(); ++I) {
-        if (I < V.BucketBounds.size())
-          std::snprintf(Buf, sizeof(Buf), "  le=%-10g %12llu\n",
-                        V.BucketBounds[I],
-                        static_cast<unsigned long long>(V.BucketCounts[I]));
-        else
-          std::snprintf(Buf, sizeof(Buf), "  le=+Inf      %12llu\n",
-                        static_cast<unsigned long long>(V.BucketCounts[I]));
-        Out += Buf;
-      }
-      break;
-    }
-    }
-  }
-  return Out;
-}
-
-std::shared_ptr<ObsContext> bayonet::obsFromEnv(std::string &TraceOut,
-                                                std::string &MetricsOut,
-                                                std::string &DiagOut,
-                                                std::string &ProfileOut) {
-  const char *T = std::getenv("BAYONET_TRACE");
-  const char *M = std::getenv("BAYONET_METRICS");
-  const char *D = std::getenv("BAYONET_DIAG");
-  const char *P = std::getenv("BAYONET_PROFILE");
-  if (T && *T)
-    TraceOut = T;
-  if (M && *M)
-    MetricsOut = M;
-  if (D && *D)
-    DiagOut = D;
-  if (P && *P)
-    ProfileOut = P;
-  if (TraceOut.empty() && MetricsOut.empty() && DiagOut.empty() &&
-      ProfileOut.empty())
-    return nullptr;
-  return std::make_shared<ObsContext>(!TraceOut.empty(), !MetricsOut.empty(),
-                                      !DiagOut.empty(), !ProfileOut.empty());
 }

@@ -76,11 +76,6 @@ public:
   const Profiler *profiler() const { return Prof.get(); }
   const EngineMetricIds &ids() const { return Ids; }
 
-  /// Enriched human-readable stats table (the `--stats=full` view):
-  /// every registered metric with its aggregated value, histograms with
-  /// count/sum/buckets.
-  std::string renderFullStats() const;
-
 private:
   std::unique_ptr<Tracer> Trace;
   std::unique_ptr<MetricsRegistry> Reg;
@@ -150,15 +145,6 @@ public:
 private:
   ObsContext *Ctx = nullptr;
 };
-
-/// Builds an ObsContext from the BAYONET_TRACE / BAYONET_METRICS /
-/// BAYONET_DIAG / BAYONET_PROFILE environment variables (each names an
-/// output file). Returns null when none is set. The file paths come back
-/// through the out-params so the caller can export after the run.
-std::shared_ptr<ObsContext> obsFromEnv(std::string &TraceOut,
-                                       std::string &MetricsOut,
-                                       std::string &DiagOut,
-                                       std::string &ProfileOut);
 
 } // namespace bayonet
 

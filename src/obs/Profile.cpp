@@ -322,67 +322,6 @@ std::string Profiler::renderCollapsed() const {
   return Out;
 }
 
-std::string Profiler::renderSpeedscope() const {
-  // speedscope "sampled" profile: one sample per frame carrying its self
-  // weight; the viewer folds the shared stacks into a flamegraph.
-  std::vector<uint32_t> Slots = sortedSlots();
-  std::string Frames, Samples, Weights;
-  uint64_t Total = 0;
-  // Frame table index per site (sites without weight still appear as
-  // ancestors inside samples).
-  std::vector<uint32_t> FrameIdx(Sites.size(), InvalidSlot);
-  uint32_t NextFrame = 0;
-  auto frameOf = [&](uint32_t S) {
-    if (FrameIdx[S] == InvalidSlot) {
-      if (NextFrame)
-        Frames += ",";
-      Frames += "{\"name\":" + jsonEsc(Sites[S].Label);
-      if (Sites[S].Loc.isValid())
-        Frames += ",\"line\":" + std::to_string(Sites[S].Loc.Line) +
-                  ",\"col\":" + std::to_string(Sites[S].Loc.Col);
-      Frames += "}";
-      FrameIdx[S] = NextFrame++;
-    }
-    return FrameIdx[S];
-  };
-  bool FirstSample = true;
-  for (uint32_t S : Slots) {
-    uint64_t Weight = selfWeight(Cells[S]);
-    if (!Weight)
-      continue;
-    std::vector<uint32_t> Chain;
-    for (uint32_t P = S; P != InvalidSlot; P = Sites[P].Parent)
-      Chain.push_back(P);
-    std::string Sample = "[";
-    for (size_t I = Chain.size(); I-- > 0;) {
-      Sample += std::to_string(frameOf(Chain[I]));
-      if (I)
-        Sample += ",";
-    }
-    Sample += "]";
-    if (!FirstSample) {
-      Samples += ",";
-      Weights += ",";
-    }
-    FirstSample = false;
-    Samples += Sample;
-    Weights += std::to_string(Weight);
-    Total += Weight;
-  }
-  std::string Out =
-      "{\"$schema\":\"https://www.speedscope.app/file-format-schema.json\"";
-  Out += ",\"shared\":{\"frames\":[" + Frames + "]}";
-  Out += ",\"profiles\":[{\"type\":\"sampled\"";
-  Out += ",\"name\":\"bayonet profile (self work units)\"";
-  Out += ",\"unit\":\"none\",\"startValue\":0";
-  Out += ",\"endValue\":" + std::to_string(Total);
-  Out += ",\"samples\":[" + Samples + "]";
-  Out += ",\"weights\":[" + Weights + "]}]";
-  Out += ",\"name\":\"bayonet\",\"activeProfileIndex\":0";
-  Out += ",\"exporter\":\"bayonet\"}\n";
-  return Out;
-}
-
 std::string Profiler::renderAnnotated(std::string_view Source) const {
   // Fold self costs onto source lines.
   struct LineCost {

@@ -27,9 +27,9 @@
 /// the snapshot's common section). Time and allocation columns are
 /// explicitly nondeterministic and excluded from every fingerprint.
 ///
-/// Export views: deterministic JSON (count columns sorted by key),
-/// collapsed-stack and speedscope flamegraphs, and an annotated source
-/// listing.
+/// Export views: deterministic JSON (count columns sorted by key), a
+/// collapsed-stack flamegraph (flamegraph.pl and speedscope both import
+/// it), and an annotated source listing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -262,8 +262,6 @@ public:
   std::string renderCanonicalCounts() const;
   /// Collapsed-stack flamegraph lines ("a;b;c WEIGHT", self weights).
   std::string renderCollapsed() const;
-  /// speedscope JSON (sampled profile; one sample per frame, self weight).
-  std::string renderSpeedscope() const;
   /// Annotated source listing: each line of \p Source with a
   /// "% states / % time" margin summed over the frames at that line.
   std::string renderAnnotated(std::string_view Source) const;
@@ -284,7 +282,7 @@ private:
     std::vector<uint64_t> TxMisses;
   };
 
-  /// A frame's self weight for the flamegraph views: its engine work
+  /// A frame's self weight in the collapsed flamegraph: its engine work
   /// units, falling back to statement/draw counts for frames that only
   /// count those.
   static uint64_t selfWeight(const ProfCounts &C) {

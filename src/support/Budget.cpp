@@ -57,32 +57,6 @@ std::string EngineStatus::toString() const {
   return "unknown status";
 }
 
-namespace {
-
-uint64_t envU64(const char *Name) {
-  const char *V = std::getenv(Name);
-  if (!V || !*V)
-    return 0;
-  char *End = nullptr;
-  unsigned long long N = std::strtoull(V, &End, 10);
-  return (End && *End == '\0') ? static_cast<uint64_t>(N) : 0;
-}
-
-} // namespace
-
-BudgetLimits BudgetLimits::fromEnv() {
-  BudgetLimits L;
-  L.DeadlineMs = static_cast<int64_t>(envU64("BAYONET_DEADLINE_MS"));
-  L.MaxStates = envU64("BAYONET_MAX_STATES");
-  L.MaxFrontier = envU64("BAYONET_MAX_FRONTIER");
-  L.MaxMerges = envU64("BAYONET_MAX_MERGES");
-  L.MaxBytes = envU64("BAYONET_MAX_BYTES");
-  L.MaxSchedSteps = envU64("BAYONET_MAX_SCHED_STEPS");
-  if (const char *F = std::getenv("BAYONET_FAULT"))
-    L.Fault = F;
-  return L;
-}
-
 BudgetTracker::BudgetTracker(const BudgetLimits &L, CancelToken C)
     : Limits(L), Cancel(std::move(C)),
       Start(std::chrono::steady_clock::now()) {

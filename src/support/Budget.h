@@ -65,6 +65,7 @@ struct BudgetLimits {
   /// trips the named class when the cumulative state counter reaches N.
   /// Kinds: oom (Bytes), deadline (WallClock), states (States),
   /// cancel (cooperative cancellation). Malformed entries are ignored.
+  /// The CLI fills it from the BAYONET_FAULT test hook.
   std::string Fault;
 
   /// True when no field imposes a limit and no fault is armed.
@@ -72,11 +73,6 @@ struct BudgetLimits {
     return DeadlineMs <= 0 && !MaxStates && !MaxFrontier && !MaxMerges &&
            !MaxBytes && !MaxSchedSteps && Fault.empty();
   }
-
-  /// Reads BAYONET_DEADLINE_MS, BAYONET_MAX_STATES, BAYONET_MAX_FRONTIER,
-  /// BAYONET_MAX_MERGES, BAYONET_MAX_BYTES, BAYONET_MAX_SCHED_STEPS and
-  /// BAYONET_FAULT. Unset variables leave the field unlimited.
-  static BudgetLimits fromEnv();
 };
 
 /// Which budget tripped, with the observed value and the limit it crossed.

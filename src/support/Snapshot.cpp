@@ -469,27 +469,6 @@ bool bayonet::readNetConfig(SnapReader &R, BlockReadTable &T, NetConfig &Out) {
 }
 
 //===----------------------------------------------------------------------===//
-// CheckpointOptions
-//===----------------------------------------------------------------------===//
-
-CheckpointOptions CheckpointOptions::fromEnv() {
-  CheckpointOptions O;
-  if (const char *V = std::getenv("BAYONET_CHECKPOINT_OUT"))
-    O.OutPath = V;
-  if (const char *V = std::getenv("BAYONET_CHECKPOINT_EVERY")) {
-    char *End = nullptr;
-    unsigned long long N = std::strtoull(V, &End, 10);
-    if (End != V && N > 0)
-      O.Every = N;
-  }
-  if (const char *V = std::getenv("BAYONET_CHECKPOINT_RESUME"))
-    O.ResumePath = V;
-  if (const char *V = std::getenv("BAYONET_FAULT"))
-    O.Fault = V;
-  return O;
-}
-
-//===----------------------------------------------------------------------===//
 // Checkpointer
 //===----------------------------------------------------------------------===//
 

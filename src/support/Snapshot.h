@@ -32,8 +32,8 @@
 ///   1. serialize to memory;  2. write + fsync `PATH.tmp`;
 ///   3. rename `PATH` -> `PATH.prev`;  4. rename `PATH.tmp` -> `PATH`.
 ///
-/// Fault injection (for tests; parsed from the same BAYONET_FAULT string
-/// the budget layer uses, unknown tokens ignored on both sides):
+/// Fault injection (for tests; the CLI passes its BAYONET_FAULT hook to both
+/// this layer and the budget layer, unknown tokens ignored on both sides):
 ///   crash-at-checkpoint=K   complete the Kth write of this run, then crash
 ///                           (in-process flag, or _exit(137) with HardExit)
 ///   torn-write[=K]          the Kth write (default 1st) is truncated
@@ -301,7 +301,8 @@ struct BoundaryMark {
 // Checkpointer
 //===----------------------------------------------------------------------===//
 
-/// Checkpoint configuration (CLI flags / BAYONET_CHECKPOINT* env vars).
+/// Checkpoint configuration (the CLI's --checkpoint-out, --checkpoint-every
+/// and --resume flags).
 struct CheckpointOptions {
   /// Snapshot path; empty disables writing (resume-only is allowed).
   std::string OutPath;
@@ -317,10 +318,6 @@ struct CheckpointOptions {
   bool HardExit = false;
 
   bool enabled() const { return !OutPath.empty() || !ResumePath.empty(); }
-
-  /// Reads BAYONET_CHECKPOINT_OUT, BAYONET_CHECKPOINT_EVERY,
-  /// BAYONET_CHECKPOINT_RESUME, and the snapshot tokens of BAYONET_FAULT.
-  static CheckpointOptions fromEnv();
 };
 
 /// Drives snapshot writing and resuming for one inference run. All methods

@@ -22,7 +22,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <thread>
 
 using namespace bayonet;
@@ -54,33 +53,6 @@ ExactResult exactGoverned(const LoadedNetwork &Net, const BudgetLimits &L,
   Opts.ParallelThreshold = 1; // Force the sharded path for Threads > 1.
   Opts.Budget = std::make_shared<BudgetTracker>(L);
   return ExactEngine(Net.Spec, Opts).run();
-}
-
-TEST(Budget, LimitsFromEnv) {
-  setenv("BAYONET_DEADLINE_MS", "250", 1);
-  setenv("BAYONET_MAX_STATES", "1234", 1);
-  setenv("BAYONET_MAX_FRONTIER", "55", 1);
-  setenv("BAYONET_MAX_MERGES", "66", 1);
-  setenv("BAYONET_MAX_BYTES", "77777", 1);
-  setenv("BAYONET_MAX_SCHED_STEPS", "88", 1);
-  setenv("BAYONET_FAULT", "oom-at-100,cancel-at-50", 1);
-  BudgetLimits L = BudgetLimits::fromEnv();
-  EXPECT_EQ(L.DeadlineMs, 250);
-  EXPECT_EQ(L.MaxStates, 1234u);
-  EXPECT_EQ(L.MaxFrontier, 55u);
-  EXPECT_EQ(L.MaxMerges, 66u);
-  EXPECT_EQ(L.MaxBytes, 77777u);
-  EXPECT_EQ(L.MaxSchedSteps, 88u);
-  EXPECT_EQ(L.Fault, "oom-at-100,cancel-at-50");
-  EXPECT_FALSE(L.unlimited());
-  unsetenv("BAYONET_DEADLINE_MS");
-  unsetenv("BAYONET_MAX_STATES");
-  unsetenv("BAYONET_MAX_FRONTIER");
-  unsetenv("BAYONET_MAX_MERGES");
-  unsetenv("BAYONET_MAX_BYTES");
-  unsetenv("BAYONET_MAX_SCHED_STEPS");
-  unsetenv("BAYONET_FAULT");
-  EXPECT_TRUE(BudgetLimits::fromEnv().unlimited());
 }
 
 TEST(Budget, ViolationRendering) {

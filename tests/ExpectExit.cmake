@@ -20,4 +20,4 @@ execute_process(COMMAND ${Cmd} RESULT_VARIABLE Code OUTPUT_VARIABLE Out
 if(NOT Code STREQUAL EXPECT)
   message(FATAL_ERROR "exit code ${Code}, expected ${EXPECT}\n${Out}${Err}")
 endif()
-message(STATUS "exit code ${Code} as expected: ${Err}")
+message(STATUS "exit code ${Code} as expected: ${Out}${Err}")

@@ -15,7 +15,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "api/Bayonet.h"
-#include "obs/Log.h"
 #include "scenarios/Scenarios.h"
 #include "support/Snapshot.h"
 #include "translate/Translator.h"
@@ -656,57 +655,6 @@ TEST(Obs, RenderPromConformance) {
         V.Name + "_bucket{le=\"+Inf\"} " + std::to_string(V.Value) + "\n";
     EXPECT_NE(Prom.find(InfLine), std::string::npos);
   }
-}
-
-// --log-json lines must stay valid JSON no matter what a caller stuffs
-// into a field: control characters escape to \uNNNN, and byte sequences
-// that are not well-formed UTF-8 (stray continuations, truncated leads,
-// overlongs, surrogates, > U+10FFFF) become U+FFFD instead of corrupting
-// the line for downstream parsers.
-TEST(Obs, LogJsonEscapesControlCharsAndInvalidUtf8) {
-  setLogJson(true);
-  auto line = [](const std::string &Msg) {
-    return formatLogLine(LogLevel::Info, "test", Msg, {});
-  };
-
-  // Named escapes and \uNNNN for the rest of 0x00-0x1F.
-  EXPECT_NE(line("a\nb\tc\rd").find("a\\nb\\tc\\rd"), std::string::npos);
-  EXPECT_NE(line("q\"w\\e").find("q\\\"w\\\\e"), std::string::npos);
-  EXPECT_NE(line(std::string("x\x01y\x1fz", 5)).find("x\\u0001y\\u001fz"),
-            std::string::npos);
-  EXPECT_NE(line(std::string("nul\0!", 5)).find("nul\\u0000!"),
-            std::string::npos);
-
-  // Well-formed multi-byte sequences pass through verbatim.
-  EXPECT_NE(line("caf\xc3\xa9 \xe2\x82\xac \xf0\x9f\x90\x9b")
-                .find("caf\xc3\xa9 \xe2\x82\xac \xf0\x9f\x90\x9b"),
-            std::string::npos);
-
-  const std::string Fffd = "\xef\xbf\xbd"; // U+FFFD replacement character.
-  // A stray continuation byte and a lead with no continuation.
-  EXPECT_NE(line("a\x80z").find("a" + Fffd + "z"), std::string::npos);
-  EXPECT_NE(line("a\xc3").find("a" + Fffd), std::string::npos);
-  // A truncated 3-byte lead followed by valid ASCII keeps the ASCII.
-  EXPECT_NE(line("a\xe2\x82z").find("a" + Fffd + Fffd + "z"),
-            std::string::npos);
-  // Overlong encoding of '/': both bytes are individually invalid.
-  EXPECT_NE(line("a\xc0\xafz").find("a" + Fffd + Fffd + "z"),
-            std::string::npos);
-  // A UTF-16 surrogate (U+D800) and a code point past U+10FFFF.
-  EXPECT_NE(line("a\xed\xa0\x80z").find("a" + Fffd + Fffd + Fffd + "z"),
-            std::string::npos);
-  EXPECT_NE(line("a\xf4\x90\x80\x80z").find("a" + Fffd), std::string::npos);
-
-  // Field names and values are escaped the same way.
-  std::string WithField = formatLogLine(
-      LogLevel::Warn, "ev\x02nt", "m", {{"k\x1b", std::string("v\x80")}});
-  EXPECT_NE(WithField.find("ev\\u0002nt"), std::string::npos);
-  EXPECT_NE(WithField.find("k\\u001b"), std::string::npos);
-  EXPECT_NE(WithField.find("v" + Fffd), std::string::npos);
-
-  setLogJson(false);
-  EXPECT_EQ(formatLogLine(LogLevel::Warn, "e", "plain", {}),
-            "warning: plain");
 }
 
 //===----------------------------------------------------------------------===//

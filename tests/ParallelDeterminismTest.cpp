@@ -455,10 +455,32 @@ std::string exactProfileCanon(const LoadedNetwork &Net, unsigned Threads,
   return Ctx->profiler()->renderCanonicalCounts();
 }
 
+/// One translated-pipeline cell: PsiExact with the sharded path forced and
+/// a profiling context. Returns the canonical count rendering.
+std::string psiProfileCanon(const PsiProgram &Psi, unsigned Threads,
+                            std::shared_ptr<Checkpointer> Cp, bool ExpectOk) {
+  auto Ctx = profObs();
+  PsiExactOptions Opts;
+  Opts.Threads = Threads;
+  Opts.ParallelThreshold = 1;
+  Opts.Obs = Ctx;
+  Opts.Checkpoint = std::move(Cp);
+  PsiExactResult R = PsiExact(Psi, Opts).run();
+  if (ExpectOk) {
+    EXPECT_TRUE(R.Status.ok()) << R.Status.toString();
+    EXPECT_FALSE(R.QueryUnsupported) << R.UnsupportedReason;
+  } else {
+    EXPECT_FALSE(R.Status.ok()) << "fault injection must abort the run";
+  }
+  return Ctx->profiler()->renderCanonicalCounts();
+}
+
 // The tentpole acceptance matrix: the profiler's deterministic count
 // columns are byte-identical across worker-thread counts and across a
 // checkpoint crash/resume within each TxCache setting, and the work
-// columns are additionally byte-identical across TxCache on/off.
+// columns are additionally byte-identical across TxCache on/off. The
+// translated pipeline, which has no transition cache, runs the threads x
+// crash/resume part of the matrix.
 TEST(ParallelDeterminism, ProfileCountMatrixThreadsTxCacheCrashResume) {
   DiagEngine Diags;
   auto Net = loadNetwork(scenarios::paperExample(), Diags);
@@ -503,6 +525,33 @@ TEST(ParallelDeterminism, ProfileCountMatrixThreadsTxCacheCrashResume) {
       EXPECT_EQ(Work, WorkRef)
           << "work columns must not depend on the TxCache setting";
   }
+
+  auto Psi = translateToPsi(Net->Spec, Diags);
+  ASSERT_TRUE(Psi.has_value()) << Diags.toString();
+  std::string PsiRef;
+  for (unsigned Threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE("translated threads=" + std::to_string(Threads));
+    std::string Straight =
+        psiProfileCanon(*Psi, Threads, nullptr, /*ExpectOk=*/true);
+    ASSERT_FALSE(Straight.empty());
+    if (PsiRef.empty())
+      PsiRef = Straight;
+    else
+      EXPECT_EQ(Straight, PsiRef);
+
+    std::string Path = profSnapPath();
+    auto CrashCp = profCp(Path, "", "crash-at-checkpoint=3");
+    psiProfileCanon(*Psi, Threads, CrashCp, /*ExpectOk=*/false);
+    EXPECT_TRUE(CrashCp->crashed());
+    auto ResCp = profCp(Path, Path);
+    std::string Resumed =
+        psiProfileCanon(*Psi, Threads, ResCp, /*ExpectOk=*/true);
+    EXPECT_TRUE(ResCp->resumed());
+    EXPECT_EQ(Resumed, PsiRef);
+    std::remove(Path.c_str());
+    std::remove((Path + ".prev").c_str());
+  }
+  EXPECT_NE(PsiRef.find("psi;"), std::string::npos) << PsiRef;
 }
 
 // The seeded sampler charges PRNG draws and statement executions through

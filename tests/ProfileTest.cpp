@@ -259,31 +259,6 @@ TEST(Profile, CollapsedStacksCarrySelfWeights) {
   EXPECT_EQ(P.renderCollapsed(), "exact 5\nexact;step 11\n");
 }
 
-TEST(Profile, SpeedscopeProfileSumsWeights) {
-  Profiler P;
-  uint32_t Step = P.push("exact", loc(1, 1));
-  uint32_t Expand = P.push("expand");
-  P.pop();
-  P.pop();
-  ProfCounts C;
-  C.States = 7;
-  P.charge(Expand, C);
-  ProfCounts D;
-  D.States = 3;
-  P.charge(Step, D);
-
-  std::string S = P.renderSpeedscope();
-  EXPECT_NE(S.find("\"$schema\":\"https://www.speedscope.app/"
-                   "file-format-schema.json\""),
-            std::string::npos);
-  EXPECT_NE(S.find("\"type\":\"sampled\""), std::string::npos);
-  EXPECT_NE(S.find("\"endValue\":10"), std::string::npos)
-      << "end value is the summed self weight";
-  EXPECT_NE(S.find("\"weights\":[3,7]"), std::string::npos) << S;
-  // The expand sample names its full ancestor chain.
-  EXPECT_NE(S.find("\"samples\":[[0],[0,1]]"), std::string::npos) << S;
-}
-
 TEST(Profile, AnnotatedListingAttributesSourceLines) {
   Profiler P;
   uint32_t L1 = P.push("observe@1:3", loc(1, 3));

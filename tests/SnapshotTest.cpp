@@ -568,3 +568,18 @@ TEST(Snapshot, RunInferenceResumeFailureIsInvalid) {
   EXPECT_NE(R.Status.toString().find("cannot resume"), std::string::npos)
       << R.Status.toString();
 }
+
+// A library caller configures checkpointing through InferenceOptions only:
+// a stray BAYONET_CHECKPOINT_OUT in the environment writes nothing.
+TEST(Snapshot, RunInferenceIgnoresCheckpointEnvironment) {
+  LoadedNetwork Net = load(testnets::PaperExample);
+  std::string Path = snapPath();
+  ::setenv("BAYONET_CHECKPOINT_OUT", Path.c_str(), 1);
+  InferenceResult R = runInference(Net, InferenceOptions());
+  ::unsetenv("BAYONET_CHECKPOINT_OUT");
+  ASSERT_TRUE(R.Status.ok()) << R.Status.toString();
+  EXPECT_FALSE(std::ifstream(Path).good()) << Path;
+  EXPECT_FALSE(std::ifstream(Path + ".prev").good());
+  std::remove(Path.c_str());
+  std::remove((Path + ".prev").c_str());
+}
