@@ -13,7 +13,8 @@ using namespace bayonet;
 
 Scheduler::~Scheduler() = default;
 
-std::unique_ptr<Scheduler> Scheduler::create(SchedulerKind Kind) {
+std::unique_ptr<Scheduler>
+Scheduler::create(SchedulerKind Kind, std::vector<int64_t> NodeWeights) {
   switch (Kind) {
   case SchedulerKind::Uniform:
     return std::make_unique<UniformScheduler>();
@@ -22,38 +23,20 @@ std::unique_ptr<Scheduler> Scheduler::create(SchedulerKind Kind) {
   case SchedulerKind::Deterministic:
     return std::make_unique<DeterministicScheduler>();
   case SchedulerKind::Weighted:
-    assert(false && "weighted scheduler needs a spec; use forSpec");
-    return nullptr;
+    return std::make_unique<WeightedScheduler>(std::move(NodeWeights));
   }
   return nullptr;
 }
 
 std::unique_ptr<Scheduler> Scheduler::forSpec(const NetworkSpec &Spec) {
-  if (Spec.Sched == SchedulerKind::Weighted)
-    return std::make_unique<WeightedScheduler>(Spec.NodeWeights);
-  return create(Spec.Sched);
+  return create(Spec.Sched, Spec.NodeWeights);
 }
 
-std::vector<Action> bayonet::enabledActions(const NetConfig &C) {
-  std::vector<Action> Actions;
-  for (unsigned I = 0; I < C.Nodes.size(); ++I) {
-    if (!C.Nodes[I].QIn.empty())
-      Actions.push_back({Action::Kind::Run, I});
-    if (!C.Nodes[I].QOut.empty())
-      Actions.push_back({Action::Kind::Fwd, I});
-  }
-  return Actions;
-}
-
-void UniformScheduler::choicesInto(const NetConfig &C,
-                                   std::vector<SchedChoice> &Out) const {
+void Scheduler::choicesInto(const NetConfig &C,
+                            std::vector<SchedChoice> &Out) const {
   Out.clear();
-  // One pass over the nodes: every enabled action gets the same 1/Count
-  // probability and Count is just the number of actions collected, so the
-  // probabilities can be patched afterwards over the (contiguous, cached)
-  // output vector instead of walking the heap-scattered node blocks a
-  // second time. This runs once per expanded configuration / particle
-  // step, so it must not allocate beyond the caller's scratch.
+  // One pass over the (heap-scattered) node blocks collects the enabled
+  // slots; assign then works on the contiguous, cached output vector.
   for (unsigned I = 0; I < C.Nodes.size(); ++I) {
     const NodeConfig &NC = C.Nodes[I];
     if (!NC.QIn.empty())
@@ -61,72 +44,48 @@ void UniformScheduler::choicesInto(const NetConfig &C,
     if (!NC.QOut.empty())
       Out.push_back({{Action::Kind::Fwd, I}, Rational(), 0});
   }
-  if (Out.empty())
-    return;
+  if (!Out.empty())
+    assign(Out, C.SchedState, 2 * static_cast<int64_t>(C.Nodes.size()));
+}
+
+void UniformScheduler::assign(std::vector<SchedChoice> &Out, int64_t,
+                              int64_t) const {
   Rational P(BigInt(1), BigInt(static_cast<int64_t>(Out.size())));
   for (SchedChoice &Ch : Out)
     Ch.Prob = P;
 }
 
-void RoundRobinScheduler::choicesInto(const NetConfig &C,
-                                      std::vector<SchedChoice> &Out) const {
-  Out.clear();
-  // Slot i encodes: node i/2, Run if i is even, Fwd if odd.
-  int64_t NumSlots = static_cast<int64_t>(C.Nodes.size()) * 2;
-  if (NumSlots == 0)
-    return;
-  int64_t Start = C.SchedState % NumSlots;
-  for (int64_t Off = 0; Off < NumSlots; ++Off) {
-    int64_t Slot = (Start + Off) % NumSlots;
-    unsigned Node = static_cast<unsigned>(Slot / 2);
-    bool IsRun = Slot % 2 == 0;
-    const NodeConfig &NC = C.Nodes[Node];
-    bool Enabled = IsRun ? !NC.QIn.empty() : !NC.QOut.empty();
-    if (!Enabled)
-      continue;
-    Action A{IsRun ? Action::Kind::Run : Action::Kind::Fwd, Node};
-    Out.push_back({A, Rational(1), (Slot + 1) % NumSlots});
-    return;
-  }
-  // No enabled action: terminal.
+void RoundRobinScheduler::assign(std::vector<SchedChoice> &Out,
+                                 int64_t State, int64_t NumSlots) const {
+  // The first enabled slot at or after the rotor, else (wrapping) the
+  // first enabled slot overall.
+  const int64_t Start = State % NumSlots;
+  size_t Pick = 0;
+  for (size_t I = 0; I < Out.size(); ++I)
+    if (actionSlot(Out[I].Act) >= Start) {
+      Pick = I;
+      break;
+    }
+  SchedChoice Ch = Out[Pick];
+  Ch.Prob = Rational(1);
+  Ch.NextSchedState = (actionSlot(Ch.Act) + 1) % NumSlots;
+  Out.assign(1, std::move(Ch));
 }
 
-void WeightedScheduler::choicesInto(const NetConfig &C,
-                                    std::vector<SchedChoice> &Out) const {
-  Out.clear();
-  // Same single-pass shape as the uniform scheduler: collect the enabled
-  // actions (accumulating the weight total), then patch each action's
-  // probability from its node weight — the node blocks are walked once.
+void WeightedScheduler::assign(std::vector<SchedChoice> &Out, int64_t,
+                               int64_t) const {
   int64_t Total = 0;
-  for (unsigned I = 0; I < C.Nodes.size(); ++I) {
-    const NodeConfig &NC = C.Nodes[I];
-    unsigned Enabled = !NC.QIn.empty() + !NC.QOut.empty();
-    if (!Enabled)
-      continue;
-    assert(I < Weights.size() && "missing node weight");
-    Total += static_cast<int64_t>(Enabled) * Weights[I];
-    if (!NC.QIn.empty())
-      Out.push_back({{Action::Kind::Run, I}, Rational(), 0});
-    if (!NC.QOut.empty())
-      Out.push_back({{Action::Kind::Fwd, I}, Rational(), 0});
+  for (const SchedChoice &Ch : Out) {
+    assert(Ch.Act.Node < Weights.size() && "missing node weight");
+    Total += Weights[Ch.Act.Node];
   }
   for (SchedChoice &Ch : Out)
     Ch.Prob = Rational(BigInt(Weights[Ch.Act.Node]), BigInt(Total));
 }
 
-void DeterministicScheduler::choicesInto(const NetConfig &C,
-                                         std::vector<SchedChoice> &Out) const {
-  Out.clear();
-  // First enabled action in slot order (Run 0, Fwd 0, Run 1, ...).
-  for (unsigned I = 0; I < C.Nodes.size(); ++I) {
-    const NodeConfig &NC = C.Nodes[I];
-    if (!NC.QIn.empty()) {
-      Out.push_back({{Action::Kind::Run, I}, Rational(1), 0});
-      return;
-    }
-    if (!NC.QOut.empty()) {
-      Out.push_back({{Action::Kind::Fwd, I}, Rational(1), 0});
-      return;
-    }
-  }
+void DeterministicScheduler::assign(std::vector<SchedChoice> &Out, int64_t,
+                                    int64_t) const {
+  // The first enabled action in slot order.
+  Out.resize(1);
+  Out[0].Prob = Rational(1);
 }

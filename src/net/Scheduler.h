@@ -47,6 +47,13 @@ struct SchedChoice {
 
 /// Scheduler interface. Implementations must be deterministic functions of
 /// the configuration so exact inference can merge configurations.
+///
+/// A scheduler sees a configuration only through its enabled action slots
+/// (Run 0, Fwd 0, Run 1, Fwd 1, ...: slot 2i is Run i, slot 2i+1 is Fwd i)
+/// and its state σ_s. choicesInto collects the slots of a NetConfig and
+/// hands them to assign; PsiExact collects them from a translated
+/// program's queue slots and calls assign itself, so the direct and the
+/// translated pipelines schedule through the same code.
 class Scheduler {
 public:
   virtual ~Scheduler();
@@ -56,10 +63,9 @@ public:
   /// configuration is terminal). Probabilities sum to one when nonempty.
   /// This is the primitive the engines call with a reusable per-lane
   /// scratch vector: both the exact expansion loop and the samplers ask
-  /// for choices once per configuration/particle step, and a returned
-  /// vector per call dominated their allocation profiles.
-  virtual void choicesInto(const NetConfig &C,
-                           std::vector<SchedChoice> &Out) const = 0;
+  /// for choices once per configuration/particle step, so it walks the
+  /// node blocks once and allocates nothing beyond that scratch.
+  void choicesInto(const NetConfig &C, std::vector<SchedChoice> &Out) const;
 
   /// Allocating convenience wrapper over choicesInto.
   std::vector<SchedChoice> choices(const NetConfig &C) const {
@@ -68,29 +74,45 @@ public:
     return Out;
   }
 
+  /// The slot-level entry. \p Out holds the enabled actions in slot order
+  /// (at least one), each with NextSchedState 0; \p State is σ_s and
+  /// \p NumSlots is twice the node count. Sets each kept choice's Prob and
+  /// NextSchedState; a deterministic scheduler keeps only the action it
+  /// picks.
+  virtual void assign(std::vector<SchedChoice> &Out, int64_t State,
+                      int64_t NumSlots) const = 0;
+
   /// The initial scheduler state σ_s.
   virtual int64_t initialState() const { return 0; }
 
   virtual const char *name() const = 0;
 
-  /// Builds one of the built-in schedulers. The Weighted kind requires
-  /// per-node weights; use forSpec for that.
-  static std::unique_ptr<Scheduler> create(SchedulerKind Kind);
+  /// Builds one of the built-in schedulers; \p NodeWeights (one positive
+  /// entry per node) is read by the Weighted kind only.
+  static std::unique_ptr<Scheduler>
+  create(SchedulerKind Kind, std::vector<int64_t> NodeWeights = {});
 
   /// Builds the scheduler a spec asks for (including Weighted).
   static std::unique_ptr<Scheduler> forSpec(const NetworkSpec &Spec);
 };
 
-/// Enumerates the enabled actions of \p C in a fixed order
-/// (Run 0, Fwd 0, Run 1, Fwd 1, ...).
-std::vector<Action> enabledActions(const NetConfig &C);
+/// The action slot of \p A: 2 * node, plus 1 for Fwd.
+inline int64_t actionSlot(const Action &A) {
+  return 2 * static_cast<int64_t>(A.Node) + (A.K == Action::Kind::Fwd);
+}
+
+/// The action in slot \p Slot.
+inline Action slotAction(int64_t Slot) {
+  return {Slot % 2 ? Action::Kind::Fwd : Action::Kind::Run,
+          static_cast<unsigned>(Slot / 2)};
+}
 
 /// The paper's uniform scheduler (Figure 6): picks uniformly at random among
 /// all enabled actions.
 class UniformScheduler : public Scheduler {
 public:
-  void choicesInto(const NetConfig &C,
-                   std::vector<SchedChoice> &Out) const override;
+  void assign(std::vector<SchedChoice> &Out, int64_t State,
+              int64_t NumSlots) const override;
   const char *name() const override { return "uniform"; }
 };
 
@@ -100,8 +122,8 @@ public:
 /// the scheduler state σ_s, so runs are fully deterministic.
 class RoundRobinScheduler : public Scheduler {
 public:
-  void choicesInto(const NetConfig &C,
-                   std::vector<SchedChoice> &Out) const override;
+  void assign(std::vector<SchedChoice> &Out, int64_t State,
+              int64_t NumSlots) const override;
   const char *name() const override { return "roundrobin"; }
 };
 
@@ -112,8 +134,8 @@ public:
 /// always congest in the Section 5.1 benchmark.
 class DeterministicScheduler : public Scheduler {
 public:
-  void choicesInto(const NetConfig &C,
-                   std::vector<SchedChoice> &Out) const override;
+  void assign(std::vector<SchedChoice> &Out, int64_t State,
+              int64_t NumSlots) const override;
   const char *name() const override { return "deterministic"; }
 };
 
@@ -128,8 +150,8 @@ public:
   explicit WeightedScheduler(std::vector<int64_t> Weights)
       : Weights(std::move(Weights)) {}
 
-  void choicesInto(const NetConfig &C,
-                   std::vector<SchedChoice> &Out) const override;
+  void assign(std::vector<SchedChoice> &Out, int64_t State,
+              int64_t NumSlots) const override;
   const char *name() const override { return "weighted"; }
 
 private:

@@ -6,6 +6,7 @@
 
 #include "psi/PsiExact.h"
 
+#include "net/Scheduler.h"
 #include "obs/Boundary.h"
 #include "psi/PsiLiveness.h"
 #include "support/FlatIndexMap.h"
@@ -89,6 +90,7 @@ struct Tally {
   SymProb Err;
   size_t Expanded = 0, MergeAttempts = 0, MergeHits = 0;
   uint64_t *Execs = nullptr; ///< The lane's profiler exec shard, or null.
+  std::vector<SchedChoice> Choices; ///< Scratch for Schedule statements.
 };
 
 /// One outcome of evaluating an expression on a fixed environment.
@@ -161,6 +163,7 @@ public:
       for (unsigned Slot : Slots.Iter)
         Mask[Slot] = true;
     }
+    buildSchedulers(P.Body);
     if (Opts.Checkpoint) {
       // The PSI IR has no structural identity beyond its text: fingerprint
       // the printed program (deterministic, covers every statement).
@@ -287,6 +290,8 @@ private:
   /// Each Repeat's iteration-merge dead slots as a per-slot mask, for the
   /// parking test.
   std::unordered_map<const PStmt *, std::vector<bool>> IterDead;
+  /// The net/Scheduler of every Schedule statement.
+  std::unordered_map<const PStmt *, std::unique_ptr<Scheduler>> Scheds;
   Boundary Bound;
   Profiler *PF = nullptr;
   /// The reported statistics as of the last boundary.
@@ -322,6 +327,15 @@ private:
     W.u64(Result.WorkerBranchesExpanded.size());
     for (size_t V : Result.WorkerBranchesExpanded)
       W.u64(V);
+  }
+
+  void buildSchedulers(const std::vector<PStmtPtr> &Body) {
+    for (const PStmtPtr &S : Body) {
+      if (S->Kind == PStmtKind::Schedule)
+        Scheds[S.get()] = Scheduler::create(S->Sched, S->Weights);
+      buildSchedulers(S->Then);
+      buildSchedulers(S->Else);
+    }
   }
 
   static size_t envBytes(const Env &E) {
@@ -719,6 +733,13 @@ private:
         if (!decide(Tk, S, !X.rational().isZero(), T))
           return false;
         continue;
+      case PStmtKind::Schedule:
+        if (!schedule(S, Tk, C, T, Work))
+          return false;
+        continue;
+      case PStmtKind::Arm:
+        assert(false && "an arm runs only as its Schedule's choice");
+        continue;
       case PStmtKind::While:
       case PStmtKind::Repeat: {
         // A nested loop runs at distribution level on this one branch.
@@ -734,6 +755,66 @@ private:
       return false;
     }
     return true;
+  }
+
+  /// Runs Schedule \p S on \p Tk through its net/Scheduler, as the direct
+  /// engines do: the arms whose queue is nonempty are the enabled action
+  /// slots, the scheduler assigns their probabilities, and the chosen
+  /// arm's body runs. Nothing enabled is a no-op and one choice continues
+  /// in place (true); several fork one task per choice, in slot order,
+  /// onto \p Work (false). A non-queue arm slot, or a roundrobin σ_s that
+  /// is not a small integer, sends the branch to the error mass (false).
+  bool schedule(const PStmt &S, Task &Tk, const Pass &C, Tally &T,
+                std::vector<Task> &Work) {
+    const Env &V = Tk.B.Vars;
+    std::vector<SchedChoice> &Ch = T.Choices;
+    Ch.clear();
+    for (size_t I = 0; I < S.Then.size(); ++I) {
+      const PsiValue &Q = V[S.Then[I]->Var];
+      if (!Q.isTuple()) {
+        T.Err += std::move(Tk.B.W); // The length of a non-queue value.
+        return false;
+      }
+      if (!Q.elems().empty())
+        Ch.push_back({slotAction(static_cast<int64_t>(I)), Rational(), 0});
+    }
+    if (Ch.empty())
+      return true;
+    int64_t State = 0;
+    const bool Rotor = S.Sched == SchedulerKind::RoundRobin;
+    if (Rotor) {
+      const PsiValue &R = V[S.Var];
+      if (!R.isRational() || !R.rational().isInteger() ||
+          !R.rational().num().isSmall() || R.rational().isNegative()) {
+        T.Err += std::move(Tk.B.W);
+        return false;
+      }
+      State = R.rational().num().getSmall();
+    }
+    Scheds.at(&S)->assign(Ch, State, static_cast<int64_t>(S.Then.size()));
+    if (Rotor)
+      write(Tk, C, S.Var, PsiValue(Rational(Ch[0].NextSchedState)));
+    auto Enter = [&](Task &Into, const SchedChoice &Pick) {
+      const PStmt &Arm = *S.Then[actionSlot(Pick.Act)];
+      if (T.Execs)
+        ++T.Execs[Arm.ProfSlot];
+      if (!Arm.Then.empty())
+        Into.K.push_back({&Arm.Then, 0, Arm.Then.size()});
+    };
+    if (Ch.size() == 1) {
+      assert(Ch[0].Prob == Rational(1) && "a sole choice has probability 1");
+      Enter(Tk, Ch[0]);
+      return true;
+    }
+    for (size_t I = 0; I < Ch.size(); ++I) {
+      SymProb W = Tk.B.W.scaled(Ch[I].Prob);
+      if (W.isZero())
+        continue;
+      Task NT{{outcomeEnv(Tk.B, I, Ch.size()), std::move(W)}, Tk.K, false};
+      Enter(NT, Ch[I]);
+      Work.push_back(std::move(NT));
+    }
+    return false;
   }
 
   /// Runs \p S on \p Tk through the general evaluator: one successor task

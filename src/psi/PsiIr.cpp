@@ -6,6 +6,7 @@
 
 #include "psi/PsiIr.h"
 
+#include "net/Scheduler.h"
 #include "obs/Profile.h"
 
 #include <map>
@@ -180,6 +181,23 @@ PStmtPtr bayonet::sAssert(PExprPtr Cond) {
   return S;
 }
 
+PStmtPtr bayonet::sSchedule(SchedulerKind Kind, std::vector<int64_t> Weights,
+                            unsigned StateSlot, std::vector<PStmtPtr> Arms) {
+  auto S = makeStmt(PStmtKind::Schedule);
+  S->Sched = Kind;
+  S->Weights = std::move(Weights);
+  S->Var = StateSlot;
+  S->Then = std::move(Arms);
+  return S;
+}
+
+PStmtPtr bayonet::sArm(unsigned Queue, std::vector<PStmtPtr> Body) {
+  auto S = makeStmt(PStmtKind::Arm);
+  S->Var = Queue;
+  S->Then = std::move(Body);
+  return S;
+}
+
 //===----------------------------------------------------------------------===//
 // Printing
 //===----------------------------------------------------------------------===//
@@ -302,6 +320,22 @@ void stmtText(const PStmt &S, const PsiProgram &P, unsigned Indent,
   case PStmtKind::Assert:
     Out += Pad + "assert(" + exprText(*S.E, P) + ");\n";
     return;
+  case PStmtKind::Schedule: {
+    Out += Pad + "schedule " + Scheduler::create(S.Sched)->name();
+    if (S.Sched == SchedulerKind::RoundRobin)
+      Out += "(" + P.VarNames[S.Var] + ")";
+    for (size_t I = 0; I < S.Weights.size(); ++I)
+      Out += (I ? ", " : " weights ") + std::to_string(S.Weights[I]);
+    Out += " {\n";
+    block(S.Then);
+    Out += Pad + "}\n";
+    return;
+  }
+  case PStmtKind::Arm:
+    Out += Pad + "when " + P.VarNames[S.Var] + ".length > 0 {\n";
+    block(S.Then);
+    Out += Pad + "}\n";
+    return;
   }
 }
 
@@ -351,6 +385,10 @@ const char *pStmtLabel(PStmtKind K) {
     return "observe";
   case PStmtKind::Assert:
     return "assert";
+  case PStmtKind::Schedule:
+    return "schedule";
+  case PStmtKind::Arm:
+    return "arm";
   }
   return "stmt";
 }

@@ -9,9 +9,9 @@
 /// for the PSI language of the paper's Section 4. Programs are flat
 /// variable frames with expressions (arithmetic, comparisons, Bernoulli and
 /// uniform draws, tuples) and statements (assignment, bounded-queue pushes
-/// and pops, conditionals, loops, observe/assert). Bayonet networks are
-/// compiled into this IR by translate/Translator; psi/PsiExact runs exact
-/// inference on it.
+/// and pops, conditionals, loops, observe/assert, and one scheduler step
+/// over queue-guarded arms). Bayonet networks are compiled into this IR by
+/// translate/Translator; psi/PsiExact runs exact inference on it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +19,7 @@
 #define BAYONET_PSI_PSIIR_H
 
 #include "lang/Ast.h" // for BinOpKind/UnOpKind/QueryKind
+#include "net/NetworkSpec.h" // for SchedulerKind
 #include "psi/PsiValue.h"
 
 #include <memory>
@@ -91,6 +92,14 @@ enum class PStmtKind {
   Repeat, ///< fixed-count loop (the unrolled num_steps driver)
   Observe,
   Assert,
+  /// One step of a net/Scheduler over the Arm children in Then: the arms
+  /// whose queue is nonempty are the enabled action slots, in order; the
+  /// scheduler picks one (a draw when several can be picked) and its body
+  /// runs. Nothing enabled: a no-op.
+  Schedule,
+  /// A Schedule child: enabled iff tuple slot Var is nonempty; Then is the
+  /// body. Runs only as the chosen arm of its Schedule.
+  Arm,
 };
 
 struct PStmt;
@@ -98,10 +107,16 @@ using PStmtPtr = std::unique_ptr<PStmt>;
 
 struct PStmt {
   PStmtKind Kind;
-  unsigned Var = 0;  ///< Target slot (Assign/Push*/PopFront queue).
+  /// Target slot (Assign/Push*/PopFront queue, Arm queue; the σ_s slot of
+  /// a roundrobin Schedule).
+  unsigned Var = 0;
   unsigned Var2 = 0; ///< PopFront destination slot.
   int64_t Capacity = -1; ///< Push* capacity; -1 = unbounded.
   int64_t Count = 0;     ///< Repeat count.
+  /// Schedule: the scheduler and, for Weighted, one weight per node (arms
+  /// 2i and 2i+1 are node i's).
+  SchedulerKind Sched = SchedulerKind::Uniform;
+  std::vector<int64_t> Weights;
   PExprPtr E;            ///< Assign value / push value / condition.
   std::vector<PStmtPtr> Then;
   std::vector<PStmtPtr> Else;
@@ -125,6 +140,10 @@ PStmtPtr sWhile(PExprPtr Cond, std::vector<PStmtPtr> Body);
 PStmtPtr sRepeat(int64_t Count, std::vector<PStmtPtr> Body);
 PStmtPtr sObserve(PExprPtr Cond);
 PStmtPtr sAssert(PExprPtr Cond);
+/// A Schedule over \p Arms; \p StateSlot is σ_s (read only by RoundRobin).
+PStmtPtr sSchedule(SchedulerKind Kind, std::vector<int64_t> Weights,
+                   unsigned StateSlot, std::vector<PStmtPtr> Arms);
+PStmtPtr sArm(unsigned Queue, std::vector<PStmtPtr> Body);
 
 //===----------------------------------------------------------------------===//
 // Programs

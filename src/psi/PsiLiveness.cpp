@@ -90,6 +90,23 @@ private:
       addUses(*S.E, Live);
       return;
     }
+    case PStmtKind::Schedule: {
+      // Every arm's queue is read (enabledness, non-queue failure) and so
+      // is σ_s; when no arm is enabled the statement is a no-op, so the
+      // live-out set flows through too.
+      SlotSet Out = Live;
+      for (const PStmtPtr &Arm : S.Then) {
+        SlotSet In = Out;
+        block(Arm->Then, In);
+        unite(Live, In);
+        Live[Arm->Var] = true;
+      }
+      if (S.Sched == SchedulerKind::RoundRobin)
+        Live[S.Var] = true;
+      return;
+    }
+    case PStmtKind::Arm:
+      return; // Handled by its Schedule.
     case PStmtKind::Repeat: {
       SlotSet H = loopHeader(S.Then, Live);
       Table[&S].Iter = deadSlots(H);

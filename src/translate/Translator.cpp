@@ -6,8 +6,6 @@
 
 #include "translate/Translator.h"
 
-#include <cassert>
-
 using namespace bayonet;
 
 namespace {
@@ -30,11 +28,7 @@ private:
   std::vector<std::vector<unsigned>> StateVar; // per node, per slot
   unsigned TmpEntry = 0; ///< Scratch: a popped queue entry.
   unsigned TmpVal = 0;   ///< Scratch: an evaluated rvalue.
-  unsigned NVar = 0;     ///< Number of enabled actions this step.
-  unsigned ChoiceVar = 0;
-  unsigned CntVar = 0;
   unsigned RotorVar = 0; ///< Round-robin scheduler state σ_s.
-  unsigned DoneVar = 0;  ///< Round-robin: an action ran this step.
 
   unsigned NumFields = 0; ///< Packet entry layout: fields then port.
 
@@ -55,16 +49,8 @@ private:
   std::vector<PStmtPtr> buildRun(unsigned Node);
   /// Emits the body of a (Fwd, Node) action.
   std::vector<PStmtPtr> buildFwd(unsigned Node);
-  /// Emits one step of the uniform, weighted or deterministic scheduler:
-  /// choose a point in the enabled weight mass and run the slot holding it.
-  std::vector<PStmtPtr> buildChoiceStep();
-  /// Emits one round-robin step: the first enabled slot at or after the
-  /// rotor, cyclically, runs and moves the rotor past itself.
-  std::vector<PStmtPtr> buildRotorStep();
-  /// The total-enabled-weight expression.
+  /// The number of enabled action slots, as an expression.
   PExprPtr enabledCount();
-  /// The scheduling weight of node's slots (1 unless weighted).
-  int64_t slotWeight(unsigned Node) const;
   /// Translates the query into the result expression.
   PExprPtr trQueryExpr(const Expr &E);
 };
@@ -91,13 +77,8 @@ std::optional<PsiProgram> TranslatorImpl::run() {
   }
   TmpEntry = P.addVar("__entry");
   TmpVal = P.addVar("__val");
-  NVar = P.addVar("__n");
-  ChoiceVar = P.addVar("__choice");
-  CntVar = P.addVar("__cnt");
-  if (Spec.Sched == SchedulerKind::RoundRobin) {
+  if (Spec.Sched == SchedulerKind::RoundRobin)
     RotorVar = P.addVar("__rotor");
-    DoneVar = P.addVar("__done");
-  }
 
   // Initialization: empty queues, state initializers, initial packets.
   for (unsigned I = 0; I < NumNodes; ++I) {
@@ -122,15 +103,26 @@ std::optional<PsiProgram> TranslatorImpl::run() {
                                Spec.QueueCapacity));
   }
 
-  // The step driver (Figure 10's main/step): repeat num_steps times.
-  P.Body.push_back(sRepeat(Spec.NumSteps,
-                           Spec.Sched == SchedulerKind::RoundRobin
-                               ? buildRotorStep()
-                               : buildChoiceStep()));
+  // The step driver (Figure 10's main/step): repeat num_steps times one
+  // scheduler step, with one arm per action slot in the direct scheduler's
+  // order (Run 0, Fwd 0, Run 1, ...).
+  std::vector<PStmtPtr> Arms;
+  for (unsigned I = 0; I < NumNodes; ++I) {
+    Arms.push_back(sArm(QInVar[I], buildRun(I)));
+    Arms.push_back(sArm(QOutVar[I], buildFwd(I)));
+  }
+  // Only the weighted scheduler reads weights (the checker fills them for
+  // every kind).
+  std::vector<int64_t> Weights;
+  if (Spec.Sched == SchedulerKind::Weighted)
+    Weights = Spec.NodeWeights;
+  std::vector<PStmtPtr> Step;
+  Step.push_back(
+      sSchedule(Spec.Sched, std::move(Weights), RotorVar, std::move(Arms)));
+  P.Body.push_back(sRepeat(Spec.NumSteps, std::move(Step)));
 
   // assert(terminated()).
-  P.Body.push_back(sAssign(NVar, enabledCount()));
-  P.Body.push_back(sAssert(pBin(BinOpKind::Eq, pVar(NVar), pInt(0))));
+  P.Body.push_back(sAssert(pBin(BinOpKind::Eq, enabledCount(), pInt(0))));
 
   // The query. A "given" clause becomes a final observation.
   if (Spec.Query && Spec.Query->Given)
@@ -142,99 +134,13 @@ std::optional<PsiProgram> TranslatorImpl::run() {
   return std::move(P);
 }
 
-std::vector<PStmtPtr> TranslatorImpl::buildChoiceStep() {
-  std::vector<PStmtPtr> StepBody;
-  StepBody.push_back(sAssign(NVar, enabledCount()));
-  std::vector<PStmtPtr> DoStep;
-  if (Spec.Sched == SchedulerKind::Deterministic)
-    // Greedy deterministic scheduler: always the first enabled slot.
-    DoStep.push_back(sAssign(ChoiceVar, pInt(0)));
-  else
-    // Uniform / weighted: draw a point in the enabled weight mass.
-    DoStep.push_back(sAssign(
-        ChoiceVar,
-        pUniformInt(pInt(0), pBin(BinOpKind::Sub, pVar(NVar), pInt(1)))));
-  DoStep.push_back(sAssign(CntVar, pInt(0)));
-  // Each enabled slot occupies [cnt, cnt + weight) of the choice range;
-  // weight is 1 except for the weighted scheduler.
-  auto addSlot = [&](unsigned QueueVar, std::vector<PStmtPtr> Body,
-                     int64_t Weight) {
-    std::vector<PStmtPtr> IfChosen;
-    for (PStmtPtr &S : Body)
-      IfChosen.push_back(std::move(S));
-    PExprPtr Hit = pBin(
-        BinOpKind::And,
-        pBin(BinOpKind::Le, pVar(CntVar), pVar(ChoiceVar)),
-        pBin(BinOpKind::Lt, pVar(ChoiceVar),
-             pBin(BinOpKind::Add, pVar(CntVar), pInt(Weight))));
-    std::vector<PStmtPtr> Slot;
-    Slot.push_back(sIf(std::move(Hit), std::move(IfChosen)));
-    Slot.push_back(sAssign(
-        CntVar, pBin(BinOpKind::Add, pVar(CntVar), pInt(Weight))));
-    DoStep.push_back(sIf(
-        pBin(BinOpKind::Gt, pLen(pVar(QueueVar)), pInt(0)), std::move(Slot)));
-  };
-  for (unsigned I = 0; I < Spec.Topo.numNodes(); ++I) {
-    int64_t Weight = slotWeight(I);
-    addSlot(QInVar[I], buildRun(I), Weight);
-    addSlot(QOutVar[I], buildFwd(I), Weight);
-  }
-  StepBody.push_back(sIf(pBin(BinOpKind::Gt, pVar(NVar), pInt(0)),
-                         std::move(DoStep)));
-  return StepBody;
-}
-
-std::vector<PStmtPtr> TranslatorImpl::buildRotorStep() {
-  // Slot S is (Run, S/2) when S is even, (Fwd, S/2) when odd — the direct
-  // scheduler's order. The first pass tries the slots S >= rotor, the
-  // second the slots S < rotor; the done flag stops both passes after the
-  // first enabled slot ran.
-  const int64_t NumSlots = 2 * static_cast<int64_t>(Spec.Topo.numNodes());
-  std::vector<PStmtPtr> Step;
-  Step.push_back(sAssign(DoneVar, pInt(0)));
-  for (bool Wrapped : {false, true})
-    for (int64_t S = 0; S < NumSlots; ++S) {
-      unsigned Node = static_cast<unsigned>(S / 2);
-      bool IsRun = S % 2 == 0;
-      std::vector<PStmtPtr> Body = IsRun ? buildRun(Node) : buildFwd(Node);
-      Body.push_back(sAssign(RotorVar, pInt((S + 1) % NumSlots)));
-      Body.push_back(sAssign(DoneVar, pInt(1)));
-      PExprPtr InPass = Wrapped
-                            ? pBin(BinOpKind::Lt, pInt(S), pVar(RotorVar))
-                            : pBin(BinOpKind::Le, pVar(RotorVar), pInt(S));
-      unsigned Queue = IsRun ? QInVar[Node] : QOutVar[Node];
-      PExprPtr Enabled = pBin(BinOpKind::Gt, pLen(pVar(Queue)), pInt(0));
-      Step.push_back(sIf(
-          pBin(BinOpKind::And, pBin(BinOpKind::Eq, pVar(DoneVar), pInt(0)),
-               pBin(BinOpKind::And, std::move(InPass), std::move(Enabled))),
-          std::move(Body)));
-    }
-  return Step;
-}
-
 PExprPtr TranslatorImpl::enabledCount() {
-  // Total scheduling weight of the enabled slots (weight 1 per slot except
-  // for the weighted scheduler).
   PExprPtr Sum = pInt(0);
-  for (unsigned I = 0; I < Spec.Topo.numNodes(); ++I) {
-    int64_t Weight = slotWeight(I);
-    Sum = pBin(BinOpKind::Add, std::move(Sum),
-               pBin(BinOpKind::Mul,
-                    pBin(BinOpKind::Gt, pLen(pVar(QInVar[I])), pInt(0)),
-                    pInt(Weight)));
-    Sum = pBin(BinOpKind::Add, std::move(Sum),
-               pBin(BinOpKind::Mul,
-                    pBin(BinOpKind::Gt, pLen(pVar(QOutVar[I])), pInt(0)),
-                    pInt(Weight)));
-  }
+  for (unsigned I = 0; I < Spec.Topo.numNodes(); ++I)
+    for (unsigned Queue : {QInVar[I], QOutVar[I]})
+      Sum = pBin(BinOpKind::Add, std::move(Sum),
+                 pBin(BinOpKind::Gt, pLen(pVar(Queue)), pInt(0)));
   return Sum;
-}
-
-int64_t TranslatorImpl::slotWeight(unsigned Node) const {
-  if (Spec.Sched != SchedulerKind::Weighted)
-    return 1;
-  assert(Node < Spec.NodeWeights.size() && "missing node weight");
-  return Spec.NodeWeights[Node];
 }
 
 std::vector<PStmtPtr> TranslatorImpl::buildRun(unsigned Node) {

@@ -8,9 +8,10 @@
 /// Compiles a checked Bayonet network into a single PSI IR program,
 /// mirroring the paper's Figures 9 and 10: per-node input/output queues and
 /// state variables become frame variables, each node's program becomes the
-/// body of its Run action, the probabilistic scheduler becomes a uniform
-/// draw over the enabled actions (the round-robin rotor becomes a
-/// scheduler-state slot), and main() unrolls num_steps global steps
+/// body of its Run action, the scheduler becomes one Schedule statement
+/// whose arms are the action slots (PsiExact runs it through the same
+/// net/Scheduler as the direct engines; the round-robin rotor is a
+/// scheduler-state slot), and main() repeats that step num_steps times,
 /// followed by assert(terminated()) and the query expression.
 ///
 //===----------------------------------------------------------------------===//

@@ -132,12 +132,15 @@ NetConfig twoNodeConfig(bool In0, bool Out0, bool In1, bool Out1) {
 
 TEST(SchedulerTest, EnabledActionsEnumeration) {
   NetConfig C = twoNodeConfig(true, false, false, true);
-  auto Actions = enabledActions(C);
-  ASSERT_EQ(Actions.size(), 2u);
-  EXPECT_EQ(Actions[0].K, Action::Kind::Run);
-  EXPECT_EQ(Actions[0].Node, 0u);
-  EXPECT_EQ(Actions[1].K, Action::Kind::Fwd);
-  EXPECT_EQ(Actions[1].Node, 1u);
+  auto Choices = UniformScheduler().choices(C);
+  ASSERT_EQ(Choices.size(), 2u);
+  EXPECT_EQ(Choices[0].Act.K, Action::Kind::Run);
+  EXPECT_EQ(Choices[0].Act.Node, 0u);
+  EXPECT_EQ(Choices[1].Act.K, Action::Kind::Fwd);
+  EXPECT_EQ(Choices[1].Act.Node, 1u);
+  // Slot 2i is Run i, slot 2i + 1 is Fwd i.
+  EXPECT_EQ(actionSlot(Choices[1].Act), 3);
+  EXPECT_TRUE(slotAction(3) == Choices[1].Act);
 }
 
 TEST(SchedulerTest, UniformProbabilities) {

@@ -386,6 +386,167 @@ TEST(PsiIrTest, ForkingIterationIsNeverParked) {
   EXPECT_EQ(R.BranchesExpanded, 3u);
 }
 
+// Schedule: one step of a net/Scheduler over queue-guarded arms. In the
+// programs below, queue i holds Sizes[i] entries (a negative size makes
+// it the scalar 7) and arm i adds 10^i to x, so x names the arms that ran.
+
+/// Adds the queue slots q0.. of \p Sizes to \p P with their initial
+/// values, then the slot x = 0; returns the queue slots.
+std::vector<unsigned> addQueues(PsiProgram &P, const std::vector<int> &Sizes) {
+  std::vector<unsigned> Queues;
+  for (size_t I = 0; I < Sizes.size(); ++I) {
+    unsigned Q = P.addVar("q" + std::to_string(I));
+    Queues.push_back(Q);
+    if (Sizes[I] < 0) {
+      P.Body.push_back(sAssign(Q, pInt(7)));
+      continue;
+    }
+    std::vector<PExprPtr> Elems;
+    for (int E = 0; E < Sizes[I]; ++E)
+      Elems.push_back(pInt(E));
+    P.Body.push_back(sAssign(Q, pTuple(std::move(Elems))));
+  }
+  P.Body.push_back(sAssign(P.addVar("x"), pInt(0)));
+  return Queues;
+}
+
+/// One Schedule over \p Queues whose arm i adds 10^i to slot \p X.
+PStmtPtr scheduleStep(SchedulerKind Kind, std::vector<int64_t> Weights,
+                      unsigned Rotor, const std::vector<unsigned> &Queues,
+                      unsigned X) {
+  std::vector<PStmtPtr> Arms;
+  int64_t Pow = 1;
+  for (unsigned Q : Queues) {
+    std::vector<PStmtPtr> Body;
+    Body.push_back(sAssign(X, pBin(BinOpKind::Add, pVar(X), pInt(Pow))));
+    Arms.push_back(sArm(Q, std::move(Body)));
+    Pow *= 10;
+  }
+  return sSchedule(Kind, std::move(Weights), Rotor, std::move(Arms));
+}
+
+/// One Schedule of \p Kind over queues of \p Sizes; the result is x.
+PsiProgram scheduleProgram(SchedulerKind Kind, std::vector<int64_t> Weights,
+                           const std::vector<int> &Sizes) {
+  PsiProgram P;
+  std::vector<unsigned> Queues = addQueues(P, Sizes);
+  unsigned X = P.VarNames.size() - 1;
+  P.Body.push_back(scheduleStep(Kind, std::move(Weights), 0, Queues, X));
+  P.Result = pVar(X);
+  P.Kind = QueryKind::Expectation;
+  return P;
+}
+
+/// The probability that one Schedule of \p Kind over queues of \p Sizes
+/// ran arm \p Arm, for each arm in turn.
+std::vector<Rational> armProbs(SchedulerKind Kind,
+                               const std::vector<int64_t> &Weights,
+                               const std::vector<int> &Sizes) {
+  std::vector<Rational> Probs;
+  int64_t Pow = 1;
+  for (size_t Arm = 0; Arm < Sizes.size(); ++Arm, Pow *= 10) {
+    PsiProgram P = scheduleProgram(Kind, Weights, Sizes);
+    P.Result = pBin(BinOpKind::Eq, std::move(P.Result), pInt(Pow));
+    P.Kind = QueryKind::Probability;
+    Probs.push_back(*PsiExact(P).run().concreteValue());
+  }
+  return Probs;
+}
+
+TEST(PsiIrTest, ScheduleUniformSplitsEnabledArmsEvenly) {
+  EXPECT_EQ(armProbs(SchedulerKind::Uniform, {}, {1, 0, 2, 1}),
+            (std::vector<Rational>{q(1, 3), q(0), q(1, 3), q(1, 3)}));
+}
+
+TEST(PsiIrTest, ScheduleWeightedForksOncePerArm) {
+  // Arms 0, 1 are node 0's (weight 3), arm 2 is node 1's (weight 1):
+  // 3/7, 3/7, 1/7. Inside a one-iteration repeat, the iteration merge
+  // sees one branch per enabled arm, not one per weight unit.
+  PsiProgram P;
+  std::vector<unsigned> Queues = addQueues(P, {1, 1, 1, 0});
+  unsigned X = P.VarNames.size() - 1;
+  std::vector<PStmtPtr> Step;
+  Step.push_back(scheduleStep(SchedulerKind::Weighted, {3, 1}, 0, Queues, X));
+  P.Body.push_back(sRepeat(1, std::move(Step)));
+  P.Result = pVar(X);
+  P.Kind = QueryKind::Expectation;
+  PsiExactResult R = PsiExact(P).run();
+  EXPECT_EQ(R.MergeAttempts, 3u);
+  EXPECT_EQ(armProbs(SchedulerKind::Weighted, {3, 1}, {1, 1, 1, 0}),
+            (std::vector<Rational>{q(3, 7), q(3, 7), q(1, 7), q(0)}));
+}
+
+TEST(PsiIrTest, ScheduleDeterministicTakesFirstEnabledArm) {
+  EXPECT_EQ(armProbs(SchedulerKind::Deterministic, {}, {0, 2, 1, 1}),
+            (std::vector<Rational>{q(0), q(1), q(0), q(0)}));
+}
+
+TEST(PsiIrTest, ScheduleRoundRobinRotorWrapsAndIsWritten) {
+  // Rotor 3 over four slots with only arms 0 and 1 enabled: the first
+  // step wraps to arm 0 and sets the rotor to 1, the second takes arm 1
+  // and sets it to 2. Result: x * 100 + rotor = 11 * 100 + 2.
+  PsiProgram P;
+  std::vector<unsigned> Queues = addQueues(P, {1, 1, 0, 0});
+  unsigned X = P.VarNames.size() - 1;
+  unsigned Rotor = P.addVar("__rotor");
+  P.Body.push_back(sAssign(Rotor, pInt(3)));
+  for (int Step = 0; Step < 2; ++Step)
+    P.Body.push_back(
+        scheduleStep(SchedulerKind::RoundRobin, {}, Rotor, Queues, X));
+  P.Result = pBin(BinOpKind::Add, pBin(BinOpKind::Mul, pVar(X), pInt(100)),
+                  pVar(Rotor));
+  P.Kind = QueryKind::Expectation;
+  PsiExactResult R = PsiExact(P).run();
+  EXPECT_EQ(*R.concreteValue(), q(1102));
+}
+
+TEST(PsiIrTest, ScheduleWithNothingEnabledParks) {
+  // repeat 1000 { schedule over empty queues }: the first iteration is the
+  // identity, so the environment parks and the loop ends there.
+  PsiProgram P;
+  std::vector<unsigned> Queues = addQueues(P, {0, 0, 0});
+  unsigned X = P.VarNames.size() - 1;
+  std::vector<PStmtPtr> Step;
+  Step.push_back(scheduleStep(SchedulerKind::Uniform, {}, 0, Queues, X));
+  P.Body.push_back(sRepeat(1000, std::move(Step)));
+  P.Result = pVar(X);
+  P.Kind = QueryKind::Expectation;
+  PsiExactResult R = PsiExact(P).run();
+  EXPECT_EQ(*R.concreteValue(), q(0));
+  EXPECT_EQ(R.OkMass.concreteValue(), q(1));
+  EXPECT_EQ(R.BranchesExpanded, 1u);
+}
+
+TEST(PsiIrTest, ScheduleOnScalarQueueIsError) {
+  // As len() on a scalar: the whole branch goes to the error mass, even
+  // though another arm is enabled.
+  PsiExactResult R =
+      PsiExact(scheduleProgram(SchedulerKind::Uniform, {}, {1, -1})).run();
+  EXPECT_EQ(R.ErrorMass.concreteValue(), q(1));
+  EXPECT_TRUE(R.OkMass.isZero());
+}
+
+TEST(PsiIrTest, ScheduleKeepsArmQueuesAndRotorLive) {
+  // An arm queue is read by the next iteration's Schedule, the rotor by
+  // every roundrobin step and x by the arm bodies, so none of them may be
+  // reset at the merge.
+  PsiProgram P;
+  std::vector<unsigned> Queues = addQueues(P, {1, 0});
+  unsigned X = P.VarNames.size() - 1;
+  unsigned Rotor = P.addVar("__rotor");
+  P.Body.push_back(sAssign(Rotor, pInt(0)));
+  std::vector<PStmtPtr> Step;
+  Step.push_back(
+      scheduleStep(SchedulerKind::RoundRobin, {}, Rotor, Queues, X));
+  P.Body.push_back(sRepeat(3, std::move(Step)));
+  P.Result = pInt(1);
+  const PStmt &Loop = *P.Body.back();
+  EXPECT_FALSE(deadAtIter(P, Loop, Queues[0]));
+  EXPECT_FALSE(deadAtIter(P, Loop, Queues[1]));
+  EXPECT_FALSE(deadAtIter(P, Loop, Rotor));
+  EXPECT_FALSE(deadAtIter(P, Loop, X));
+}
+
 TEST(PsiIrTest, TupleConstructionAndProjection) {
   PsiProgram P;
   unsigned T = P.addVar("t");
@@ -595,6 +756,17 @@ TEST(PsiIrTest, SamplerMatchesExact) {
   P.Kind = QueryKind::Expectation;
   PsiExactResult Exact = PsiExact(P).run();
   EXPECT_EQ(*Exact.concreteValue(), q(2));
+}
+
+TEST(PsiIrTest, PrinterShowsScheduleArms) {
+  PsiProgram P;
+  std::vector<unsigned> Queues = addQueues(P, {1, 0});
+  unsigned X = P.VarNames.size() - 1;
+  P.Body.push_back(scheduleStep(SchedulerKind::Weighted, {2}, 0, Queues, X));
+  std::string Text = printPsiProgram(P);
+  EXPECT_NE(Text.find("schedule weighted weights 2 {"), std::string::npos)
+      << Text;
+  EXPECT_NE(Text.find("when q1.length > 0 {"), std::string::npos) << Text;
 }
 
 TEST(PsiIrTest, PrinterRoundsTrips) {

@@ -128,9 +128,10 @@ TEST(TranslatorTest, RoundRobinTranslatesAndAgrees) {
   }
 }
 
-// The rotor is read at the start of the next step before it is written, so
-// liveness must keep it across the step loop's merge; the done flag is
-// written first in every step and is dead there.
+// The rotor is read by the next step's Schedule before it is written, so
+// liveness must keep it across the step loop's merge; the popped-entry
+// scratch is written before it is read and is dead there. The step keeps
+// no scheduler temporaries of its own.
 TEST(TranslatorTest, RoundRobinRotorStaysLive) {
   DiagEngine Diags;
   auto Net = loadNetwork(testnets::TinyCongestion, Diags);
@@ -152,7 +153,10 @@ TEST(TranslatorTest, RoundRobinRotorStaysLive) {
     return std::find(Dead.begin(), Dead.end(), V) != Dead.end();
   };
   EXPECT_FALSE(IsDead(Slot("__rotor")));
-  EXPECT_TRUE(IsDead(Slot("__done")));
+  for (const char *Gone : {"__n", "__choice", "__cnt", "__done"})
+    EXPECT_EQ(std::find(P.VarNames.begin(), P.VarNames.end(), Gone),
+              P.VarNames.end())
+        << Gone;
   EXPECT_TRUE(IsDead(Slot("__entry")));
   EXPECT_FALSE(IsDead(Slot("qin_A")));
   EXPECT_FALSE(IsDead(Slot("s_B_got")));
@@ -167,7 +171,8 @@ TEST(TranslatorTest, PsiPrinterProducesProgramText) {
   EXPECT_NE(Text.find("def main()"), std::string::npos);
   EXPECT_NE(Text.find("qin_H0"), std::string::npos);
   EXPECT_NE(Text.find("repeat 60"), std::string::npos);
-  EXPECT_NE(Text.find("uniformInt"), std::string::npos);
+  EXPECT_NE(Text.find("schedule uniform {"), std::string::npos);
+  EXPECT_NE(Text.find("when qin_H0.length > 0 {"), std::string::npos);
   EXPECT_NE(Text.find("assert"), std::string::npos);
   // Section 4: generated programs are substantially larger than the
   // Bayonet source.
@@ -185,8 +190,40 @@ TEST(TranslatorTest, WebPplEmission) {
             std::string::npos);
   EXPECT_NE(Js.find("factor(-Infinity)"), std::string::npos);
   EXPECT_NE(Js.find("env.qin_H0"), std::string::npos);
+  EXPECT_NE(Js.find("var __slots = filter(function(s) { return "
+                    "__queues[s].length > 0; }"),
+            std::string::npos);
+  EXPECT_NE(Js.find("var __s = uniformDraw(__slots);"), std::string::npos);
+  EXPECT_NE(Js.find("if (__s === 0) {"), std::string::npos);
   // The paper: WebPPL programs are ~10x the Bayonet source.
   EXPECT_GT(Js.size(), std::string(testnets::PaperExample).size() * 2);
+}
+
+// Each scheduler's pick in the emitted WebPPL. No WebPPL runtime is
+// available to the suite, so this checks the text only.
+TEST(TranslatorTest, WebPplEmitsEachSchedulerPick) {
+  struct Case {
+    const char *Decl, *Pick;
+  } Cases[] = {
+      {"scheduler deterministic;", "var __s = __slots[0];"},
+      {"scheduler roundrobin;", "env.__rotor = (__s + 1) % 10;"},
+      {"scheduler weighted { H0 -> 3 };",
+       "var __w = [3, 3, 1, 1, 1, 1, 1, 1, 1, 1];"},
+      {"scheduler weighted { H0 -> 3 };",
+       "var __s = categorical({ps: map(function(s) { return __w[s]; }, "
+       "__slots), vs: __slots});"},
+  };
+  for (const Case &C : Cases) {
+    std::string Src = testnets::PaperExample;
+    size_t Pos = Src.find("scheduler uniform;");
+    ASSERT_NE(Pos, std::string::npos);
+    Src.replace(Pos, 18, C.Decl);
+    DiagEngine Diags;
+    auto Net = loadNetwork(Src, Diags);
+    ASSERT_TRUE(Net.has_value()) << Diags.toString();
+    std::string Js = emitWebPpl(translateOk(Net->Spec), 1000);
+    EXPECT_NE(Js.find(C.Pick), std::string::npos) << C.Decl << "\n" << Js;
+  }
 }
 
 } // namespace
