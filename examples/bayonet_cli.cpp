@@ -82,6 +82,16 @@ void installSignalHandlers() {
   sigaction(SIGTERM, &SA, nullptr);
 }
 
+/// The `txcache:` stats line, printed the same for both exact pipelines
+/// when the cache was used.
+void printTxCache(uint64_t Hits, uint64_t Misses, uint64_t Evictions,
+                  uint64_t Bytes) {
+  if (Hits || Misses)
+    std::printf("txcache: hits=%" PRIu64 " misses=%" PRIu64
+                " evictions=%" PRIu64 " bytes=%" PRIu64 "\n",
+                Hits, Misses, Evictions, Bytes);
+}
+
 void usage() {
   std::fprintf(
       stderr,
@@ -93,11 +103,15 @@ void usage() {
       "  --seed N                               PRNG seed\n"
       "  --threads N                            worker threads (0 = auto, "
       "1 = serial)\n"
-      "  --txcache on|off                       successor-transition cache "
-      "(default on;\n"
+      "  --txcache on|off                       transition cache of the "
+      "exact and\n"
+      "                                         translated engines (default "
+      "on;\n"
       "                                         results identical either "
       "way)\n"
-      "  --intern on|off                        hash-consing intern arena "
+      "  --intern on|off                        hash-consing block arena of "
+      "the exact\n"
+      "                                         and translated engines "
       "(default on;\n"
       "                                         results identical either "
       "way)\n"
@@ -506,10 +520,7 @@ int runMain(int argc, char **argv) {
                     "merge hits: %zu\n",
                     ER.ConfigsExpanded, ER.MaxFrontierSize,
                     static_cast<long long>(ER.StepsUsed), ER.MergeHits);
-        if (ER.TxHits || ER.TxMisses)
-          std::printf("txcache: hits=%" PRIu64 " misses=%" PRIu64
-                      " evictions=%" PRIu64 " bytes=%" PRIu64 "\n",
-                      ER.TxHits, ER.TxMisses, ER.TxEvictions, ER.TxBytes);
+        printTxCache(ER.TxHits, ER.TxMisses, ER.TxEvictions, ER.TxBytes);
         if (ER.InternHits || ER.InternMisses)
           std::printf("intern: hits=%" PRIu64 " misses=%" PRIu64
                       " evictions=%" PRIu64 " bytes=%" PRIu64 "\n",
@@ -536,10 +547,12 @@ int runMain(int argc, char **argv) {
                       C.Region.toString(Net->Spec.Params).c_str(),
                       C.Value.toString().c_str(), C.Value.toDouble());
       }
-      if (Stats)
+      if (Stats) {
         std::printf("branches expanded: %zu, max dist: %zu, merge hits: "
                     "%zu\n",
                     PR.BranchesExpanded, PR.MaxDistSize, PR.MergeHits);
+        printTxCache(PR.TxHits, PR.TxMisses, PR.TxEvictions, PR.TxBytes);
+      }
       QueryUnsupported = PR.QueryUnsupported;
     }
     break;

@@ -93,6 +93,8 @@ void runPrimary(const LoadedNetwork &Net, const InferenceOptions &Opts,
     }
     PsiExactOptions PO;
     PO.Threads = Opts.Threads;
+    PO.TxCacheBytes = Opts.TxCacheBytes;
+    PO.InternBytes = Opts.InternBytes;
     PO.Budget = Tracker;
     PO.Obs = Opts.Obs;
     PO.Checkpoint = Checkpoint;

@@ -97,11 +97,13 @@ struct InferenceOptions {
   /// 0 = process default (BAYONET_THREADS or the hardware), 1 = serial.
   unsigned Threads = 0;
   bool CollectTerminals = false; ///< Exact engine: keep the terminal dist.
-  /// Exact engine: byte cap for the successor-transition cache (--txcache).
-  /// 0 disables it; results are bit-identical either way.
+  /// Exact and translated engines: byte cap for the transition cache
+  /// (--txcache): node-program runs in the exact engine, `schedule` arm
+  /// runs in PsiExact. 0 disables it; results are bit-identical either way.
   uint64_t TxCacheBytes = TxCacheDefaultBytes;
-  /// Exact engine: byte cap for the hash-consing intern arena (--intern).
-  /// 0 disables it; results are bit-identical either way.
+  /// Exact and translated engines: byte cap for the hash-consing arena of
+  /// node or environment blocks (--intern). 0 disables it; results are
+  /// bit-identical either way.
   uint64_t InternBytes = InternDefaultBytes;
   /// Resource budgets (default: unlimited).
   BudgetLimits Limits;

@@ -10,26 +10,336 @@
 #include "obs/Boundary.h"
 #include "psi/PsiLiveness.h"
 #include "support/FlatIndexMap.h"
+#include "support/StagedTable.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <chrono>
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <optional>
 #include <unordered_map>
+#include <utility>
 
 using namespace bayonet;
 
 namespace {
 
-using Env = std::vector<PsiValue>;
+/// An immutable, shared, hash-cached group of environment slots, held
+/// the way net/Config.h's NodeArray holds NodeBlocks: Env::mut() clones a
+/// block that any other environment (or the arm cache) still shares. The
+/// caches are relaxed atomics for the same reason as NodeBlock's; the
+/// count is CowPtr's, so a block found unique is safe to write even when
+/// its former sharers ran on other lanes.
+struct EnvBlock {
+  std::vector<PsiValue> Vals;
+  mutable std::atomic<size_t> Hash{0}, Bytes{0};
+  /// Content class assigned by the block arena, 0 = none: equal nonzero
+  /// ids prove equal content, unequal ones prove nothing (an evicted class
+  /// re-interns under a new id). Not copied.
+  mutable std::atomic<uint64_t> Id{0};
+  mutable std::atomic<uint32_t> Refs{0}; ///< CowPtr's count.
 
-struct EnvHash {
-  size_t operator()(const Env &E) const {
-    size_t H = 0x811c9dc5;
-    for (const PsiValue &V : E)
-      H = H * 0x100000001b3ULL ^ V.hash();
+  explicit EnvBlock(std::vector<PsiValue> V) : Vals(std::move(V)) {}
+  EnvBlock(const EnvBlock &B) : Vals(B.Vals) {}
+  EnvBlock &operator=(const EnvBlock &) = delete;
+
+  size_t hash() const {
+    size_t H = Hash.load(std::memory_order_relaxed);
+    if (!H) {
+      H = 0x7a3f9d1b;
+      for (const PsiValue &V : Vals)
+        H = H * 0x100000001b3ULL ^ V.hash();
+      H = H ? H : 1; // 0 is the "not computed" sentinel.
+      Hash.store(H, std::memory_order_relaxed);
+    }
     return H;
   }
+  size_t approxBytes() const {
+    size_t B = Bytes.load(std::memory_order_relaxed);
+    if (!B) {
+      for (const PsiValue &V : Vals)
+        B += V.approxBytes();
+      Bytes.store(B, std::memory_order_relaxed);
+    }
+    return B;
+  }
+};
+
+using BlockPtr = CowPtr<EnvBlock>;
+
+/// The slot -> (block, offset) map of a run's environments, each block's
+/// slot count, and each block with every slot PsiValue(), shared.
+struct EnvLayout {
+  std::vector<SlotHome> Home;
+  std::vector<unsigned> Sizes;
+  std::vector<BlockPtr> Zero;
+
+  /// \p P's layout when it is a valid one, else one block per slot.
+  explicit EnvLayout(const PsiProgram &P) {
+    const size_t N = P.VarNames.size();
+    Home = P.Layout;
+    bool Ok = Home.size() == N;
+    for (size_t S = 0; S < N && Ok; ++S) {
+      if (Home[S].Block >= Sizes.size())
+        Sizes.resize(Home[S].Block + 1, 0);
+      Ok = Home[S].Offset == Sizes[Home[S].Block]++;
+    }
+    if (!Ok || std::find(Sizes.begin(), Sizes.end(), 0u) != Sizes.end()) {
+      Home.resize(N);
+      Sizes.assign(N, 1);
+      for (unsigned S = 0; S < N; ++S)
+        Home[S] = {S, 0};
+    }
+    for (unsigned Size : Sizes)
+      Zero.push_back(BlockPtr::make(std::vector<PsiValue>(Size)));
+  }
+};
+
+/// Content equality of two blocks: shared or one arena class first, then
+/// the cached hashes.
+bool sameBlock(const BlockPtr &A, const BlockPtr &B) {
+  if (A == B)
+    return true;
+  uint64_t IdA = A->Id.load(std::memory_order_relaxed);
+  if (IdA && IdA == B->Id.load(std::memory_order_relaxed))
+    return true;
+  return A->hash() == B->hash() && A->Vals == B->Vals;
+}
+
+/// A variable frame: copy-on-write blocks of slots. Copying an Env shares
+/// every block; mut() copies only the touched one.
+class Env {
+public:
+  Env() = default;
+  /// Every slot PsiValue().
+  explicit Env(const EnvLayout &L) : L(&L), Blocks(L.Zero) {}
+
+  const PsiValue &operator[](unsigned Slot) const {
+    const SlotHome &H = L->Home[Slot];
+    return Blocks[H.Block]->Vals[H.Offset];
+  }
+  /// Slot \p Slot for writing; valid until this Env is next copied.
+  PsiValue &mut(unsigned Slot) {
+    const SlotHome &H = L->Home[Slot];
+    BlockPtr &B = Blocks[H.Block];
+    if (!B.unique())
+      B = BlockPtr::make(*B);
+    B->Hash.store(0, std::memory_order_relaxed);
+    B->Bytes.store(0, std::memory_order_relaxed);
+    B->Id.store(0, std::memory_order_relaxed);
+    return B->Vals[H.Offset];
+  }
+  const BlockPtr &block(unsigned I) const { return Blocks[I]; }
+  /// Calls \p F on each block pointer, which it may replace by an equal
+  /// block.
+  template <typename Fn> void forEachBlock(Fn &&F) {
+    for (BlockPtr &B : Blocks)
+      F(B);
+  }
+  void setBlock(unsigned I, BlockPtr B) { Blocks[I] = std::move(B); }
+  size_t numSlots() const { return L->Home.size(); }
+
+  /// Folds the cached block hashes.
+  size_t hash() const {
+    size_t H = 0x811c9dc5;
+    for (const BlockPtr &B : Blocks)
+      H = H * 0x100000001b3ULL ^ B->hash();
+    return H;
+  }
+  size_t approxBytes() const {
+    size_t N = 0;
+    for (const BlockPtr &B : Blocks)
+      N += B->approxBytes();
+    return N;
+  }
+  friend bool operator==(const Env &A, const Env &B) {
+    for (size_t I = 0; I < A.Blocks.size(); ++I)
+      if (!sameBlock(A.Blocks[I], B.Blocks[I]))
+        return false;
+    return true;
+  }
+
+private:
+  const EnvLayout *L = nullptr;
+  std::vector<BlockPtr> Blocks;
+};
+
+//===----------------------------------------------------------------------===//
+// The arm transition cache
+//===----------------------------------------------------------------------===//
+
+struct BlockPtrHash {
+  size_t operator()(const BlockPtr &B) const { return B->hash(); }
+};
+struct BlockPtrEq {
+  bool operator()(const BlockPtr &A, const BlockPtr &B) const {
+    return sameBlock(A, B);
+  }
+};
+
+/// Hash-consing of environment blocks, as support/Intern.h does for the
+/// direct engine's node blocks and under the same staged protocol: lanes
+/// read the classes published at the last serial boundary, share one
+/// pointer among the equal blocks they stage in between, and publication
+/// gives every staged block its class id, so equal blocks compare in O(1)
+/// in merge probes and arm-cache keys. The arena changes pointers and ids,
+/// never values, so nothing it does is observable but time and memory.
+class BlockArena {
+public:
+  BlockArena(uint64_t ByteCap, unsigned Lanes)
+      : Table(ByteCap, Lanes), Local(std::max(1u, Lanes)) {}
+
+  /// Replaces \p B by its published representative or by an equal block
+  /// its lane staged since; else stages it.
+  void canon(unsigned Lane, BlockPtr &B) {
+    if (B->Id.load(std::memory_order_relaxed))
+      return;
+    if (const auto *E = Table.find(B)) {
+      B = E->first;
+      return;
+    }
+    LaneSet &L = Local[Lane];
+    uint32_t New = static_cast<uint32_t>(L.Blocks.size());
+    uint32_t At = L.Index.findOrInsert(
+        B->hash(), New, [&](uint32_t I) { return sameBlock(L.Blocks[I], B); });
+    if (At != New) {
+      B = L.Blocks[At];
+      return;
+    }
+    L.Blocks.push_back(B);
+    Table.stage(Lane, B, 0);
+  }
+
+  void publish() {
+    for (LaneSet &L : Local) {
+      L.Blocks.clear();
+      L.Index.clear();
+    }
+    // Which equal block wins is unobservable, so no content order.
+    Table.publish(
+        [](const auto &, const auto &) { return false; },
+        [this](const BlockPtr &B, char &) -> uint64_t {
+          B->Id.store(++NextId, std::memory_order_relaxed);
+          return sizeof(EnvBlock) + B->approxBytes();
+        },
+        // Another lane staged an equal block: it joins the class, so the
+        // environments holding it compare in O(1) from now on.
+        [](BlockPtr &Dup, const BlockPtr &Canon) {
+          Dup->Id.store(Canon->Id.load(std::memory_order_relaxed),
+                        std::memory_order_relaxed);
+        });
+  }
+
+private:
+  struct alignas(64) LaneSet {
+    std::vector<BlockPtr> Blocks;
+    FlatIndexMap Index;
+  };
+  StagedTable<BlockPtr, char, BlockPtrHash, BlockPtrEq> Table;
+  std::vector<LaneSet> Local;
+  uint64_t NextId = 0;
+};
+
+/// One way a memoized arm run can end.
+struct ArmOutcome {
+  /// The arm's written blocks afterwards, in ArmInfo::WritePos order.
+  std::vector<BlockPtr> Blocks;
+  /// The weight the run was recorded with, started at 1: a replay
+  /// multiplies the branch's weight by it (see times()).
+  SymProb W;
+  /// The run changed no slot live at its loop's merge (a parking test).
+  bool Still = false;
+};
+
+/// Every outcome of running one arm on the blocks of its key. Like
+/// interp/TxCache.h's entries, a pure value: eviction only costs a rerun.
+struct ArmEntry {
+  /// In the order the run finished them.
+  std::vector<ArmOutcome> Outs;
+  /// Recorded weight of the runs that failed.
+  SymProb Err;
+  /// The run never forked: its one outcome continues the branch in place.
+  bool InPlace = false;
+  /// Sparse (statement, count) executions of the run, the statement by
+  /// its ArmInfo::ProfSlots index, replayed on every hit as
+  /// TxEntry::ProfExecs are.
+  std::vector<std::pair<uint32_t, uint64_t>> ProfExecs;
+};
+
+/// An arm shape and the blocks holding every slot the arm reads or writes.
+struct ArmKey {
+  uint32_t Shape = 0;
+  std::vector<BlockPtr> Blocks;
+};
+
+struct ArmKeyHash {
+  size_t operator()(const ArmKey &K) const {
+    size_t H = 0x9e3779b97f4a7c15ULL * (K.Shape + 1);
+    for (const BlockPtr &B : K.Blocks)
+      H = H * 0x100000001b3ULL ^ B->hash();
+    return H;
+  }
+};
+
+struct ArmKeyEq {
+  bool operator()(const ArmKey &A, const ArmKey &B) const {
+    if (A.Shape != B.Shape)
+      return false;
+    for (size_t I = 0; I < A.Blocks.size(); ++I)
+      if (!sameBlock(A.Blocks[I], B.Blocks[I]))
+        return false;
+    return true;
+  }
+};
+
+using ArmCache = StagedTable<ArmKey, ArmEntry, ArmKeyHash, ArmKeyEq>;
+
+/// Retained bytes of a cache entry, for the byte cap.
+uint64_t entryBytes(const ArmKey &K, const ArmEntry &E) {
+  auto blocks = [](const std::vector<BlockPtr> &Bs) {
+    size_t N = 0;
+    for (const BlockPtr &B : Bs)
+      N += sizeof(EnvBlock) + B->approxBytes();
+    return N;
+  };
+  size_t N = sizeof(ArmKey) + sizeof(ArmEntry) + blocks(K.Blocks) +
+             E.Err.terms().size() * sizeof(SymProb::Term) +
+             E.ProfExecs.size() * sizeof(E.ProfExecs[0]);
+  for (const ArmOutcome &O : E.Outs)
+    N += sizeof(ArmOutcome) + blocks(O.Blocks) +
+         O.W.terms().size() * sizeof(SymProb::Term);
+  return N;
+}
+
+/// \p W times a weight \p F recorded from 1. Every recorded weight is a
+/// sum of terms v*[G] built by scaling and restricting, and SymProb keeps
+/// terms and guards canonical, so scaling \p W by each v and restricting
+/// it by each constraint of G gives bit for bit the weight the branch
+/// would have reached running the arm itself.
+SymProb times(const SymProb &W, const SymProb &F) {
+  if (F.isConcrete())
+    return W.scaled(F.concreteValue());
+  SymProb R;
+  for (const SymProb::Term &T : F.terms()) {
+    SymProb Part = W.scaled(T.Value);
+    for (const Constraint &C : T.Guard.constraints()) {
+      if (Part.isZero())
+        break;
+      Part = Part.restricted(C);
+    }
+    R += std::move(Part);
+  }
+  return R;
+}
+
+/// The resets of one merge point's dead slots.
+struct DeadPlan {
+  std::vector<unsigned> Blocks; ///< Every slot dead: the zero block.
+  std::vector<unsigned> Slots;  ///< The dead slots of the other blocks.
 };
 
 /// One weighted environment.
@@ -56,10 +366,37 @@ struct Frame {
   size_t Idx, End;
 };
 
+/// A continuation: a stack of frames held inline up to four deep, so
+/// copying one for a fork does not allocate.
+class Frames {
+public:
+  Frames() = default;
+  Frames(Frame F) { push_back(F); }
+  bool empty() const { return N == 0; }
+  Frame &back() { return N <= Inline ? In[N - 1] : Spill.back(); }
+  void push_back(Frame F) {
+    if (N < Inline)
+      In[N] = F;
+    else
+      Spill.push_back(F);
+    ++N;
+  }
+  void pop_back() {
+    if (N-- > Inline)
+      Spill.pop_back();
+  }
+
+private:
+  static constexpr unsigned Inline = 4;
+  std::array<Frame, Inline> In;
+  std::vector<Frame> Spill; ///< Frames past the fourth.
+  unsigned N = 0;
+};
+
 /// One branch and the statements it has still to run in its pass.
 struct Task {
   Branch B;
-  std::vector<Frame> K;
+  Frames K;
   /// So far this Repeat iteration is the identity on the live slots: no
   /// fork, no general eval, no live slot changed.
   bool Still = false;
@@ -88,9 +425,17 @@ struct PassOut {
 /// One lane's counts during a pass; the spine commits lanes in lane order.
 struct Tally {
   SymProb Err;
-  size_t Expanded = 0, MergeAttempts = 0, MergeHits = 0;
+  size_t Expanded = 0, MergeAttempts = 0, MergeHits = 0, Parked = 0;
+  uint64_t TxHits = 0, TxMisses = 0;
+  /// Arm-cache hits and misses by shape, interleaved.
+  std::vector<uint64_t> ShapeTx;
+  unsigned Lane = 0;         ///< Where arm-cache misses stage.
   uint64_t *Execs = nullptr; ///< The lane's profiler exec shard, or null.
+  /// Zeroed per-lane counts an arm run is recorded into, or null.
+  uint64_t *RecExecs = nullptr;
   std::vector<SchedChoice> Choices; ///< Scratch for Schedule statements.
+  ArmKey Probe;                     ///< Scratch arm-cache lookup key.
+  std::vector<Task> Work;           ///< Spare runBranch stack.
 };
 
 /// One outcome of evaluating an expression on a fixed environment.
@@ -142,8 +487,28 @@ SymProb applyGuards(SymProb W, const std::vector<Constraint> &Guards) {
 BoundaryDelta counters(const PsiExactResult &R) {
   return {.Expanded = R.BranchesExpanded,
           .MergeAttempts = R.MergeAttempts,
-          .MergeHits = R.MergeHits};
+          .MergeHits = R.MergeHits,
+          .TxHits = R.TxHits,
+          .TxMisses = R.TxMisses,
+          .TxEvictions = R.TxEvictions,
+          .TxBytes = R.TxBytes};
 }
+
+/// What PsiExact knows of one `schedule` arm.
+struct ArmInfo {
+  /// Its cache class: arms of one shape share entries.
+  uint32_t Shape = 0;
+  /// Runs are memoized (see Interp::buildArm).
+  bool Cacheable = false;
+  /// Blocks holding a slot the arm may read or write, ascending: its
+  /// cache key.
+  std::vector<unsigned> Keys;
+  /// Positions in Keys of the blocks it may write: what a replay installs.
+  std::vector<uint32_t> WritePos;
+  /// Profiler frames of its body's statements in pre-order (profiling on
+  /// only); ArmEntry::ProfExecs index this list.
+  std::vector<uint32_t> ProfSlots;
+};
 
 /// The exact interpreter over distributions.
 class Interp {
@@ -152,10 +517,11 @@ public:
          PsiExactResult &Result)
       : P(P), Opts(Opts), Result(Result), Threads(resolveThreads(Opts.Threads)),
         BT(Opts.Budget.get()), StopF(BT ? &BT->stopFlag() : nullptr),
-        O(Opts.Obs), Dead(computeMergeLiveness(P)),
+        O(Opts.Obs), Layout(P),
         Bound(EngineKind::Psi, "psi", Opts.Obs.get(), BT,
               Opts.Checkpoint.get()) {
-    for (const auto &[S, Slots] : Dead) {
+    for (const auto &[S, Slots] : computeMergeLiveness(P)) {
+      Plans[S] = {plan(Slots.Iter), plan(Slots.Exit)};
       if (S->Kind != PStmtKind::Repeat)
         continue;
       std::vector<bool> &Mask = IterDead[S];
@@ -163,7 +529,16 @@ public:
       for (unsigned Slot : Slots.Iter)
         Mask[Slot] = true;
     }
-    buildSchedulers(P.Body);
+    buildSchedulers(P.Body, nullptr);
+    Shapes.resize(ShapeRep.size());
+    if (Opts.TxCacheBytes)
+      Cache = std::make_unique<ArmCache>(Opts.TxCacheBytes, Threads);
+    if (Opts.InternBytes) {
+      Arena = std::make_unique<BlockArena>(Opts.InternBytes, Threads);
+      for (BlockPtr B : Layout.Zero)
+        Arena->canon(0, B);
+      Arena->publish();
+    }
     if (Opts.Checkpoint) {
       // The PSI IR has no structural identity beyond its text: fingerprint
       // the printed program (deterministic, covers every statement).
@@ -173,6 +548,8 @@ public:
                          .mix(Opts.MergeEnvs)
                          .mix(static_cast<uint64_t>(Opts.WhileFuel))
                          .mix(Opts.MaxDist)
+                         .mix(Opts.TxCacheBytes)
+                         .mix(Opts.InternBytes)
                          .value();
       Bound.Payload = [this](SnapWriter &W) { serializeState(W); };
     }
@@ -191,6 +568,16 @@ public:
       return;
     }
     PF = Bound.profiler();
+    if (PF && Cache) {
+      // Per-lane scratch an arm run records its statement counts into.
+      uint32_t Slots = 0;
+      for (auto &[Arm, AI] : Arms) {
+        collectProfSlots(Arm->Then, AI.ProfSlots);
+        for (uint32_t Slot : AI.ProfSlots)
+          Slots = std::max(Slots, Slot + 1);
+      }
+      RecExecs.assign(Threads, std::vector<uint64_t>(Slots, 0));
+    }
     Dist D;
     size_t StartIdx = 0;
     bool Resumed = false;
@@ -201,16 +588,10 @@ public:
       D.reserve(N);
       bool Ok = StartIdx <= P.Body.size();
       for (uint64_t I = 0; I < N && Ok && R->ok(); ++I) {
-        Branch B;
-        uint64_t NV = R->count();
-        Ok = NV == P.VarNames.size();
-        B.Vars.reserve(NV);
-        for (uint64_t V = 0; V < NV && Ok && R->ok(); ++V) {
-          PsiValue PV;
-          Ok = readPsiValue(*R, PV);
-          if (Ok)
-            B.Vars.push_back(std::move(PV));
-        }
+        Branch B{Env(Layout), SymProb()};
+        Ok = R->count() == P.VarNames.size();
+        for (unsigned V = 0; V < P.VarNames.size() && Ok && R->ok(); ++V)
+          Ok = readPsiValue(*R, B.Vars.mut(V));
         Ok = Ok && readSymProb(*R, B.W);
         if (Ok)
           D.push_back(std::move(B));
@@ -226,6 +607,18 @@ public:
       Result.WorkerBranchesExpanded.assign(NW, 0);
       for (uint64_t I = 0; I < NW && R->ok(); ++I)
         Result.WorkerBranchesExpanded[I] = R->u64();
+      Result.BranchesParked = R->u64();
+      Result.TxHits = R->u64();
+      Result.TxMisses = R->u64();
+      Result.TxEvictions = R->u64();
+      Result.TxBytes = R->u64();
+      Ok = Ok && R->boolean() == (Cache != nullptr);
+      for (ShapeStats &St : Shapes) {
+        St.Hits = R->u64();
+        St.Misses = R->u64();
+        St.Off = R->boolean();
+      }
+      Ok = Ok && (!Cache || restoreCache(*R));
       if (!Ok || !R->ok()) {
         Result = PsiExactResult();
         Result.Kind = P.Kind;
@@ -235,10 +628,8 @@ public:
       }
       Resumed = true;
     }
-    if (!Resumed) {
-      Env Init(P.VarNames.size(), PsiValue());
-      D.push_back({std::move(Init), SymProb::concrete(Rational(1))});
-    }
+    if (!Resumed)
+      D.push_back({Env(Layout), SymProb::concrete(Rational(1))});
     // Top-level statements execute one by one so the checkpointer can
     // snapshot at their boundaries, where D is the whole engine state.
     TopD = &D;
@@ -284,14 +675,40 @@ private:
   BudgetTracker *BT;
   const std::atomic<bool> *StopF;
   ObsHandle O;
-  /// Dead slots at every merge point; mergeDist resets them to PsiValue()
-  /// so environments that differ only in dead values merge.
-  const PsiLiveness Dead;
+  /// Each loop's iteration and exit merge resets of the slots dead there
+  /// (psi/PsiLiveness.h), so environments that differ only in dead values
+  /// merge.
+  std::unordered_map<const PStmt *, std::pair<DeadPlan, DeadPlan>> Plans;
   /// Each Repeat's iteration-merge dead slots as a per-slot mask, for the
   /// parking test.
   std::unordered_map<const PStmt *, std::vector<bool>> IterDead;
-  /// The net/Scheduler of every Schedule statement.
-  std::unordered_map<const PStmt *, std::unique_ptr<Scheduler>> Scheds;
+  /// Every Schedule statement's net/Scheduler and the ArmInfo of each of
+  /// its arms, in slot order.
+  struct SchedInfo {
+    std::unique_ptr<Scheduler> Sched;
+    std::vector<const ArmInfo *> Arms;
+  };
+  std::unordered_map<const PStmt *, SchedInfo> Scheds;
+  const EnvLayout Layout;
+  /// Every arm's cache facts; the shapes, and one arm of each.
+  std::unordered_map<const PStmt *, ArmInfo> Arms;
+  std::map<std::string, uint32_t> ShapeIds;
+  std::vector<const ArmInfo *> ShapeRep;
+  /// Each shape's published hits and misses, and whether it stopped
+  /// being cached.
+  struct ShapeStats {
+    uint64_t Hits = 0, Misses = 0;
+    bool Off = false;
+  };
+  std::vector<ShapeStats> Shapes;
+  /// The arm transition cache (null when off): lanes read the entries
+  /// published at the last serial boundary and stage their misses, as the
+  /// direct engine's TxCache does.
+  std::unique_ptr<ArmCache> Cache;
+  /// The block arena (null when off).
+  std::unique_ptr<BlockArena> Arena;
+  /// Per-lane scratch for recording an arm run's statement counts.
+  std::vector<std::vector<uint64_t>> RecExecs;
   Boundary Bound;
   Profiler *PF = nullptr;
   /// The reported statistics as of the last boundary.
@@ -312,9 +729,9 @@ private:
     W.i64(TopIdx);
     W.u64(TopD->size());
     for (const Branch &B : *TopD) {
-      W.u64(B.Vars.size());
-      for (const PsiValue &V : B.Vars)
-        snapPsiValue(W, V);
+      W.u64(B.Vars.numSlots());
+      for (unsigned V = 0; V < B.Vars.numSlots(); ++V)
+        snapPsiValue(W, B.Vars[V]);
       snapSymProb(W, B.W);
     }
     snapSymProb(W, Result.ErrorMass);
@@ -327,22 +744,226 @@ private:
     W.u64(Result.WorkerBranchesExpanded.size());
     for (size_t V : Result.WorkerBranchesExpanded)
       W.u64(V);
+    W.u64(Result.BranchesParked);
+    W.u64(Result.TxHits);
+    W.u64(Result.TxMisses);
+    W.u64(Result.TxEvictions);
+    W.u64(Result.TxBytes);
+    W.boolean(Cache != nullptr);
+    for (const ShapeStats &St : Shapes) {
+      W.u64(St.Hits);
+      W.u64(St.Misses);
+      W.boolean(St.Off);
+    }
+    if (Cache)
+      Cache->snapshot(W, [&](const ArmKey &K, const ArmEntry &E) {
+        W.u32(K.Shape);
+        snapBlocks(W, K.Blocks);
+        W.u64(E.Outs.size());
+        for (const ArmOutcome &O : E.Outs) {
+          snapBlocks(W, O.Blocks);
+          snapSymProb(W, O.W);
+          W.boolean(O.Still);
+        }
+        snapSymProb(W, E.Err);
+        W.boolean(E.InPlace);
+        W.u64(E.ProfExecs.size());
+        for (const auto &[Stmt, Count] : E.ProfExecs) {
+          W.u32(Stmt);
+          W.u64(Count);
+        }
+      });
   }
 
-  void buildSchedulers(const std::vector<PStmtPtr> &Body) {
-    for (const PStmtPtr &S : Body) {
-      if (S->Kind == PStmtKind::Schedule)
-        Scheds[S.get()] = Scheduler::create(S->Sched, S->Weights);
-      buildSchedulers(S->Then);
-      buildSchedulers(S->Else);
+  static void snapBlocks(SnapWriter &W, const std::vector<BlockPtr> &Bs) {
+    W.u64(Bs.size());
+    for (const BlockPtr &B : Bs) {
+      W.u64(B->Vals.size());
+      for (const PsiValue &V : B->Vals)
+        snapPsiValue(W, V);
     }
   }
 
-  static size_t envBytes(const Env &E) {
-    size_t B = 0;
-    for (const PsiValue &V : E)
-      B += V.approxBytes();
-    return B;
+  /// Reads the blocks written by snapBlocks.
+  static bool readBlocks(SnapReader &R, std::vector<BlockPtr> &Bs) {
+    for (uint64_t I = 0, N = R.count(); I < N && R.ok(); ++I) {
+      std::vector<PsiValue> Vals(R.count());
+      for (PsiValue &V : Vals)
+        if (!readPsiValue(R, V))
+          return false;
+      Bs.push_back(BlockPtr::make(std::move(Vals)));
+    }
+    return R.ok();
+  }
+
+  /// Restores the published arm cache from a snapshot, in its FIFO order,
+  /// so a resumed run hits and evicts exactly as an uninterrupted one.
+  bool restoreCache(SnapReader &R) {
+    return Cache->restore(R, [&](ArmKey &K, ArmEntry &E, uint64_t &Bytes) {
+      K.Shape = R.u32();
+      if (K.Shape >= ShapeRep.size())
+        return false;
+      const ArmInfo &AI = *ShapeRep[K.Shape];
+      if (!readBlocks(R, K.Blocks) || K.Blocks.size() != AI.Keys.size())
+        return false;
+      E.Outs.resize(R.count());
+      for (ArmOutcome &O : E.Outs) {
+        if (!R.ok() || !readBlocks(R, O.Blocks) ||
+            O.Blocks.size() != AI.WritePos.size() || !readSymProb(R, O.W))
+          return false;
+        for (size_t I = 0; I < O.Blocks.size(); ++I)
+          if (O.Blocks[I]->Vals.size() !=
+              K.Blocks[AI.WritePos[I]]->Vals.size())
+            return false;
+        O.Still = R.boolean();
+      }
+      if (!readSymProb(R, E.Err))
+        return false;
+      E.InPlace = R.boolean();
+      E.ProfExecs.resize(R.count());
+      for (auto &[Stmt, Count] : E.ProfExecs) {
+        Stmt = R.u32();
+        Count = R.u64();
+        if (PF && Stmt >= AI.ProfSlots.size())
+          return false;
+      }
+      Bytes = entryBytes(K, E);
+      return R.ok();
+    });
+  }
+
+  /// Splits \p DeadSlots into wholly dead blocks and the other slots.
+  DeadPlan plan(const std::vector<unsigned> &DeadSlots) const {
+    DeadPlan Plan;
+    std::vector<unsigned> Count(Layout.Sizes.size(), 0);
+    for (unsigned Slot : DeadSlots)
+      ++Count[Layout.Home[Slot].Block];
+    for (unsigned B = 0; B < Count.size(); ++B)
+      if (Count[B] == Layout.Sizes[B])
+        Plan.Blocks.push_back(B);
+    for (unsigned Slot : DeadSlots)
+      if (Count[Layout.Home[Slot].Block] != Layout.Sizes[Layout.Home[Slot].Block])
+        Plan.Slots.push_back(Slot);
+    return Plan;
+  }
+
+  /// Builds the net/Scheduler of every Schedule and the ArmInfo of every
+  /// arm; \p Dead is the iteration-dead mask of the innermost enclosing
+  /// Repeat (null outside one or inside a While).
+  void buildSchedulers(const std::vector<PStmtPtr> &Body,
+                       const std::vector<bool> *Dead) {
+    for (const PStmtPtr &S : Body) {
+      if (S->Kind == PStmtKind::Schedule) {
+        SchedInfo &SI = Scheds[S.get()];
+        SI.Sched = Scheduler::create(S->Sched, S->Weights);
+        for (const PStmtPtr &Arm : S->Then)
+          SI.Arms.push_back(&Arms[Arm.get()]);
+      }
+      if (S->Kind == PStmtKind::Arm && Opts.TxCacheBytes)
+        buildArm(*S, Dead);
+      const std::vector<bool> *Inner =
+          S->Kind == PStmtKind::Repeat  ? &IterDead.at(S.get())
+          : S->Kind == PStmtKind::While ? nullptr
+                                        : Dead;
+      buildSchedulers(S->Then, Inner);
+      buildSchedulers(S->Else, Inner);
+    }
+  }
+
+  /// Fills Arms[&Arm]. A straight-line arm is cacheable. Arms whose
+  /// bodies agree up to the renaming of their key blocks (same-program
+  /// nodes) share a shape, and so share cache entries.
+  void buildArm(const PStmt &Arm, const std::vector<bool> *Dead) {
+    ArmInfo &AI = Arms[&Arm];
+    BodyUses U = computeBodyUses(Arm.Then);
+    std::vector<unsigned> Writes;
+    for (unsigned Slot : U.Writes)
+      Writes.push_back(Layout.Home[Slot].Block);
+    AI.Keys = Writes;
+    for (unsigned Slot : U.Reads)
+      AI.Keys.push_back(Layout.Home[Slot].Block);
+    for (std::vector<unsigned> *V : {&AI.Keys, &Writes}) {
+      std::sort(V->begin(), V->end());
+      V->erase(std::unique(V->begin(), V->end()), V->end());
+    }
+    for (unsigned B : Writes)
+      AI.WritePos.push_back(keyPos(AI, B));
+    AI.Cacheable = straightLine(Arm.Then);
+    // The shape: the body with each slot renamed to (key position,
+    // offset), and whether each written slot is dead at the merge.
+    std::string Shape;
+    auto Put = [&](uint64_t V) {
+      Shape.append(reinterpret_cast<const char *>(&V), sizeof V);
+    };
+    auto Slot = [&](unsigned S) {
+      Put(uint64_t(keyPos(AI, Layout.Home[S].Block)) << 33 |
+          uint64_t(Layout.Home[S].Offset) << 1 | (Dead && (*Dead)[S]));
+    };
+    std::function<void(const PExpr &)> Expr = [&](const PExpr &E) {
+      Put(uint64_t(E.Kind) << 32 | E.Ops.size());
+      if (E.Kind == PExprKind::Const) {
+        std::string C = E.ConstVal.toString();
+        Put(C.size());
+        Shape += C;
+      } else if (E.Kind == PExprKind::Var) {
+        Slot(E.Index);
+      } else {
+        Put(E.Index);
+        Put(uint64_t(E.BinOp) << 32 | uint64_t(E.UnOp));
+      }
+      for (const PExprPtr &Op : E.Ops)
+        Expr(*Op);
+    };
+    std::function<void(const std::vector<PStmtPtr> &)> Block =
+        [&](const std::vector<PStmtPtr> &Stmts) {
+          Put(Stmts.size());
+          for (const PStmtPtr &St : Stmts) {
+            Put(uint64_t(St->Kind));
+            Put(static_cast<uint64_t>(St->Capacity));
+            if (St->Kind == PStmtKind::Assign ||
+                St->Kind == PStmtKind::PushBack ||
+                St->Kind == PStmtKind::PushFront ||
+                St->Kind == PStmtKind::PopFront)
+              Slot(St->Var);
+            if (St->Kind == PStmtKind::PopFront)
+              Slot(St->Var2);
+            Put(St->E != nullptr);
+            if (St->E)
+              Expr(*St->E);
+            Block(St->Then);
+            Block(St->Else);
+          }
+        };
+    Block(Arm.Then);
+    auto [It, New] = ShapeIds.try_emplace(
+        std::move(Shape), static_cast<uint32_t>(ShapeRep.size()));
+    if (New)
+      ShapeRep.push_back(&AI);
+    AI.Shape = It->second;
+  }
+
+  static uint32_t keyPos(const ArmInfo &AI, unsigned Block) {
+    return static_cast<uint32_t>(
+        std::lower_bound(AI.Keys.begin(), AI.Keys.end(), Block) -
+        AI.Keys.begin());
+  }
+
+  static bool straightLine(const std::vector<PStmtPtr> &Body) {
+    for (const PStmtPtr &S : Body)
+      if (S->Kind == PStmtKind::While || S->Kind == PStmtKind::Repeat ||
+          S->Kind == PStmtKind::Schedule || !straightLine(S->Then) ||
+          !straightLine(S->Else))
+        return false;
+    return true;
+  }
+
+  static void collectProfSlots(const std::vector<PStmtPtr> &Body,
+                               std::vector<uint32_t> &Out) {
+    for (const PStmtPtr &S : Body) {
+      Out.push_back(S->ProfSlot);
+      collectProfSlots(S->Then, Out);
+      collectProfSlots(S->Else, Out);
+    }
   }
 
   /// Charges one expanded branch to the governor (thread-safe).
@@ -350,7 +971,7 @@ private:
     if (!BT)
       return;
     BT->chargeStates();
-    BT->chargeBytes(envBytes(B.Vars));
+    BT->chargeBytes(B.Vars.approxBytes());
   }
 
   bool stopped() const { return BT && BT->stop(); }
@@ -367,9 +988,15 @@ private:
     return Threads > 1 && N >= Opts.ParallelThreshold;
   }
 
-  static void resetDead(Env &E, const std::vector<unsigned> &DeadSlots) {
-    for (unsigned Slot : DeadSlots)
-      E[Slot] = PsiValue();
+  /// Resets the slots of \p Plan to PsiValue(): a wholly dead block
+  /// becomes the shared zero block, and elsewhere only a block where a
+  /// dead slot holds something else is copied.
+  void resetDead(Env &E, const DeadPlan &Plan) const {
+    for (unsigned B : Plan.Blocks)
+      E.setBlock(B, Layout.Zero[B]);
+    for (unsigned Slot : Plan.Slots)
+      if (const PsiValue &V = E[Slot]; !V.isRational() || !V.rational().isZero())
+        E.mut(Slot) = PsiValue();
   }
 
   /// Merges equal environments of \p D after resetting \p DeadSlots in
@@ -377,10 +1004,17 @@ private:
   /// a large distribution is merged in hash-sharded lanes; the dead slots
   /// are reset before hashing on both paths, so the merged distribution is
   /// independent of the thread count.
-  void mergeDist(Dist &D, const std::vector<unsigned> &DeadSlots,
+  void mergeDist(Dist &D, const DeadPlan &DeadSlots,
                  size_t &Attempts, size_t &Hits, bool Spine) {
-    if (!Opts.MergeEnvs || D.size() < 2)
+    if (!Opts.MergeEnvs)
       return;
+    if (D.size() < 2) {
+      // Nothing to merge, but reset anyway: arm-cache keys then see the
+      // same scratch blocks as in merged distributions.
+      for (Branch &B : D)
+        resetDead(B.Vars, DeadSlots);
+      return;
+    }
     if (!Spine || !useParallel(D.size())) {
       // Open-addressing merge index over the dense distribution
       // (support/Intern.h): the environment hash is computed once per
@@ -393,7 +1027,7 @@ private:
       Attempts += D.size();
       for (Branch &B : D) {
         resetDead(B.Vars, DeadSlots);
-        uint64_t H = EnvHash()(B.Vars);
+        uint64_t H = B.Vars.hash();
         uint32_t NewIdx = static_cast<uint32_t>(Merged.size());
         uint32_t At = Index.findOrInsert(
             H, NewIdx, [&](uint32_t I) { return Merged[I].Vars == B.Vars; });
@@ -431,7 +1065,7 @@ private:
       size_t Hi = std::min(D.size(), Lo + Chunk);
       for (size_t I = Lo; I < Hi; ++I) {
         resetDead(D[I].Vars, DeadSlots);
-        uint64_t H = EnvHash()(D[I].Vars);
+        uint64_t H = D[I].Vars.hash();
         Buckets[H % Lanes].push_back({H, std::move(D[I])});
       }
     }, StopF);
@@ -481,12 +1115,14 @@ private:
         D.push_back(std::move(Br));
   }
 
-  /// Pushes \p V onto queue \p Q for a PushBack/PushFront \p S; a push
-  /// onto a full bounded queue drops the value. True when \p Q changed.
-  static bool push(const PStmt &S, PsiValue &Q, PsiValue V) {
-    auto &Elems = Q.elems();
-    if (S.Capacity >= 0 && static_cast<int64_t>(Elems.size()) >= S.Capacity)
+  /// Pushes \p V onto \p E's queue S.Var for a PushBack/PushFront \p S; a
+  /// push onto a full bounded queue drops the value and copies no block.
+  /// True when the queue changed.
+  static bool push(const PStmt &S, Env &E, PsiValue V) {
+    if (S.Capacity >= 0 &&
+        static_cast<int64_t>(E[S.Var].elems().size()) >= S.Capacity)
       return false;
+    auto &Elems = E.mut(S.Var).elems();
     if (S.Kind == PStmtKind::PushBack)
       Elems.push_back(std::move(V));
     else
@@ -515,6 +1151,8 @@ private:
       PassOut Out;
       pass(D, {.Body = {&P.Body, I, I + 1}}, Out, nullptr);
       D = std::move(Out.Done);
+      if (!Aborted)
+        publishArms();
     }
     if (Aborted)
       return; // Incomplete statement: nothing is charged.
@@ -524,6 +1162,32 @@ private:
     Delta.FrontierOut = D.size();
     Delta.ProfSlot = S.ProfSlot;
     Bound.commit(St, Delta);
+  }
+
+  /// Serial-boundary publication of the arm runs the lanes staged, in
+  /// (arm, key hash) order, so hits and evictions are the same for every
+  /// thread count.
+  void publishArms() {
+    if (Arena)
+      Arena->publish();
+    if (!Cache)
+      return;
+    PublishStats PS = Cache->publish(
+        [](const ArmCache::Staged &A, const ArmCache::Staged &B) {
+          if (A.K.Shape != B.K.Shape)
+            return A.K.Shape < B.K.Shape;
+          return ArmKeyHash()(A.K) < ArmKeyHash()(B.K);
+        },
+        [](const ArmKey &K, ArmEntry &E) { return entryBytes(K, E); },
+        [](ArmKey &, const ArmKey &) {});
+    Result.TxEvictions += PS.Evicted;
+    Result.TxBytes = Cache->bytes();
+    // A shape that misses more than it hits costs more to record than its
+    // replays save (a forward whose key spans every node, say): it runs
+    // uncached from here on. The counts are published ones, so the choice
+    // is the same at every thread count.
+    for (ShapeStats &St : Shapes)
+      St.Off = St.Off || (St.Misses >= 256 && St.Hits < St.Misses);
   }
 
   /// Records the peak distribution size and enforces MaxDist. False = stop.
@@ -548,7 +1212,7 @@ private:
   /// iteration would be the identity too. It skips them and rejoins the
   /// distribution after the loop.
   void loop(const PStmt &S, Dist &D, Tally *Nested) {
-    const MergeDeadSlots &Slots = Dead.at(&S);
+    const auto &[IterPlan, ExitPlan] = Plans.at(&S);
     const bool IsWhile = S.Kind == PStmtKind::While;
     const Pass C{.Body = {&S.Then, 0, S.Then.size()},
                  .Cond = IsWhile ? S.E.get() : nullptr,
@@ -570,9 +1234,11 @@ private:
       PassOut Out;
       pass(D, C, Out, Nested);
       if (!Aborted)
-        mergeDist(Out.Done, Slots.Iter, Attempts, Hits, !Nested);
+        mergeDist(Out.Done, IterPlan, Attempts, Hits, !Nested);
       if (Aborted)
         return;
+      if (!Nested)
+        publishArms();
       D = std::move(Out.Done);
       append(Exit, Out.Exit);
       append(Parked, Out.Parked);
@@ -582,10 +1248,10 @@ private:
       for (Branch &B : D)
         Err += std::move(B.W); // The while loop exceeded the fuel bound.
       D = std::move(Exit);
-      mergeDist(D, Slots.Exit, Attempts, Hits, !Nested);
+      mergeDist(D, ExitPlan, Attempts, Hits, !Nested);
     } else if (!Parked.empty()) {
       append(D, Parked);
-      mergeDist(D, Slots.Iter, Attempts, Hits, !Nested);
+      mergeDist(D, IterPlan, Attempts, Hits, !Nested);
     }
   }
 
@@ -630,7 +1296,10 @@ private:
     std::vector<PassOut> Outs(Lanes);
     std::vector<Tally> Tallies(Lanes);
     auto RunLane = [&](size_t Lane) {
+      Tallies[Lane].Lane = static_cast<unsigned>(Lane);
       Tallies[Lane].Execs = PF ? PF->laneExecs(Lane) : nullptr;
+      if (!RecExecs.empty())
+        Tallies[Lane].RecExecs = RecExecs[Lane].data();
       size_t Lo = std::min(D.size(), Lane * Chunk);
       Run(Lo, std::min(D.size(), Lo + Chunk), Outs[Lane], Tallies[Lane]);
     };
@@ -652,6 +1321,13 @@ private:
       Result.ErrorMass += std::move(T.Err);
       Result.MergeAttempts += T.MergeAttempts;
       Result.MergeHits += T.MergeHits;
+      Result.BranchesParked += T.Parked;
+      Result.TxHits += T.TxHits;
+      Result.TxMisses += T.TxMisses;
+      for (size_t I = 0; I < T.ShapeTx.size(); I += 2) {
+        Shapes[I / 2].Hits += T.ShapeTx[I];
+        Shapes[I / 2].Misses += T.ShapeTx[I + 1];
+      }
       append(Out.Done, Outs[Lane].Done);
       append(Out.Exit, Outs[Lane].Exit);
       append(Out.Parked, Outs[Lane].Parked);
@@ -663,7 +1339,10 @@ private:
   /// Every branch it leads to ends in \p Out, in T.Err, or dropped by a
   /// failed observe.
   void runBranch(Branch B, const Pass &C, PassOut &Out, Tally &T) {
-    std::vector<Task> Work;
+    // Reuse the lane's stack; a nested loop's runBranch finds it taken and
+    // makes its own.
+    std::vector<Task> Work = std::move(T.Work);
+    Work.clear();
     auto Start = [&](Branch NB, bool Still) {
       Work.push_back({std::move(NB), {C.Body}, Still});
     };
@@ -680,9 +1359,15 @@ private:
     while (!Work.empty()) {
       Task Tk = std::move(Work.back());
       Work.pop_back();
-      if (exec(Tk, C, T, Work))
-        (Tk.Still ? Out.Parked : Out.Done).push_back(std::move(Tk.B));
+      if (!exec(Tk, C, T, Work))
+        continue;
+      if (Arena)
+        Tk.B.Vars.forEachBlock(
+            [&](BlockPtr &B) { Arena->canon(T.Lane, B); });
+      T.Parked += Tk.Still;
+      (Tk.Still ? Out.Parked : Out.Done).push_back(std::move(Tk.B));
     }
+    T.Work = std::move(Work);
   }
 
   /// Runs \p Tk until its continuation is empty (true) or it ends: by a
@@ -710,17 +1395,17 @@ private:
       case PStmtKind::PushFront:
         if (!V[S.Var].isTuple() || !evalConcrete(*S.E, V, X))
           break;
-        if (push(S, V[S.Var], std::move(X)))
+        if (push(S, V, std::move(X)))
           touch(Tk, C, S.Var);
         continue;
       case PStmtKind::PopFront: {
-        PsiValue &Q = V[S.Var];
-        if (!Q.isTuple() || Q.elems().empty()) {
+        if (!V[S.Var].isTuple() || V[S.Var].elems().empty()) {
           T.Err += std::move(Tk.B.W); // takeFront on an empty queue.
           return false;
         }
-        PsiValue Head = std::move(Q.elems().front());
-        Q.elems().erase(Q.elems().begin());
+        auto &Q = V.mut(S.Var).elems();
+        PsiValue Head = std::move(Q.front());
+        Q.erase(Q.begin());
         touch(Tk, C, S.Var);
         write(Tk, C, S.Var2, std::move(Head));
         continue;
@@ -791,27 +1476,131 @@ private:
       }
       State = R.rational().num().getSmall();
     }
-    Scheds.at(&S)->assign(Ch, State, static_cast<int64_t>(S.Then.size()));
+    const SchedInfo &SI = Scheds.at(&S);
+    SI.Sched->assign(Ch, State, static_cast<int64_t>(S.Then.size()));
     if (Rotor)
       write(Tk, C, S.Var, PsiValue(Rational(Ch[0].NextSchedState)));
-    auto Enter = [&](Task &Into, const SchedChoice &Pick) {
-      const PStmt &Arm = *S.Then[actionSlot(Pick.Act)];
-      if (T.Execs)
-        ++T.Execs[Arm.ProfSlot];
-      if (!Arm.Then.empty())
-        Into.K.push_back({&Arm.Then, 0, Arm.Then.size()});
+    auto Enter = [&](const SchedChoice &Pick, Task &Into) {
+      size_t Slot = actionSlot(Pick.Act);
+      return enter(*S.Then[Slot], *SI.Arms[Slot], Into, C, T, Work);
     };
     if (Ch.size() == 1) {
       assert(Ch[0].Prob == Rational(1) && "a sole choice has probability 1");
-      Enter(Tk, Ch[0]);
-      return true;
+      return Enter(Ch[0], Tk);
     }
     for (size_t I = 0; I < Ch.size(); ++I) {
       SymProb W = Tk.B.W.scaled(Ch[I].Prob);
       if (W.isZero())
         continue;
       Task NT{{outcomeEnv(Tk.B, I, Ch.size()), std::move(W)}, Tk.K, false};
-      Enter(NT, Ch[I]);
+      if (Enter(Ch[I], NT))
+        Work.push_back(std::move(NT));
+    }
+    return false;
+  }
+
+  /// Starts arm \p Arm on \p Tk: pushes its body, or, for a cacheable arm
+  /// with the cache on, replays the arm's memoized run, first recording it
+  /// on a miss. True when \p Tk continues in place; false when its
+  /// successors went to \p Work instead.
+  bool enter(const PStmt &Arm, const ArmInfo &AI, Task &Tk, const Pass &C,
+             Tally &T, std::vector<Task> &Work) {
+    if (T.Execs)
+      ++T.Execs[Arm.ProfSlot];
+    if (!Cache || !AI.Cacheable || Shapes[AI.Shape].Off) {
+      if (!Arm.Then.empty())
+        Tk.K.push_back({&Arm.Then, 0, Arm.Then.size()});
+      return true;
+    }
+    if (T.ShapeTx.empty())
+      T.ShapeTx.assign(2 * Shapes.size(), 0);
+    ArmKey &Key = T.Probe;
+    Key.Shape = AI.Shape;
+    Key.Blocks.clear();
+    for (unsigned B : AI.Keys)
+      Key.Blocks.push_back(Tk.B.Vars.block(B));
+    if (const ArmCache::Entry *Hit = Cache->find(Key)) {
+      Key.Blocks.clear(); // Hold no extra reference to the branch's blocks.
+      ++T.TxHits;
+      ++T.ShapeTx[2 * AI.Shape];
+      if (PF)
+        ++PF->laneTxHits(T.Lane)[Arm.ProfSlot];
+      return replay(AI, Hit->second, Tk, T, Work);
+    }
+    ++T.TxMisses;
+    ++T.ShapeTx[2 * AI.Shape + 1];
+    if (PF)
+      ++PF->laneTxMisses(T.Lane)[Arm.ProfSlot];
+    ArmEntry E = record(AI, Arm, Tk.B.Vars, C, T);
+    bool InPlace = replay(AI, E, Tk, T, Work);
+    Cache->stage(T.Lane, std::move(Key), std::move(E));
+    return InPlace;
+  }
+
+  /// Runs cacheable arm \p Arm alone on \p In with weight 1 and records
+  /// how each of its paths ends. The run starts still when its pass can
+  /// park, so each outcome notes whether it kept the live slots.
+  ArmEntry record(const ArmInfo &AI, const PStmt &Arm, const Env &In,
+                  const Pass &C, Tally &T) {
+    Tally RT;
+    RT.Execs = T.RecExecs;
+    std::vector<Task> Work;
+    Work.push_back({{In, SymProb::concrete(Rational(1))},
+                    {{&Arm.Then, 0, Arm.Then.size()}},
+                    C.Dead != nullptr});
+    ArmEntry E;
+    for (bool Root = true; !Work.empty(); Root = false) {
+      Task Tk = std::move(Work.back());
+      Work.pop_back();
+      if (!exec(Tk, C, RT, Work))
+        continue;
+      E.InPlace = Root;
+      ArmOutcome &O = E.Outs.emplace_back();
+      for (uint32_t Pos : AI.WritePos) {
+        BlockPtr &B = O.Blocks.emplace_back(Tk.B.Vars.block(AI.Keys[Pos]));
+        if (Arena)
+          Arena->canon(T.Lane, B);
+      }
+      O.W = std::move(Tk.B.W);
+      O.Still = Tk.Still;
+    }
+    E.Err = std::move(RT.Err);
+    if (RT.Execs)
+      for (uint32_t I = 0; I < AI.ProfSlots.size(); ++I)
+        if (uint64_t &N = RT.Execs[AI.ProfSlots[I]]) {
+          E.ProfExecs.emplace_back(I, N);
+          N = 0;
+        }
+    return E;
+  }
+
+  /// Applies memoized arm run \p E to \p Tk. As the arm run itself does, a
+  /// run that never forked continues \p Tk in place (true); otherwise each
+  /// outcome becomes a successor pushed so that \p Work pops them in the
+  /// order the run finished them (false).
+  bool replay(const ArmInfo &AI, const ArmEntry &E, Task &Tk, Tally &T,
+              std::vector<Task> &Work) {
+    if (T.Execs)
+      for (const auto &[Stmt, Count] : E.ProfExecs)
+        T.Execs[AI.ProfSlots[Stmt]] += Count;
+    if (!E.Err.isZero())
+      T.Err += times(Tk.B.W, E.Err);
+    auto Install = [&](Env &V, const ArmOutcome &O) {
+      for (size_t I = 0; I < AI.WritePos.size(); ++I)
+        V.setBlock(AI.Keys[AI.WritePos[I]], O.Blocks[I]);
+    };
+    if (E.InPlace) {
+      Install(Tk.B.Vars, E.Outs[0]);
+      Tk.Still = Tk.Still && E.Outs[0].Still;
+      return true;
+    }
+    for (size_t I = E.Outs.size(); I-- > 0;) {
+      SymProb W = times(Tk.B.W, E.Outs[I].W);
+      if (W.isZero())
+        continue;
+      Task NT{{I ? Tk.B.Vars : std::move(Tk.B.Vars), std::move(W)}, Tk.K,
+              false};
+      Install(NT.B.Vars, E.Outs[I]);
       Work.push_back(std::move(NT));
     }
     return false;
@@ -836,15 +1625,14 @@ private:
       if (W.isZero())
         continue;
       Branch NB{outcomeEnv(Tk.B, I, Outs.size()), std::move(W)};
-      PsiValue &Slot = NB.Vars[S.Var];
-      if (O.Failed || (S.Kind != PStmtKind::Assign && !Slot.isTuple())) {
+      if (O.Failed || (S.Kind != PStmtKind::Assign && !NB.Vars[S.Var].isTuple())) {
         T.Err += std::move(NB.W); // Failed, or a push on a non-queue value.
         continue;
       }
       if (S.Kind == PStmtKind::Assign)
-        Slot = std::move(O.V);
+        NB.Vars.mut(S.Var) = std::move(O.V);
       else
-        push(S, Slot, std::move(O.V));
+        push(S, NB.Vars, std::move(O.V));
       Work.push_back({std::move(NB), Tk.K, false});
     }
   }
@@ -874,7 +1662,7 @@ private:
   static void write(Task &Tk, const Pass &C, unsigned Slot, PsiValue X) {
     if (Tk.Still && Tk.B.Vars[Slot] != X)
       touch(Tk, C, Slot);
-    Tk.B.Vars[Slot] = std::move(X);
+    Tk.B.Vars.mut(Slot) = std::move(X);
   }
 
   /// Evaluates \p Cond on \p B through the general evaluator, emitting
@@ -1037,7 +1825,8 @@ private:
           Out.push_back(Outcome::fail("length of a non-tuple"));
           continue;
         }
-        O.V = PsiValue(Rational(static_cast<int64_t>(O.V.elems().size())));
+        O.V = PsiValue(
+            Rational(static_cast<int64_t>(std::as_const(O.V).elems().size())));
         Out.push_back(std::move(O));
       }
       return Out;
@@ -1058,13 +1847,14 @@ private:
             continue;
           }
           int64_t Idx = I.V.rational().num().getSmall();
-          if (Idx < 0 || Idx >= static_cast<int64_t>(T.V.elems().size())) {
+          const PsiValue::Tuple &Elems = std::as_const(T.V).elems();
+          if (Idx < 0 || Idx >= static_cast<int64_t>(Elems.size())) {
             Out.push_back(
                 Outcome::failCombined("tuple index out of range", T, I));
             continue;
           }
           Outcome O;
-          O.V = T.V.elems()[Idx];
+          O.V = Elems[Idx];
           O.Prob = T.Prob * I.Prob;
           O.Guards = T.Guards;
           for (const Constraint &G : I.Guards)
@@ -1113,13 +1903,13 @@ private:
           Out.push_back(std::move(T));
           continue;
         }
-        if (!T.V.isTuple() || E.Index >= T.V.elems().size()) {
+        if (!T.V.isTuple() || E.Index >= std::as_const(T.V).elems().size()) {
           Out.push_back(Outcome::fail("tuple projection out of range"));
           continue;
         }
         // Copy the element out before assigning: T.V's variant destroys
         // the tuple vector first, which would free the element in place.
-        PsiValue Elem = T.V.elems()[E.Index];
+        PsiValue Elem = std::as_const(T.V).elems()[E.Index];
         T.V = std::move(Elem);
         Out.push_back(std::move(T));
       }
@@ -1316,7 +2106,7 @@ private:
     case PExprKind::Var:
     case PExprKind::TupleGet:
     case PExprKind::Index: {
-      PsiValue Tmp;
+      std::optional<PsiValue> Tmp;
       const PsiValue *V = concreteRef(E, Vars, Tmp);
       if (!V)
         return false;
@@ -1332,6 +2122,10 @@ private:
       return true;
     }
     default: {
+      if (int64_t I; concreteInt(E, Vars, I)) {
+        Out = PsiValue(Rational(I));
+        return true;
+      }
       Rational R;
       if (!concreteScalar(E, Vars, R))
         return false;
@@ -1341,10 +2135,105 @@ private:
     }
   }
 
+  /// concreteScalar's value of \p E when every operand on its way is a
+  /// small integer and no step overflows (conditions, ports, lengths and
+  /// counters), in int64 arithmetic; false declines to concreteScalar.
+  bool concreteInt(const PExpr &E, const Env &Vars, int64_t &Out) {
+    auto Small = [&](const Rational &R) {
+      if (!R.isInteger() || !R.num().isSmall())
+        return false;
+      Out = R.num().getSmall();
+      return true;
+    };
+    switch (E.Kind) {
+    case PExprKind::Const:
+      return Small(E.ConstVal);
+    case PExprKind::Param:
+      return E.Index < P.ParamValues.size() && P.ParamValues[E.Index] &&
+             Small(*P.ParamValues[E.Index]);
+    case PExprKind::Var:
+    case PExprKind::TupleGet:
+    case PExprKind::Index: {
+      std::optional<PsiValue> Tmp;
+      const PsiValue *V = concreteRef(E, Vars, Tmp);
+      return V && V->isRational() && Small(V->rational());
+    }
+    case PExprKind::Len: {
+      std::optional<PsiValue> Tmp;
+      const PsiValue *T = concreteRef(*E.Ops[0], Vars, Tmp);
+      if (!T || !T->isTuple())
+        return false;
+      Out = static_cast<int64_t>(T->elems().size());
+      return true;
+    }
+    case PExprKind::UnOp:
+      if (!concreteInt(*E.Ops[0], Vars, Out))
+        return false;
+      if (E.UnOp == UnOpKind::Not)
+        Out = Out == 0;
+      else if (Out == INT64_MIN)
+        return false;
+      else
+        Out = -Out;
+      return true;
+    case PExprKind::BinOp:
+      break;
+    default: // Flip, UniformInt, Tuple.
+      return false;
+    }
+    int64_t L, R;
+    if (!concreteInt(*E.Ops[0], Vars, L))
+      return false;
+    switch (E.BinOp) {
+    case BinOpKind::And:
+    case BinOpKind::Or:
+      // As concreteBin: the right operand decides only when the left
+      // one does not.
+      if ((L != 0) == (E.BinOp == BinOpKind::And) &&
+          !concreteInt(*E.Ops[1], Vars, L))
+        return false;
+      Out = L != 0;
+      return true;
+    case BinOpKind::Div:
+      return false; // Rational results are concreteScalar's.
+    default:
+      break;
+    }
+    if (!concreteInt(*E.Ops[1], Vars, R))
+      return false;
+    switch (E.BinOp) {
+    case BinOpKind::Add:
+      return !__builtin_add_overflow(L, R, &Out);
+    case BinOpKind::Sub:
+      return !__builtin_sub_overflow(L, R, &Out);
+    case BinOpKind::Mul:
+      return !__builtin_mul_overflow(L, R, &Out);
+    case BinOpKind::Eq:
+      Out = L == R;
+      return true;
+    case BinOpKind::Ne:
+      Out = L != R;
+      return true;
+    case BinOpKind::Lt:
+      Out = L < R;
+      return true;
+    case BinOpKind::Le:
+      Out = L <= R;
+      return true;
+    case BinOpKind::Gt:
+      Out = L > R;
+      return true;
+    default:
+      Out = L >= R;
+      return true;
+    }
+  }
+
   /// A Var / TupleGet / Index path resolved to the value it names inside
   /// \p Vars, so reading one queue element copies nothing else; any other
   /// expression is evaluated into \p Tmp. nullptr declines.
-  const PsiValue *concreteRef(const PExpr &E, const Env &Vars, PsiValue &Tmp) {
+  const PsiValue *concreteRef(const PExpr &E, const Env &Vars,
+                              std::optional<PsiValue> &Tmp) {
     switch (E.Kind) {
     case PExprKind::Var:
       return &Vars[E.Index];
@@ -1356,17 +2245,22 @@ private:
     }
     case PExprKind::Index: {
       const PsiValue *T = concreteRef(*E.Ops[0], Vars, Tmp);
-      Rational I;
-      if (!T || !T->isTuple() || !concreteScalar(*E.Ops[1], Vars, I) ||
-          !I.isInteger() || !I.num().isSmall())
+      if (!T || !T->isTuple())
         return nullptr;
-      int64_t Idx = I.num().getSmall();
+      int64_t Idx;
+      if (!concreteInt(*E.Ops[1], Vars, Idx)) {
+        Rational I;
+        if (!concreteScalar(*E.Ops[1], Vars, I) || !I.isInteger() ||
+            !I.num().isSmall())
+          return nullptr;
+        Idx = I.num().getSmall();
+      }
       if (Idx < 0 || Idx >= static_cast<int64_t>(T->elems().size()))
         return nullptr;
       return &T->elems()[Idx];
     }
     default:
-      return concreteValue(E, Vars, Tmp) ? &Tmp : nullptr;
+      return concreteValue(E, Vars, Tmp.emplace()) ? &*Tmp : nullptr;
     }
   }
 
@@ -1384,7 +2278,7 @@ private:
     case PExprKind::Var:
     case PExprKind::TupleGet:
     case PExprKind::Index: {
-      PsiValue Tmp;
+      std::optional<PsiValue> Tmp;
       const PsiValue *V = concreteRef(E, Vars, Tmp);
       if (!V || !V->isRational())
         return false;
@@ -1392,7 +2286,7 @@ private:
       return true;
     }
     case PExprKind::Len: {
-      PsiValue Tmp;
+      std::optional<PsiValue> Tmp;
       const PsiValue *T = concreteRef(*E.Ops[0], Vars, Tmp);
       if (!T || !T->isTuple())
         return false;

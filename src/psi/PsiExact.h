@@ -14,14 +14,22 @@
 /// is the standalone probabilistic-inference backend that translated
 /// Bayonet programs run on (mirroring the paper's use of the PSI solver).
 ///
+/// It shares what the direct engine shares: an environment is a short
+/// array of shared, immutable, hash-cached blocks (PsiProgram::Layout), so
+/// a fork copies pointers and a write copies one block; and the run of a
+/// `schedule` arm is memoized per (arm, blocks it touches) in a transition
+/// cache published at serial boundaries exactly like interp/TxCache.h.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef BAYONET_PSI_PSIEXACT_H
 #define BAYONET_PSI_PSIEXACT_H
 
+#include "interp/TxCache.h"
 #include "obs/Obs.h"
 #include "psi/PsiIr.h"
 #include "support/Budget.h"
+#include "support/Intern.h"
 #include "symbolic/SymProb.h"
 
 #include <memory>
@@ -62,6 +70,15 @@ struct PsiExactResult {
   /// Merge-table lookups after loop iterations (hit rate =
   /// MergeHits/MergeAttempts).
   size_t MergeAttempts = 0;
+  /// Branches whose Repeat iteration was the identity on the live slots,
+  /// so they skipped the loop's remaining iterations.
+  size_t BranchesParked = 0;
+  /// Arm transition cache: replayed and computed arm runs, entries
+  /// evicted, and retained bytes (the meanings of ExactResult's fields).
+  uint64_t TxHits = 0;
+  uint64_t TxMisses = 0;
+  uint64_t TxEvictions = 0;
+  uint64_t TxBytes = 0;
 
   std::vector<ProbCase> cases() const {
     return partitionRatio(QueryMass, OkMass);
@@ -90,6 +107,14 @@ struct PsiExactOptions {
   /// Minimum distribution size before a pass over it (a top-level
   /// statement or an iteration of a top-level loop) fans out to the pool.
   size_t ParallelThreshold = 64;
+  /// Byte cap of the arm transition cache, which memoizes the runs of
+  /// `schedule` arms (FIFO eviction). 0 disables it; results are identical
+  /// either way.
+  uint64_t TxCacheBytes = TxCacheDefaultBytes;
+  /// Byte cap of the arena that hash-conses environment blocks, so equal
+  /// blocks share one pointer and compare in O(1). 0 disables it; results
+  /// are identical either way.
+  uint64_t InternBytes = InternDefaultBytes;
   /// Optional resource governor. Branches entering a loop iteration are
   /// charged as states and their bytes; top-level statements and
   /// iterations of top-level loops are scheduler steps, where the tracker

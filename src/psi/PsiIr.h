@@ -149,10 +149,21 @@ PStmtPtr sArm(unsigned Queue, std::vector<PStmtPtr> Body);
 // Programs
 //===----------------------------------------------------------------------===//
 
+/// Where a slot lives in psi/PsiExact's environment blocks.
+struct SlotHome {
+  unsigned Block = 0, Offset = 0;
+};
+
 /// A complete PSI IR program: a variable frame, a body, and a result
 /// expression evaluated on each surviving final environment.
 struct PsiProgram {
   std::vector<std::string> VarNames;
+  /// Optional grouping of the slots into psi/PsiExact's shared
+  /// environment blocks, one entry per slot, each block's offsets counting
+  /// up from 0 in slot order. Slots written together belong together,
+  /// since a write copies its whole block. Empty (or malformed) = one
+  /// block per slot.
+  std::vector<SlotHome> Layout;
   std::vector<PStmtPtr> Body;
   PExprPtr Result;
   QueryKind Kind = QueryKind::Probability;

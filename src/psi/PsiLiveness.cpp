@@ -6,30 +6,53 @@
 
 #include "psi/PsiLiveness.h"
 
+#include <algorithm>
+#include <cstdint>
+
 using namespace bayonet;
 
 namespace {
 
-/// Live slots, one flag per frame slot.
-using SlotSet = std::vector<bool>;
+/// Live slots, one bit per frame slot, in words so that the loop-header
+/// fixpoint unites and compares whole sets cheaply.
+class SlotSet {
+public:
+  explicit SlotSet(size_t N) : Words((N + 63) / 64, 0), N(N) {}
+  size_t size() const { return N; }
+  bool test(size_t I) const { return Words[I / 64] >> (I % 64) & 1; }
+  void set(size_t I, bool V) {
+    uint64_t Bit = uint64_t(1) << (I % 64);
+    Words[I / 64] = V ? Words[I / 64] | Bit : Words[I / 64] & ~Bit;
+  }
+  void unite(const SlotSet &O) {
+    for (size_t W = 0; W < Words.size(); ++W)
+      Words[W] |= O.Words[W];
+  }
+  friend bool operator==(const SlotSet &A, const SlotSet &B) {
+    return A.Words == B.Words;
+  }
 
-void addUses(const PExpr &E, SlotSet &Live) {
+private:
+  std::vector<uint64_t> Words;
+  size_t N;
+};
+
+/// Calls \p Use on every slot \p E reads.
+template <typename Fn> void forEachUse(const PExpr &E, Fn &&Use) {
   if (E.Kind == PExprKind::Var)
-    Live[E.Index] = true;
+    Use(E.Index);
   for (const PExprPtr &Op : E.Ops)
-    addUses(*Op, Live);
+    forEachUse(*Op, Use);
 }
 
-void unite(SlotSet &Into, const SlotSet &From) {
-  for (size_t I = 0; I < Into.size(); ++I)
-    if (From[I])
-      Into[I] = true;
+void addUses(const PExpr &E, SlotSet &Live) {
+  forEachUse(E, [&](unsigned Slot) { Live.set(Slot, true); });
 }
 
 std::vector<unsigned> deadSlots(const SlotSet &Live) {
   std::vector<unsigned> Dead;
   for (size_t I = 0; I < Live.size(); ++I)
-    if (!Live[I])
+    if (!Live.test(I))
       Dead.push_back(static_cast<unsigned>(I));
   return Dead;
 }
@@ -55,7 +78,7 @@ private:
     for (;;) {
       SlotSet Next = H;
       block(Body, Next);
-      unite(Next, Always);
+      Next.unite(Always);
       if (Next == H)
         return H;
       H = std::move(Next);
@@ -65,18 +88,18 @@ private:
   void stmt(const PStmt &S, SlotSet &Live) {
     switch (S.Kind) {
     case PStmtKind::Assign:
-      Live[S.Var] = false;
+      Live.set(S.Var, false);
       addUses(*S.E, Live);
       return;
     case PStmtKind::PushBack:
     case PStmtKind::PushFront:
       // The queue is read (capacity, non-queue failure) and updated.
-      Live[S.Var] = true;
+      Live.set(S.Var, true);
       addUses(*S.E, Live);
       return;
     case PStmtKind::PopFront:
-      Live[S.Var2] = false;
-      Live[S.Var] = true;
+      Live.set(S.Var2, false);
+      Live.set(S.Var, true);
       return;
     case PStmtKind::Observe:
     case PStmtKind::Assert:
@@ -86,7 +109,7 @@ private:
       SlotSet Else = Live;
       block(S.Then, Live);
       block(S.Else, Else);
-      unite(Live, Else);
+      Live.unite(Else);
       addUses(*S.E, Live);
       return;
     }
@@ -98,11 +121,11 @@ private:
       for (const PStmtPtr &Arm : S.Then) {
         SlotSet In = Out;
         block(Arm->Then, In);
-        unite(Live, In);
-        Live[Arm->Var] = true;
+        Live.unite(In);
+        Live.set(Arm->Var, true);
       }
       if (S.Sched == SchedulerKind::RoundRobin)
-        Live[S.Var] = true;
+        Live.set(S.Var, true);
       return;
     }
     case PStmtKind::Arm:
@@ -132,8 +155,59 @@ private:
 
 } // namespace
 
+namespace {
+
+/// Appends every slot \p Body may read to \p U.Reads and every slot it
+/// may write to \p U.Writes, as the liveness pass counts them.
+void collectUses(const std::vector<PStmtPtr> &Body, BodyUses &U) {
+  auto Read = [&](unsigned Slot) { U.Reads.push_back(Slot); };
+  for (const PStmtPtr &S : Body) {
+    if (S->E)
+      forEachUse(*S->E, Read);
+    switch (S->Kind) {
+    case PStmtKind::Assign:
+      U.Writes.push_back(S->Var);
+      break;
+    case PStmtKind::PushBack:
+    case PStmtKind::PushFront:
+      Read(S->Var);
+      U.Writes.push_back(S->Var);
+      break;
+    case PStmtKind::PopFront:
+      Read(S->Var);
+      U.Writes.push_back(S->Var);
+      U.Writes.push_back(S->Var2);
+      break;
+    case PStmtKind::Schedule:
+      for (const PStmtPtr &Arm : S->Then)
+        Read(Arm->Var);
+      if (S->Sched == SchedulerKind::RoundRobin) {
+        Read(S->Var);
+        U.Writes.push_back(S->Var);
+      }
+      break;
+    default:
+      break;
+    }
+    collectUses(S->Then, U);
+    collectUses(S->Else, U);
+  }
+}
+
+} // namespace
+
+BodyUses bayonet::computeBodyUses(const std::vector<PStmtPtr> &Body) {
+  BodyUses U;
+  collectUses(Body, U);
+  for (std::vector<unsigned> *V : {&U.Reads, &U.Writes}) {
+    std::sort(V->begin(), V->end());
+    V->erase(std::unique(V->begin(), V->end()), V->end());
+  }
+  return U;
+}
+
 PsiLiveness bayonet::computeMergeLiveness(const PsiProgram &P) {
-  SlotSet Live(P.VarNames.size(), false);
+  SlotSet Live(P.VarNames.size());
   if (P.Result)
     addUses(*P.Result, Live);
   LivenessPass Pass;

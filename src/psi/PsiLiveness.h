@@ -45,6 +45,18 @@ using PsiLiveness = std::unordered_map<const PStmt *, MergeDeadSlots>;
 /// live at program end; loop headers are solved to a fixpoint.
 PsiLiveness computeMergeLiveness(const PsiProgram &P);
 
+/// The slots a statement list may read and may write, each ascending.
+/// Every read counts, as in the liveness pass: the reads include the
+/// list's live-in set, and a slot read only after a write is a written
+/// slot too.
+struct BodyUses {
+  std::vector<unsigned> Reads;
+  std::vector<unsigned> Writes;
+};
+
+/// The read and write sets of \p Body.
+BodyUses computeBodyUses(const std::vector<PStmtPtr> &Body);
+
 } // namespace bayonet
 
 #endif // BAYONET_PSI_PSILIVENESS_H

@@ -35,6 +35,15 @@ private:
   /// The current node while translating a def body.
   unsigned CurNode = 0;
 
+  /// Adds slot \p Name at the end of environment block \p Block.
+  unsigned addVar(std::string Name, unsigned Block) {
+    unsigned Offset = 0;
+    for (const SlotHome &H : P.Layout)
+      Offset += H.Block == Block;
+    P.Layout.push_back({Block, Offset});
+    return P.addVar(std::move(Name));
+  }
+
   // Expression translation within node CurNode's program.
   PExprPtr trExpr(const Expr &E);
   // Statement translation into Out.
@@ -62,23 +71,25 @@ std::optional<PsiProgram> TranslatorImpl::run() {
     P.Kind = Spec.Query->Kind;
   NumFields = Spec.PacketFields.size();
 
-  // Frame layout: queues and state variables per node, then scratch.
+  // Frame layout: queues and state variables per node, then scratch. Each
+  // node's slots form one environment block, as a node configuration does
+  // in the direct engine; the scratch slots and the rotor get their own.
   unsigned NumNodes = Spec.Topo.numNodes();
   QInVar.resize(NumNodes);
   QOutVar.resize(NumNodes);
   StateVar.resize(NumNodes);
   for (unsigned I = 0; I < NumNodes; ++I) {
-    QInVar[I] = P.addVar("qin_" + Spec.NodeNames[I]);
-    QOutVar[I] = P.addVar("qout_" + Spec.NodeNames[I]);
+    QInVar[I] = addVar("qin_" + Spec.NodeNames[I], I);
+    QOutVar[I] = addVar("qout_" + Spec.NodeNames[I], I);
     const DefDecl *Def = Spec.NodePrograms[I];
     for (const StateVarDecl &SV : Def->StateVars)
       StateVar[I].push_back(
-          P.addVar("s_" + Spec.NodeNames[I] + "_" + SV.Name));
+          addVar("s_" + Spec.NodeNames[I] + "_" + SV.Name, I));
   }
-  TmpEntry = P.addVar("__entry");
-  TmpVal = P.addVar("__val");
+  TmpEntry = addVar("__entry", NumNodes);
+  TmpVal = addVar("__val", NumNodes);
   if (Spec.Sched == SchedulerKind::RoundRobin)
-    RotorVar = P.addVar("__rotor");
+    RotorVar = addVar("__rotor", NumNodes + 1);
 
   // Initialization: empty queues, state initializers, initial packets.
   for (unsigned I = 0; I < NumNodes; ++I) {

@@ -187,7 +187,6 @@ TEST(CrossEngineSymbolic, Figure2SymbolicRegionsAgree) {
 const std::map<std::string, std::string> &corpusExclusions() {
   static const std::map<std::string, std::string> Excluded = {
       {"gossip30", "the direct exact engine needs gigabytes of frontier"},
-      {"loadbalancing", "about 7.6 s through the translated pipeline alone"},
   };
   return Excluded;
 }

@@ -26,6 +26,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 using namespace bayonet;
 
 namespace {
@@ -330,6 +332,64 @@ TEST_P(FuzzDiffTest, TxCacheInvariance) {
     EXPECT_EQ(Plain.MergeHits, Cached.MergeHits);
     EXPECT_EQ(Plain.TerminalConfigs, Cached.TerminalConfigs);
   }
+}
+
+// The translated pipeline's arm transition cache and block arena must be
+// invisible in the answer: cache off, on, and a tiny byte cap that keeps
+// evicting, each with the arena on and off, give bit-identical masses,
+// branches, merges and parked counts at --threads 1/2/8, and within each
+// cache setting the cache counters are thread-count-invariant (lanes only
+// read the entries published at serial boundaries).
+TEST_P(FuzzDiffTest, PsiArmCacheInvariance) {
+  NetworkGen Gen(GetParam());
+  std::string Source = Gen.generate();
+  SCOPED_TRACE(Source);
+
+  DiagEngine Diags;
+  auto Net = loadNetwork(Source, Diags);
+  ASSERT_TRUE(Net.has_value()) << Diags.toString();
+  auto Psi = translateToPsi(Net->Spec, Diags);
+  ASSERT_TRUE(Psi.has_value()) << Diags.toString();
+
+  auto runWith = [&](uint64_t TxBytes, uint64_t InternBytes,
+                     unsigned Threads) {
+    PsiExactOptions Opts;
+    Opts.Threads = Threads;
+    Opts.ParallelThreshold = 1;
+    Opts.TxCacheBytes = TxBytes;
+    Opts.InternBytes = InternBytes;
+    return PsiExact(*Psi, Opts).run();
+  };
+  PsiExactResult Base = runWith(0, 0, 1);
+  ASSERT_TRUE(Base.Status.ok()) << Base.Status.toString();
+  ASSERT_FALSE(Base.QueryUnsupported) << Base.UnsupportedReason;
+  EXPECT_EQ(Base.TxHits + Base.TxMisses, 0u);
+  for (uint64_t Cap : {uint64_t(0), TxCacheDefaultBytes, uint64_t(4096)})
+    for (uint64_t Intern : {uint64_t(0), InternDefaultBytes}) {
+      std::optional<PsiExactResult> First;
+      for (unsigned Threads : {1u, 2u, 8u}) {
+        SCOPED_TRACE("txcache=" + std::to_string(Cap) + " intern=" +
+                     std::to_string(Intern) +
+                     " threads=" + std::to_string(Threads));
+        PsiExactResult R = runWith(Cap, Intern, Threads);
+        EXPECT_TRUE(Base.QueryMass == R.QueryMass);
+        EXPECT_TRUE(Base.OkMass == R.OkMass);
+        EXPECT_TRUE(Base.ErrorMass == R.ErrorMass);
+        EXPECT_EQ(Base.BranchesExpanded, R.BranchesExpanded);
+        EXPECT_EQ(Base.MergeAttempts, R.MergeAttempts);
+        EXPECT_EQ(Base.MergeHits, R.MergeHits);
+        EXPECT_EQ(Base.BranchesParked, R.BranchesParked);
+        EXPECT_EQ(Base.MaxDistSize, R.MaxDistSize);
+        if (!First) {
+          First = R;
+          continue;
+        }
+        EXPECT_EQ(R.TxHits, First->TxHits);
+        EXPECT_EQ(R.TxMisses, First->TxMisses);
+        EXPECT_EQ(R.TxEvictions, First->TxEvictions);
+        EXPECT_EQ(R.TxBytes, First->TxBytes);
+      }
+    }
 }
 
 // The interning arena must be invisible in the answer: intern off, intern

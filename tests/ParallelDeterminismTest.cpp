@@ -26,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <optional>
 #include <unistd.h>
 
 using namespace bayonet;
@@ -552,6 +553,106 @@ TEST(ParallelDeterminism, ProfileCountMatrixThreadsTxCacheCrashResume) {
     std::remove((Path + ".prev").c_str());
   }
   EXPECT_NE(PsiRef.find("psi;"), std::string::npos) << PsiRef;
+}
+
+/// One translated-pipeline cell with the arm cache at \p TxCacheBytes:
+/// PsiExact on the sharded path with a profiling context. Returns the
+/// result and the canonical count rendering.
+std::pair<PsiExactResult, std::string>
+psiCacheRun(const PsiProgram &Psi, unsigned Threads, uint64_t TxCacheBytes,
+            std::shared_ptr<Checkpointer> Cp) {
+  auto Ctx = profObs();
+  PsiExactOptions Opts;
+  Opts.Threads = Threads;
+  Opts.ParallelThreshold = 1;
+  Opts.TxCacheBytes = TxCacheBytes;
+  Opts.Obs = Ctx;
+  Opts.Checkpoint = std::move(Cp);
+  PsiExactResult R = PsiExact(Psi, Opts).run();
+  return {std::move(R), Ctx->profiler()->renderCanonicalCounts()};
+}
+
+// The translated leg of the matrix with its arm transition cache: off, on
+// and at a tiny byte cap that keeps evicting, each at threads 1/2/8 and
+// across a crash and a resume both before the scheduler loop (checkpoint
+// 3) and after it, where the snapshot carries a full cache. Every run of
+// a setting gives identical masses, branches, merges, parked branches,
+// cache counters and canonical profile counts; the work columns and every
+// count but the cache's agree across settings too.
+TEST(ParallelDeterminism, PsiArmCacheMatrixThreadsCrashResume) {
+  DiagEngine Diags;
+  auto Net = loadNetwork(scenarios::paperExample(), Diags);
+  ASSERT_TRUE(Net.has_value()) << Diags.toString();
+  auto Psi = translateToPsi(Net->Spec, Diags);
+  ASSERT_TRUE(Psi.has_value()) << Diags.toString();
+  // Checkpoint k is written as top-level statement k - 1 opens.
+  size_t Loop = 0;
+  while (Loop < Psi->Body.size() && Psi->Body[Loop]->Kind != PStmtKind::Repeat)
+    ++Loop;
+  ASSERT_LT(Loop + 1, Psi->Body.size());
+  const std::string AfterLoop =
+      "crash-at-checkpoint=" + std::to_string(Loop + 2);
+
+  auto sameRun = [](const PsiExactResult &A, const PsiExactResult &B) {
+    EXPECT_TRUE(A.QueryMass == B.QueryMass);
+    EXPECT_TRUE(A.OkMass == B.OkMass);
+    EXPECT_TRUE(A.ErrorMass == B.ErrorMass);
+    EXPECT_EQ(A.BranchesExpanded, B.BranchesExpanded);
+    EXPECT_EQ(A.MergeAttempts, B.MergeAttempts);
+    EXPECT_EQ(A.MergeHits, B.MergeHits);
+    EXPECT_EQ(A.BranchesParked, B.BranchesParked);
+  };
+  std::optional<PsiExactResult> Base;
+  std::string WorkRef;
+  for (uint64_t Tx : {uint64_t(0), TxCacheDefaultBytes, uint64_t(4096)}) {
+    std::optional<std::pair<PsiExactResult, std::string>> Ref;
+    for (unsigned Threads : {1u, 2u, 8u})
+      for (const std::string Fault : {"", "crash-at-checkpoint=3",
+                                      AfterLoop.c_str()}) {
+        SCOPED_TRACE("txcache=" + std::to_string(Tx) + " threads=" +
+                     std::to_string(Threads) + " fault=" + Fault);
+        std::pair<PsiExactResult, std::string> Run;
+        std::string Path = profSnapPath();
+        if (Fault.empty()) {
+          Run = psiCacheRun(*Psi, Threads, Tx, nullptr);
+        } else {
+          auto CrashCp = profCp(Path, "", Fault);
+          EXPECT_FALSE(psiCacheRun(*Psi, Threads, Tx, CrashCp).first
+                           .Status.ok());
+          EXPECT_TRUE(CrashCp->crashed());
+          auto ResCp = profCp(Path, Path);
+          Run = psiCacheRun(*Psi, Threads, Tx, ResCp);
+          EXPECT_TRUE(ResCp->resumed());
+          std::remove(Path.c_str());
+          std::remove((Path + ".prev").c_str());
+        }
+        const PsiExactResult &R = Run.first;
+        ASSERT_TRUE(R.Status.ok()) << R.Status.toString();
+        if (!Base)
+          Base = R;
+        sameRun(*Base, R);
+        if (!Ref) {
+          Ref = Run;
+          continue;
+        }
+        EXPECT_EQ(Run.second, Ref->second);
+        EXPECT_EQ(R.TxHits, Ref->first.TxHits);
+        EXPECT_EQ(R.TxMisses, Ref->first.TxMisses);
+        EXPECT_EQ(R.TxEvictions, Ref->first.TxEvictions);
+        EXPECT_EQ(R.TxBytes, Ref->first.TxBytes);
+      }
+    const PsiExactResult &R = Ref->first;
+    EXPECT_EQ(R.TxHits + R.TxMisses > 0, Tx != 0);
+    EXPECT_EQ(R.TxEvictions > 0, Tx == 4096) << R.TxEvictions;
+    EXPECT_EQ(anyTxColumn(Ref->second), Tx != 0) << Ref->second;
+    std::string Work = workColumns(Ref->second);
+    ASSERT_FALSE(Work.empty());
+    if (WorkRef.empty())
+      WorkRef = Work;
+    else
+      EXPECT_EQ(Work, WorkRef)
+          << "work columns must not depend on the cache setting";
+  }
 }
 
 // The seeded sampler charges PRNG draws and statement executions through

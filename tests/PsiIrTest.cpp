@@ -10,8 +10,10 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "api/Bayonet.h"
 #include "psi/PsiExact.h"
 #include "psi/PsiLiveness.h"
+#include "translate/Translator.h"
 
 #include <gtest/gtest.h>
 
@@ -777,6 +779,116 @@ TEST(PsiIrTest, PrinterRoundsTrips) {
   std::string Text = printPsiProgram(P);
   EXPECT_NE(Text.find("x = flip(1/2);"), std::string::npos);
   EXPECT_NE(Text.find("return x;"), std::string::npos);
+}
+
+// The arm transition cache: a `schedule` arm's run is memoized per (arm
+// shape, blocks it touches) and replayed on later hits, with the same
+// answers and work counts as running the arm.
+
+/// Runs \p P with the arm cache on and off, expects identical masses and
+/// work counts, and returns the cached run.
+PsiExactResult runCacheBothWays(const PsiProgram &P) {
+  PsiExactOptions Off;
+  Off.TxCacheBytes = 0;
+  PsiExactResult Plain = PsiExact(P, Off).run();
+  PsiExactResult Cached = PsiExact(P).run();
+  EXPECT_TRUE(Cached.QueryMass == Plain.QueryMass);
+  EXPECT_TRUE(Cached.OkMass == Plain.OkMass);
+  EXPECT_TRUE(Cached.ErrorMass == Plain.ErrorMass);
+  EXPECT_EQ(Cached.BranchesExpanded, Plain.BranchesExpanded);
+  EXPECT_EQ(Cached.MergeAttempts, Plain.MergeAttempts);
+  EXPECT_EQ(Cached.MergeHits, Plain.MergeHits);
+  EXPECT_EQ(Cached.BranchesParked, Plain.BranchesParked);
+  EXPECT_EQ(Plain.TxHits + Plain.TxMisses, 0u);
+  return Cached;
+}
+
+PsiProgram translatedProgram(const std::string &File) {
+  DiagEngine Diags;
+  auto Net = loadNetworkFile(std::string(BAYONET_EXAMPLES_DIR) + "/" + File,
+                             Diags);
+  EXPECT_TRUE(Net.has_value()) << Diags.toString();
+  auto Psi = translateToPsi(Net->Spec, Diags);
+  EXPECT_TRUE(Psi.has_value()) << Diags.toString();
+  return std::move(*Psi);
+}
+
+TEST(PsiIrTest, ArmCacheHitsOnFigure2) {
+  // The direct engine's TxCache replays figure2's node programs ~98% of
+  // the time; the translated arms recur just as often.
+  PsiExactResult R = runCacheBothWays(translatedProgram("figure2.bay"));
+  EXPECT_EQ(R.concreteValue()->toString(), "30378810105265/67706637778944");
+  ASSERT_GT(R.TxHits + R.TxMisses, 0u);
+  EXPECT_GE(static_cast<double>(R.TxHits) /
+                static_cast<double>(R.TxHits + R.TxMisses),
+            0.9)
+      << R.TxHits << " hits, " << R.TxMisses << " misses";
+}
+
+TEST(PsiIrTest, ArmCacheReplaysBothFlipOutcomes) {
+  // repeat 2 { schedule { when q { y = flip(1/3) } } }. Iteration 1 misses
+  // on y = 0 and records both outcomes; iteration 2 replays them on the
+  // y = 0 branch (a hit) and records y = 1's. P(y = 1) is still 1/3 only
+  // if the replay restores both outcomes with their weights.
+  PsiProgram P;
+  std::vector<unsigned> Queues = addQueues(P, {1});
+  unsigned Y = P.addVar("y");
+  std::vector<PStmtPtr> Body;
+  Body.push_back(sAssign(Y, pFlip(pConst(q(1, 3)))));
+  std::vector<PStmtPtr> Arms;
+  Arms.push_back(sArm(Queues[0], std::move(Body)));
+  std::vector<PStmtPtr> Step;
+  Step.push_back(sSchedule(SchedulerKind::Uniform, {}, 0, std::move(Arms)));
+  P.Body.push_back(sRepeat(2, std::move(Step)));
+  P.Result = pBin(BinOpKind::Eq, pVar(Y), pInt(1));
+  PsiExactResult R = runCacheBothWays(P);
+  EXPECT_EQ(*R.concreteValue(), q(1, 3));
+  EXPECT_EQ(R.TxHits, 1u);
+  EXPECT_EQ(R.TxMisses, 2u);
+}
+
+TEST(PsiIrTest, ArmCacheReplaysSymbolicRegions) {
+  // figure2_symbolic's node programs split on a symbolic cost: replayed
+  // outcomes carry their guards into the same three regions.
+  PsiProgram P = translatedProgram("figure2_symbolic.bay");
+  PsiExactResult R = runCacheBothWays(P);
+  EXPECT_GT(R.TxHits, 0u);
+  PsiExactOptions Off;
+  Off.TxCacheBytes = 0;
+  std::vector<ProbCase> Cached = R.cases(), Plain = PsiExact(P, Off).run().cases();
+  ASSERT_EQ(Cached.size(), 3u);
+  ASSERT_EQ(Plain.size(), 3u);
+  for (size_t I = 0; I < Cached.size(); ++I) {
+    EXPECT_TRUE(Cached[I].Region == Plain[I].Region) << I;
+    EXPECT_EQ(Cached[I].Value, Plain[I].Value) << I;
+  }
+}
+
+TEST(PsiIrTest, ArmCacheReplayedIdentityArmParks) {
+  // x = flip(1/2), then two loops whose arms write only the dead slot t:
+  // each iteration is the identity on the live slots. The two arms have
+  // one shape, so the second loop's runs are hits, and the replayed runs
+  // still park both branches after one iteration of repeat 1000.
+  PsiProgram P;
+  std::vector<unsigned> Queues = addQueues(P, {1});
+  unsigned X = P.VarNames.size() - 1;
+  unsigned T = P.addVar("t");
+  P.Body.push_back(sAssign(X, pFlip(pConst(q(1, 2)))));
+  for (int64_t Count : {1, 1000}) {
+    std::vector<PStmtPtr> Body;
+    Body.push_back(sAssign(T, pInt(5)));
+    std::vector<PStmtPtr> Arms;
+    Arms.push_back(sArm(Queues[0], std::move(Body)));
+    std::vector<PStmtPtr> Step;
+    Step.push_back(sSchedule(SchedulerKind::Uniform, {}, 0, std::move(Arms)));
+    P.Body.push_back(sRepeat(Count, std::move(Step)));
+  }
+  P.Result = pVar(X);
+  PsiExactResult R = runCacheBothWays(P);
+  EXPECT_EQ(*R.concreteValue(), q(1, 2));
+  EXPECT_EQ(R.TxHits, 2u);
+  EXPECT_EQ(R.BranchesExpanded, 4u);
+  EXPECT_EQ(R.BranchesParked, 4u);
 }
 
 } // namespace
