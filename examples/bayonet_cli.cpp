@@ -389,8 +389,8 @@ int runMain(int argc, char **argv) {
       // The pool counters live process-global (they are thread-count
       // dependent by construction); fold them in at export time.
       ThreadPool::PoolStats PS = ThreadPool::stats();
-      ObsCtx->metrics()->set(ObsCtx->ids().PoolBatches, PS.Batches);
-      ObsCtx->metrics()->set(ObsCtx->ids().PoolTasks, PS.Tasks);
+      ObsCtx->metrics()->set(Metric::PoolBatches, PS.Batches);
+      ObsCtx->metrics()->set(Metric::PoolTasks, PS.Tasks);
     }
     auto writeFile = [](const std::string &Path,
                         const std::string &Text) -> bool {

@@ -152,19 +152,21 @@ InferenceResult bayonet::runInference(const LoadedNetwork &Net,
     Span InferSpan = O.span("inference");
     if (O.tracing())
       InferSpan.arg("engine", engineChoiceName(Opts.Engine));
-    if (O) {
+    if (O.tracing()) {
       // A budget trip becomes a trace event attached to whatever span is
-      // open when it fires, plus a counter tick. The observer runs on the
-      // tripping thread; both sinks are thread-safe.
+      // open when it fires. The observer runs on the tripping thread; the
+      // tracer is thread-safe.
       ObsHandle VO = O;
       Tracker->setViolationObserver([VO](const BudgetViolation &V) mutable {
-        VO.count(&EngineMetricIds::BudgetTrips);
         VO.event("budget-trip", {{"class", budgetClassName(V.Which)},
                                  {"observed", std::to_string(V.Observed)},
                                  {"limit", std::to_string(V.Limit)}});
       });
     }
     runPrimary(Net, Opts, Tracker, Checkpoint, R);
+    // The trip is counted here, on the serial thread, once per tracker.
+    if (Tracker->violation())
+      O.count(Metric::BudgetTrips);
 
     // Graceful degradation: an exact engine ran out of budget and the
     // policy prefers an approximate answer over a failure. Cancellation is
@@ -174,7 +176,7 @@ InferenceResult bayonet::runInference(const LoadedNetwork &Net,
         (Opts.Engine == EngineChoice::Exact ||
          Opts.Engine == EngineChoice::Translated)) {
       R.ExactStatus = R.Status;
-      O.count(&EngineMetricIds::Fallbacks);
+      O.count(Metric::Fallbacks);
       O.event("fallback-smc",
               {{"from", engineChoiceName(Opts.Engine)},
                {"why", budgetClassName(R.Status.Violation.Which)}});

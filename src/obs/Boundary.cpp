@@ -199,28 +199,28 @@ void Boundary::commit(Step &S, const BoundaryDelta &D) {
                 : 0.0;
 
   // 1. Metrics.
-  O.count(&EngineMetricIds::StatesExpanded, D.Expanded);
-  O.count(&EngineMetricIds::MergeAttempts, D.MergeAttempts);
-  O.count(&EngineMetricIds::MergeHits, D.MergeHits);
-  O.count(&EngineMetricIds::Particles, D.Active);
-  O.count(&EngineMetricIds::Resamples, D.Resampled);
-  O.count(&EngineMetricIds::TxCacheHits, D.TxHits);
-  O.count(&EngineMetricIds::TxCacheMisses, D.TxMisses);
-  O.count(&EngineMetricIds::TxCacheEvictions, D.TxEvictions);
-  O.gaugeMax(&EngineMetricIds::TxCacheBytes, D.TxBytes);
-  O.count(&EngineMetricIds::InternHits, D.InternHits);
-  O.count(&EngineMetricIds::InternMisses, D.InternMisses);
-  O.count(&EngineMetricIds::InternEvictions, D.InternEvictions);
-  O.gaugeMax(&EngineMetricIds::InternBytes, D.InternBytes);
-  O.count(&EngineMetricIds::SchedSteps);
+  O.count(Metric::StatesExpanded, D.Expanded);
+  O.count(Metric::MergeAttempts, D.MergeAttempts);
+  O.count(Metric::MergeHits, D.MergeHits);
+  O.count(Metric::Particles, D.Active);
+  O.count(Metric::Resamples, D.Resampled);
+  O.count(Metric::TxCacheHits, D.TxHits);
+  O.count(Metric::TxCacheMisses, D.TxMisses);
+  O.count(Metric::TxCacheEvictions, D.TxEvictions);
+  O.gaugeMax(Metric::TxCacheBytes, D.TxBytes);
+  O.count(Metric::InternHits, D.InternHits);
+  O.count(Metric::InternMisses, D.InternMisses);
+  O.count(Metric::InternEvictions, D.InternEvictions);
+  O.gaugeMax(Metric::InternBytes, D.InternBytes);
+  O.count(Metric::SchedSteps);
   if (K != EngineKind::Smc) {
     // The exact engine gauges the frontier a round expands; PSI the
     // distribution a statement leaves.
     uint64_t F = K == EngineKind::Exact ? D.FrontierIn : D.FrontierOut;
-    O.gaugeMax(&EngineMetricIds::PeakFrontier, F);
-    O.observe(&EngineMetricIds::FrontierSize, static_cast<double>(F));
+    O.gaugeMax(Metric::PeakFrontier, F);
+    O.observe(Metric::FrontierSize, static_cast<double>(F));
   }
-  O.observe(&EngineMetricIds::StepDurMs, Ms);
+  O.observe(Metric::StepDurMs, Ms);
 
   // 2. Profiler: charge the phase frames from the same deltas, then fold
   // the lanes' statement shards into the serial aggregate. Integer counts
@@ -270,9 +270,9 @@ void Boundary::commit(Step &S, const BoundaryDelta &D) {
     SD.DeadMassFraction = Particles ? (N - D.Alive) / N : 0.0;
     SD.Resampled = D.Resampled;
     bool Degenerate = DC->recordSmcStep(SD);
-    O.observe(&EngineMetricIds::EssFraction, Ess);
+    O.observe(Metric::EssFraction, Ess);
     if (Degenerate)
-      O.count(&EngineMetricIds::DegeneracySteps);
+      O.count(Metric::DegeneracySteps);
     if (O.tracing()) {
       std::vector<std::pair<std::string, std::string>> Args = {
           {"step", std::to_string(D.Step)},

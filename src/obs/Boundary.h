@@ -23,8 +23,10 @@
 ///
 /// Per-state charges (BudgetTracker::chargeStates/chargeBytes/chargeMerges,
 /// the profiler's lane arrays) and cache publication stay inside the
-/// engines' expansion code. With no ObsContext and no Checkpointer each
-/// call costs one null check beyond the budget decision itself.
+/// engines' expansion code; metrics are charged only here, on the serial
+/// thread (runInference counts a lane's budget trip after the run).
+/// With no ObsContext and no Checkpointer each call costs one null check
+/// beyond the budget decision itself.
 ///
 //===----------------------------------------------------------------------===//
 

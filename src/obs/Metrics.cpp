@@ -1,4 +1,4 @@
-//===- obs/Metrics.cpp - Thread-sharded metrics registry -------------------===//
+//===- obs/Metrics.cpp - The engine metric table --------------------------===//
 //
 // Part of the Bayonet reproduction. MIT license.
 //
@@ -8,27 +8,104 @@
 
 #include "support/Snapshot.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstdio>
-#include <stdexcept>
+#include <span>
 
 using namespace bayonet;
 
 namespace {
 
-/// Round-robin shard assignment: each thread keeps the shard it drew first,
-/// so a thread's increments never migrate and never contend with another
-/// thread that drew a different shard.
-std::atomic<unsigned> NextShardIndex{0};
+struct MetricDesc {
+  const char *Name;
+  const char *Help;
+  MetricKind Kind;
+  std::span<const double> Bounds = {}; ///< Histogram bucket upper bounds.
+};
 
-unsigned myShardIndex(unsigned NumShards) {
-  thread_local unsigned Mine =
-      NextShardIndex.fetch_add(1, std::memory_order_relaxed);
-  return Mine % NumShards;
+// Frontier sizes span a few states on toy programs to hundreds of
+// thousands before a budget trips; step durations are sub-ms to seconds.
+constexpr double SizeBounds[] = {1,    8,     64,     512,
+                                 4096, 32768, 262144, 2097152};
+constexpr double MsBounds[] = {0.1, 0.5, 2, 10, 50, 250, 1000, 5000};
+// ESS fractions live in [0, 1]; bounds chosen so a degeneracy collapse
+// (most mass below 0.1) is visible at a glance.
+constexpr double FracBounds[] = {0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1};
+
+constexpr MetricKind Counter = MetricKind::Counter;
+constexpr MetricKind Gauge = MetricKind::Gauge;
+constexpr MetricKind Histogram = MetricKind::Histogram;
+
+/// One row per Metric, in enum order.
+constexpr MetricDesc Descs[NumMetrics] = {
+    {"bayonet_states_expanded_total",
+     "NetConfig states expanded by the exact engines", Counter},
+    {"bayonet_merge_attempts_total",
+     "State-merge table lookups during frontier folding", Counter},
+    {"bayonet_merge_hits_total",
+     "Merge lookups that coalesced into an existing state", Counter},
+    {"bayonet_sched_steps_total", "Scheduler steps executed", Counter},
+    {"bayonet_particles_total", "Particles advanced by the samplers", Counter},
+    {"bayonet_resamples_total", "SMC resample generations triggered", Counter},
+    {"bayonet_budget_trips_total", "Resource-budget violations recorded",
+     Counter},
+    {"bayonet_fallbacks_total", "Exact-to-SMC fallbacks taken", Counter},
+    {"bayonet_peak_frontier_states", "Largest frontier size observed", Gauge},
+    {"bayonet_frontier_size", "Frontier size per scheduler step", Histogram,
+     SizeBounds},
+    {"bayonet_step_duration_ms", "Wall milliseconds per scheduler step",
+     Histogram, MsBounds},
+    {"bayonet_pool_batches_total", "Thread-pool batches dispatched", Counter},
+    {"bayonet_pool_tasks_total", "Thread-pool tasks executed", Counter},
+    {"bayonet_smc_ess_fraction", "Per-step effective-sample-size fraction",
+     Histogram, FracBounds},
+    {"bayonet_degeneracy_steps_total",
+     "SMC steps whose ESS fell below the degeneracy warning level", Counter},
+    {"bayonet_txcache_hits_total",
+     "Transition-cache hits (memoized node-program expansions replayed)",
+     Counter},
+    {"bayonet_txcache_misses_total",
+     "Transition-cache misses (node-program expansions computed and staged)",
+     Counter},
+    {"bayonet_txcache_evictions_total",
+     "Transition-cache entries evicted by the FIFO byte cap", Counter},
+    {"bayonet_txcache_bytes", "Peak retained transition-cache bytes", Gauge},
+    {"bayonet_intern_hits_total",
+     "Intern-arena hits (blocks canonicalized to a published class)",
+     Counter},
+    {"bayonet_intern_misses_total",
+     "Intern-arena misses (new content classes staged for publication)",
+     Counter},
+    {"bayonet_intern_evictions_total",
+     "Intern-arena content classes evicted by the FIFO byte cap", Counter},
+    {"bayonet_intern_bytes", "Peak retained intern-arena bytes", Gauge},
+    {"bayonet_checkpoint_writes_total",
+     "Durable snapshots written by the Checkpointer", Counter},
+    {"bayonet_checkpoint_bytes_total",
+     "Total snapshot bytes written by the Checkpointer", Counter},
+};
+
+constexpr uint32_t numSlots(const MetricDesc &D) {
+  return D.Kind == MetricKind::Histogram
+             ? static_cast<uint32_t>(D.Bounds.size()) + 2
+             : 1;
 }
 
-/// Histograms store their running sum as a scaled integer so the hot path
-/// stays a single fetch_add (no atomic<double> CAS loop). Micro-units keep
+/// FirstSlot[I] is metric I's first slot; the last entry is the total.
+constexpr std::array<uint32_t, NumMetrics + 1> FirstSlot = [] {
+  std::array<uint32_t, NumMetrics + 1> A{};
+  for (size_t I = 0; I < NumMetrics; ++I)
+    A[I + 1] = A[I] + numSlots(Descs[I]);
+  return A;
+}();
+static_assert(FirstSlot[NumMetrics] == MetricTable::NumSlots);
+
+uint32_t first(Metric M) { return FirstSlot[static_cast<size_t>(M)]; }
+const MetricDesc &desc(Metric M) { return Descs[static_cast<size_t>(M)]; }
+
+/// Histograms store their running sum as a micro-unit integer, which keeps
 /// six fractional digits of millisecond latencies.
 constexpr double SumScale = 1e6;
 
@@ -41,189 +118,6 @@ std::string fmtDouble(double V) {
     std::snprintf(Buf, sizeof(Buf), "%.6g", V);
   return Buf;
 }
-
-} // namespace
-
-MetricsRegistry::MetricsRegistry()
-    : Shards(NumShards), MetaArr(new Meta[MaxMetrics]) {
-  for (Shard &S : Shards)
-    S.Slots = std::vector<std::atomic<uint64_t>>(Capacity);
-}
-
-MetricsRegistry::Shard &MetricsRegistry::shard() {
-  return Shards[myShardIndex(NumShards)];
-}
-
-const MetricsRegistry::Meta *MetricsRegistry::findMeta(uint32_t Slot) const {
-  uint32_t N = NumMetrics.load(std::memory_order_acquire);
-  for (uint32_t I = 0; I < N; ++I)
-    if (MetaArr[I].Slot == Slot)
-      return &MetaArr[I];
-  return nullptr;
-}
-
-MetricId MetricsRegistry::registerMetric(const std::string &Name,
-                                         const std::string &Help,
-                                         MetricKind Kind, uint32_t NumSlots,
-                                         std::vector<double> Bounds) {
-  std::lock_guard<std::mutex> Lock(RegMu);
-  uint32_t N = NumMetrics.load(std::memory_order_relaxed);
-  for (uint32_t I = 0; I < N; ++I)
-    if (MetaArr[I].Name == Name) {
-      if (MetaArr[I].Kind != Kind)
-        throw std::runtime_error("metric '" + Name +
-                                 "' re-registered with a different kind");
-      return {MetaArr[I].Slot};
-    }
-  if (N >= MaxMetrics || NextSlot + NumSlots > Capacity)
-    throw std::runtime_error("metrics registry capacity exceeded");
-  MetaArr[N] = Meta{Name, Help, Kind, NextSlot, NumSlots, std::move(Bounds)};
-  NextSlot += NumSlots;
-  // Publish: readers acquire NumMetrics and only then touch MetaArr[N].
-  NumMetrics.store(N + 1, std::memory_order_release);
-  return {MetaArr[N].Slot};
-}
-
-MetricId MetricsRegistry::counter(const std::string &Name,
-                                  const std::string &Help) {
-  return registerMetric(Name, Help, MetricKind::Counter, 1, {});
-}
-
-MetricId MetricsRegistry::gauge(const std::string &Name,
-                                const std::string &Help) {
-  return registerMetric(Name, Help, MetricKind::Gauge, 1, {});
-}
-
-MetricId MetricsRegistry::histogram(const std::string &Name,
-                                    const std::string &Help,
-                                    std::vector<double> Bounds) {
-  for (size_t I = 1; I < Bounds.size(); ++I)
-    if (!(Bounds[I - 1] < Bounds[I]))
-      throw std::runtime_error("histogram '" + Name +
-                               "' bounds must be strictly increasing");
-  // Slots: one per finite bucket, one +Inf bucket, one scaled sum.
-  uint32_t NumSlots = static_cast<uint32_t>(Bounds.size()) + 2;
-  return registerMetric(Name, Help, MetricKind::Histogram, NumSlots,
-                        std::move(Bounds));
-}
-
-void MetricsRegistry::observe(MetricId Id, double V) {
-  if (!Id.valid())
-    return;
-  const Meta *M = findMeta(Id.Slot); // Lock-free: metadata is append-only.
-  if (!M || M->Kind != MetricKind::Histogram)
-    return;
-  uint32_t Bucket = static_cast<uint32_t>(M->Bounds.size()); // +Inf default.
-  for (uint32_t I = 0; I < M->Bounds.size(); ++I)
-    if (V <= M->Bounds[I]) {
-      Bucket = I;
-      break;
-    }
-  Shard &S = shard();
-  S.Slots[Id.Slot + Bucket].fetch_add(1, std::memory_order_relaxed);
-  uint64_t Scaled =
-      V <= 0 ? 0 : static_cast<uint64_t>(std::llround(V * SumScale));
-  S.Slots[Id.Slot + M->NumSlots - 1].fetch_add(Scaled,
-                                               std::memory_order_relaxed);
-}
-
-uint64_t MetricsRegistry::sumSlot(uint32_t Slot) const {
-  uint64_t Total = 0;
-  for (const Shard &S : Shards)
-    Total += S.Slots[Slot].load(std::memory_order_relaxed);
-  return Total;
-}
-
-uint64_t MetricsRegistry::value(MetricId Id) const {
-  if (!Id.valid())
-    return 0;
-  const Meta *M = findMeta(Id.Slot);
-  if (!M)
-    return 0;
-  switch (M->Kind) {
-  case MetricKind::Gauge:
-    return Shards[0].Slots[M->Slot].load(std::memory_order_relaxed);
-  case MetricKind::Histogram: {
-    uint64_t Count = 0;
-    for (uint32_t I = 0; I + 1 < M->NumSlots; ++I)
-      Count += sumSlot(M->Slot + I);
-    return Count;
-  }
-  case MetricKind::Counter:
-    break;
-  }
-  return sumSlot(M->Slot);
-}
-
-std::vector<MetricValue> MetricsRegistry::snapshot() const {
-  uint32_t N = NumMetrics.load(std::memory_order_acquire);
-  std::vector<MetricValue> Out;
-  Out.reserve(N);
-  for (uint32_t MI = 0; MI < N; ++MI) {
-    const Meta &M = MetaArr[MI];
-    MetricValue V;
-    V.Name = M.Name;
-    V.Help = M.Help;
-    V.Kind = M.Kind;
-    switch (M.Kind) {
-    case MetricKind::Counter:
-      V.Value = sumSlot(M.Slot);
-      break;
-    case MetricKind::Gauge:
-      V.Value = Shards[0].Slots[M.Slot].load(std::memory_order_relaxed);
-      break;
-    case MetricKind::Histogram: {
-      V.BucketBounds = M.Bounds;
-      uint64_t Cumulative = 0;
-      for (uint32_t I = 0; I + 1 < M.NumSlots; ++I) {
-        Cumulative += sumSlot(M.Slot + I);
-        V.BucketCounts.push_back(Cumulative);
-      }
-      V.Value = Cumulative;
-      V.Sum =
-          static_cast<double>(sumSlot(M.Slot + M.NumSlots - 1)) / SumScale;
-      break;
-    }
-    }
-    Out.push_back(std::move(V));
-  }
-  return Out;
-}
-
-void MetricsRegistry::snapshotTo(SnapWriter &W) const {
-  uint32_t N = NumMetrics.load(std::memory_order_acquire);
-  W.u64(N);
-  for (uint32_t MI = 0; MI < N; ++MI) {
-    const Meta &M = MetaArr[MI];
-    W.str(M.Name);
-    W.u64(M.NumSlots);
-    for (uint32_t I = 0; I < M.NumSlots; ++I)
-      W.u64(sumSlot(M.Slot + I));
-  }
-}
-
-bool MetricsRegistry::restoreFrom(SnapReader &R) {
-  uint64_t N = R.count();
-  for (uint64_t MI = 0; MI < N && R.ok(); ++MI) {
-    std::string Name = R.str();
-    uint64_t NumSlots = R.count();
-    const Meta *Found = nullptr;
-    uint32_t Registered = NumMetrics.load(std::memory_order_acquire);
-    for (uint32_t I = 0; I < Registered; ++I)
-      if (MetaArr[I].Name == Name) {
-        Found = &MetaArr[I];
-        break;
-      }
-    for (uint64_t I = 0; I < NumSlots && R.ok(); ++I) {
-      uint64_t V = R.u64();
-      if (Found && I < Found->NumSlots)
-        Shards[0].Slots[Found->Slot + I].store(V, std::memory_order_relaxed);
-    }
-  }
-  return R.ok();
-}
-
-namespace {
 
 /// Prometheus text exposition 0.0.4: in HELP text, backslash and newline
 /// must be escaped as `\\` and `\n`.
@@ -243,33 +137,108 @@ std::string escapeHelp(const std::string &S) {
 
 } // namespace
 
-std::string MetricsRegistry::renderProm() const {
-  std::string Out;
-  for (const MetricValue &V : snapshot()) {
-    Out += "# HELP " + V.Name + " " + escapeHelp(V.Help) + "\n";
-    Out += "# TYPE " + V.Name + " ";
-    switch (V.Kind) {
-    case MetricKind::Counter:
-      Out += "counter\n";
-      Out += V.Name + " " + std::to_string(V.Value) + "\n";
-      break;
-    case MetricKind::Gauge:
-      Out += "gauge\n";
-      Out += V.Name + " " + std::to_string(V.Value) + "\n";
-      break;
-    case MetricKind::Histogram:
-      Out += "histogram\n";
-      for (size_t I = 0; I < V.BucketCounts.size(); ++I) {
-        std::string Le = I < V.BucketBounds.size()
-                             ? fmtDouble(V.BucketBounds[I])
-                             : "+Inf";
-        Out += V.Name + "_bucket{le=\"" + Le + "\"} " +
-               std::to_string(V.BucketCounts[I]) + "\n";
-      }
-      Out += V.Name + "_sum " + fmtDouble(V.Sum) + "\n";
-      Out += V.Name + "_count " + std::to_string(V.Value) + "\n";
-      break;
+void MetricTable::add(Metric M, uint64_t N) { Slots[first(M)] += N; }
+
+void MetricTable::set(Metric M, uint64_t V) { Slots[first(M)] = V; }
+
+void MetricTable::max(Metric M, uint64_t V) {
+  uint64_t &S = Slots[first(M)];
+  S = std::max(S, V);
+}
+
+void MetricTable::observe(Metric M, double V) {
+  const MetricDesc &D = desc(M);
+  assert(D.Kind == MetricKind::Histogram && "observe needs a histogram");
+  size_t Bucket = std::find_if(D.Bounds.begin(), D.Bounds.end(),
+                               [V](double B) { return V <= B; }) -
+                  D.Bounds.begin(); // +Inf when past the last bound.
+  ++Slots[first(M) + Bucket];
+  Slots[first(M) + numSlots(D) - 1] +=
+      V <= 0 ? 0 : static_cast<uint64_t>(std::llround(V * SumScale));
+}
+
+uint64_t MetricTable::value(Metric M) const {
+  if (desc(M).Kind != MetricKind::Histogram)
+    return Slots[first(M)];
+  uint64_t Count = 0;
+  for (uint32_t I = 0; I + 1 < numSlots(desc(M)); ++I)
+    Count += Slots[first(M) + I];
+  return Count;
+}
+
+std::vector<MetricValue> MetricTable::snapshot() const {
+  std::vector<MetricValue> Out(NumMetrics);
+  for (size_t MI = 0; MI < NumMetrics; ++MI) {
+    const MetricDesc &D = Descs[MI];
+    const uint32_t Slot = FirstSlot[MI];
+    MetricValue &V = Out[MI];
+    V.Name = D.Name;
+    V.Help = D.Help;
+    V.Kind = D.Kind;
+    if (D.Kind != MetricKind::Histogram) {
+      V.Value = Slots[Slot];
+      continue;
     }
+    V.BucketBounds.assign(D.Bounds.begin(), D.Bounds.end());
+    uint64_t Cumulative = 0;
+    for (uint32_t I = 0; I + 1 < numSlots(D); ++I) {
+      Cumulative += Slots[Slot + I];
+      V.BucketCounts.push_back(Cumulative);
+    }
+    V.Value = Cumulative;
+    V.Sum = static_cast<double>(Slots[Slot + numSlots(D) - 1]) / SumScale;
+  }
+  return Out;
+}
+
+void MetricTable::snapshotTo(SnapWriter &W) const {
+  W.u64(NumMetrics);
+  for (size_t MI = 0; MI < NumMetrics; ++MI) {
+    W.str(Descs[MI].Name);
+    W.u64(numSlots(Descs[MI]));
+    for (uint32_t I = 0; I < numSlots(Descs[MI]); ++I)
+      W.u64(Slots[FirstSlot[MI] + I]);
+  }
+}
+
+bool MetricTable::restoreFrom(SnapReader &R) {
+  uint64_t N = R.count();
+  for (uint64_t MI = 0; MI < N && R.ok(); ++MI) {
+    std::string Name = R.str();
+    uint64_t NumSlots = R.count();
+    const auto *Found =
+        std::find_if(std::begin(Descs), std::end(Descs),
+                     [&](const MetricDesc &D) { return Name == D.Name; });
+    const size_t Index = Found - std::begin(Descs);
+    const uint32_t Known = Index < NumMetrics ? numSlots(*Found) : 0;
+    for (uint64_t I = 0; I < NumSlots && R.ok(); ++I) {
+      uint64_t V = R.u64();
+      if (I < Known)
+        Slots[FirstSlot[Index] + I] = V;
+    }
+  }
+  return R.ok();
+}
+
+std::string bayonet::renderProm(const std::vector<MetricValue> &Values) {
+  std::string Out;
+  for (const MetricValue &V : Values) {
+    Out += "# HELP " + V.Name + " " + escapeHelp(V.Help) + "\n";
+    if (V.Kind != MetricKind::Histogram) {
+      Out += "# TYPE " + V.Name +
+             (V.Kind == MetricKind::Counter ? " counter\n" : " gauge\n");
+      Out += V.Name + " " + std::to_string(V.Value) + "\n";
+      continue;
+    }
+    Out += "# TYPE " + V.Name + " histogram\n";
+    for (size_t I = 0; I < V.BucketCounts.size(); ++I) {
+      std::string Le =
+          I < V.BucketBounds.size() ? fmtDouble(V.BucketBounds[I]) : "+Inf";
+      Out += V.Name + "_bucket{le=\"" + Le + "\"} " +
+             std::to_string(V.BucketCounts[I]) + "\n";
+    }
+    Out += V.Name + "_sum " + fmtDouble(V.Sum) + "\n";
+    Out += V.Name + "_count " + std::to_string(V.Value) + "\n";
   }
   return Out;
 }

@@ -1,33 +1,29 @@
-//===- obs/Metrics.h - Thread-sharded metrics registry ---------*- C++ -*-===//
+//===- obs/Metrics.h - The engine metric table -----------------*- C++ -*-===//
 //
 // Part of the Bayonet reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A thread-sharded metrics registry for the inference engines: monotonic
-/// counters, gauges, and fixed-bucket histograms. The hot path (add /
-/// observe) is a relaxed atomic increment on a per-thread shard — no locks,
-/// no cache-line ping-pong between worker lanes — and shards are summed
-/// only at read time (snapshot / exposition). Registration is rare and
-/// mutex-guarded; metric ids are stable array indices, so charging a metric
-/// is two loads and one fetch_add.
+/// The engine metrics: a fixed list of monotonic counters, gauges and
+/// fixed-bucket histograms, kept as a plain table of integer slots. Every
+/// charge runs on the serial thread — the engines charge at their step
+/// boundaries (obs/Boundary.h), the API charges budget trips and
+/// fallbacks after the engine returns, the Checkpointer charges its
+/// writes — so the table needs no atomics and no locks.
 ///
-/// Everything counted through the registry is a pure sum of per-event
-/// charges, so as long as the engines charge a thread-count-independent
-/// event set (they do — see docs/IMPLEMENTATION.md §7), aggregated counter
-/// and histogram values are bit-identical for every thread count. Only
-/// durations (which live in the tracer, not here) may vary.
+/// Everything counted here is a pure sum of per-boundary charges, so as
+/// long as the engines charge a thread-count-independent event set (they
+/// do — see docs/IMPLEMENTATION.md §7), counter and histogram values are
+/// bit-identical for every thread count. Only durations may vary.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef BAYONET_OBS_METRICS_H
 #define BAYONET_OBS_METRICS_H
 
-#include <atomic>
+#include <array>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -36,18 +32,42 @@ namespace bayonet {
 class SnapReader;
 class SnapWriter;
 
-/// Opaque handle to a registered metric: an index into the shard slot
-/// arrays. Histograms own a contiguous run of slots (one per bucket, one
-/// for +Inf, one for the scaled sum).
-struct MetricId {
-  uint32_t Slot = UINT32_MAX;
-  bool valid() const { return Slot != UINT32_MAX; }
+/// Every engine metric, in exposition and snapshot order.
+enum class Metric : uint8_t {
+  StatesExpanded,   ///< Counter: NetConfig states expanded (exact).
+  MergeAttempts,    ///< Counter: state-merge lookups.
+  MergeHits,        ///< Counter: lookups that coalesced a state.
+  SchedSteps,       ///< Counter: scheduler steps executed.
+  Particles,        ///< Counter: particles advanced (sampling).
+  Resamples,        ///< Counter: SMC resample generations.
+  BudgetTrips,      ///< Counter: budget violations recorded.
+  Fallbacks,        ///< Counter: exact→SMC fallbacks taken.
+  PeakFrontier,     ///< Gauge (max): largest frontier seen.
+  FrontierSize,     ///< Histogram: frontier size per sched step.
+  StepDurMs,        ///< Histogram: wall ms per sched step.
+  PoolBatches,      ///< Counter: thread-pool batches dispatched.
+  PoolTasks,        ///< Counter: thread-pool tasks executed.
+  EssFraction,      ///< Histogram: per-step ESS / population.
+  DegeneracySteps,  ///< Counter: steps with ESS below warn level.
+  TxCacheHits,      ///< Counter: transition-cache expansion hits.
+  TxCacheMisses,    ///< Counter: transition-cache expansion misses.
+  TxCacheEvictions, ///< Counter: transition-cache FIFO evictions.
+  TxCacheBytes,     ///< Gauge (max): retained transition-cache bytes.
+  InternHits,       ///< Counter: intern-arena canonicalization hits.
+  InternMisses,     ///< Counter: intern-arena canonicalization misses.
+  InternEvictions,  ///< Counter: intern-arena FIFO evictions.
+  InternBytes,      ///< Gauge (max): retained intern-arena bytes.
+  CheckpointWrites, ///< Counter: durable snapshots written.
+  CheckpointBytes,  ///< Counter: total snapshot bytes written.
 };
+
+inline constexpr size_t NumMetrics =
+    static_cast<size_t>(Metric::CheckpointBytes) + 1;
 
 /// What a metric means, for the text exposition.
 enum class MetricKind : uint8_t { Counter, Gauge, Histogram };
 
-/// Aggregated value of one metric at snapshot time.
+/// Value of one metric at snapshot time.
 struct MetricValue {
   std::string Name;
   std::string Help;
@@ -60,124 +80,47 @@ struct MetricValue {
   double Sum = 0; ///< Histogram only: sum of observed values.
 };
 
-/// Thread-sharded registry. One registry per observability context; the
-/// engines charge it through ObsHandle (a null handle makes every charge a
-/// single predictable branch).
-class MetricsRegistry {
+/// Prometheus text exposition 0.0.4 (HELP/TYPE comments + samples).
+std::string renderProm(const std::vector<MetricValue> &Values);
+
+/// One run's metric values. Counters and gauges own one slot; a histogram
+/// owns one slot per bucket, one +Inf slot and one micro-scaled sum slot.
+class MetricTable {
 public:
-  MetricsRegistry();
-
-  // Not movable/copyable: handles hold pointers into the shard arrays.
-  MetricsRegistry(const MetricsRegistry &) = delete;
-  MetricsRegistry &operator=(const MetricsRegistry &) = delete;
-
-  /// Registers (or looks up) a monotonic counter.
-  MetricId counter(const std::string &Name, const std::string &Help);
-
-  /// Registers (or looks up) a gauge (set / max semantics).
-  MetricId gauge(const std::string &Name, const std::string &Help);
-
-  /// Registers (or looks up) a histogram with the given bucket upper
-  /// bounds (must be strictly increasing; an implicit +Inf bucket is
-  /// appended). Observations use Prometheus `le` semantics: a value lands
-  /// in the first bucket whose bound is >= the value.
-  MetricId histogram(const std::string &Name, const std::string &Help,
-                     std::vector<double> Bounds);
-
-  //===--------------------------------------------------------------------===//
-  // Hot path (wait-free, callable from any thread)
-  //===--------------------------------------------------------------------===//
+  /// Slots of the whole table: 22 scalars plus three histograms of eight
+  /// finite buckets (ten slots each).
+  static constexpr size_t NumSlots = 52;
 
   /// Adds \p N to a counter.
-  void add(MetricId Id, uint64_t N = 1) {
-    if (!Id.valid())
-      return;
-    shard().Slots[Id.Slot].fetch_add(N, std::memory_order_relaxed);
-  }
+  void add(Metric M, uint64_t N = 1);
+  /// Sets a counter or gauge.
+  void set(Metric M, uint64_t V);
+  /// Raises a gauge to at least \p V.
+  void max(Metric M, uint64_t V);
+  /// Records one histogram observation. Prometheus `le` semantics: the
+  /// value lands in the first bucket whose bound is >= the value.
+  void observe(Metric M, double V);
 
-  /// Sets a gauge (last writer wins; gauges live in shard 0 so there is a
-  /// single authoritative slot).
-  void set(MetricId Id, uint64_t V) {
-    if (!Id.valid())
-      return;
-    Shards[0].Slots[Id.Slot].store(V, std::memory_order_relaxed);
-  }
+  /// Value of one counter/gauge (histograms: total count).
+  uint64_t value(Metric M) const;
 
-  /// Raises a gauge to at least \p V (monotonic max).
-  void max(MetricId Id, uint64_t V) {
-    if (!Id.valid())
-      return;
-    std::atomic<uint64_t> &S = Shards[0].Slots[Id.Slot];
-    uint64_t Cur = S.load(std::memory_order_relaxed);
-    while (V > Cur &&
-           !S.compare_exchange_weak(Cur, V, std::memory_order_relaxed))
-      ;
-  }
-
-  /// Records one histogram observation.
-  void observe(MetricId Id, double V);
-
-  //===--------------------------------------------------------------------===//
-  // Read side (aggregates over shards; not wait-free)
-  //===--------------------------------------------------------------------===//
-
-  /// Aggregated value of one counter/gauge (histograms: total count).
-  uint64_t value(MetricId Id) const;
-
-  /// Snapshot of every registered metric, in registration order.
+  /// Every metric, in Metric order.
   std::vector<MetricValue> snapshot() const;
 
-  /// Prometheus text exposition (HELP/TYPE comments + samples).
-  std::string renderProm() const;
+  std::string renderProm() const { return bayonet::renderProm(snapshot()); }
 
-  /// Serializes every metric's raw integer slot sums (summed across
-  /// shards) by name — exact integers, so restore + re-snapshot is
-  /// byte-stable. Checkpoint support (support/Snapshot.h).
+  /// Serializes every metric's raw integer slots by name — exact
+  /// integers, so restore + re-snapshot is byte-stable. Checkpoint support
+  /// (support/Snapshot.h).
   void snapshotTo(SnapWriter &W) const;
 
-  /// Installs checkpointed slot sums into shard 0 by name lookup (the
-  /// receiving registry is freshly constructed with identically registered
-  /// metrics, so all other shards are zero and totals match exactly).
-  /// Unknown names are skipped. Returns false on a corrupt section.
+  /// Installs checkpointed slots by name lookup: the snapshot is outside
+  /// input, so unknown names are skipped and slots beyond a metric's own
+  /// are dropped. Returns false on a corrupt or truncated section.
   bool restoreFrom(SnapReader &R);
 
 private:
-  /// Shard count: enough that 8-16 worker lanes rarely collide, small
-  /// enough that read-time aggregation stays trivial.
-  static constexpr unsigned NumShards = 32;
-  /// Slot capacity per shard. The engines register a few dozen metrics;
-  /// registration fails loudly (throws) past this, it never corrupts.
-  static constexpr uint32_t Capacity = 1024;
-
-  struct alignas(64) Shard {
-    std::vector<std::atomic<uint64_t>> Slots;
-  };
-
-  struct Meta {
-    std::string Name;
-    std::string Help;
-    MetricKind Kind;
-    uint32_t Slot;
-    uint32_t NumSlots; ///< 1, or buckets + 2 for histograms.
-    std::vector<double> Bounds;
-  };
-
-  Shard &shard();
-  uint64_t sumSlot(uint32_t Slot) const;
-  const Meta *findMeta(uint32_t Slot) const;
-  MetricId registerMetric(const std::string &Name, const std::string &Help,
-                          MetricKind Kind, uint32_t NumSlots,
-                          std::vector<double> Bounds);
-
-  std::vector<Shard> Shards;
-  /// Metadata is append-only: entries are written under RegMu, then
-  /// published by a release store to NumMetrics — so the hot path
-  /// (observe's bucket lookup) reads it lock-free with an acquire load.
-  static constexpr uint32_t MaxMetrics = 256;
-  std::unique_ptr<Meta[]> MetaArr;
-  std::atomic<uint32_t> NumMetrics{0};
-  mutable std::mutex RegMu;
-  uint32_t NextSlot = 0;
+  std::array<uint64_t, NumSlots> Slots{};
 };
 
 } // namespace bayonet

@@ -642,7 +642,7 @@ void Checkpointer::restoreCommon(BudgetTracker *BT, ObsContext *Obs) {
     if (Obs && Obs->metrics()) {
       SectionOk = Obs->metrics()->restoreFrom(R);
     } else {
-      MetricsRegistry Scratch;
+      MetricTable Scratch;
       SectionOk = Scratch.restoreFrom(R);
     }
   }
@@ -754,7 +754,7 @@ void Checkpointer::writeNow(const std::string &Engine, uint64_t SpecFp,
   } else {
     W.u8(0);
   }
-  const MetricsRegistry *Mx = Obs ? Obs->metrics() : nullptr;
+  const MetricTable *Mx = Obs ? Obs->metrics() : nullptr;
   if (Mx) {
     W.u8(1);
     Mx->snapshotTo(W);
@@ -832,8 +832,8 @@ void Checkpointer::writeNow(const std::string &Engine, uint64_t SpecFp,
     std::rename(Tmp.c_str(), Opts.OutPath.c_str());
   }
   WriteSpan.end();
-  OH.count(&EngineMetricIds::CheckpointWrites);
-  OH.count(&EngineMetricIds::CheckpointBytes, File.size());
+  OH.count(Metric::CheckpointWrites);
+  OH.count(Metric::CheckpointBytes, File.size());
   ++WritesDone;
   if (CrashAtWrite && WritesDone == CrashAtWrite) {
     if (Opts.HardExit)

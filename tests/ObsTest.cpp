@@ -5,12 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Observability tests: the sharded metrics registry loses no increments
-/// under heavy concurrency, histogram buckets follow Prometheus `le`
-/// semantics exactly, the tracer renders well-formed and well-nested
-/// Chrome-trace JSON with deterministic span ids, and every counted
-/// quantity is bit-identical across 1 / 2 / 8 worker threads and with
-/// observability on or off.
+/// Observability tests: histogram buckets follow Prometheus `le`
+/// semantics exactly, a metric snapshot restores robustly, the tracer
+/// renders well-formed and well-nested Chrome-trace JSON with
+/// deterministic span ids, and every counted quantity is bit-identical
+/// across 1 / 2 / 8 worker threads and with observability on or off.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +27,6 @@
 #include <fstream>
 #include <regex>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 using namespace bayonet;
@@ -73,94 +71,132 @@ size_t countSubstr(const std::string &Hay, const std::string &Needle) {
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Metrics registry
+// Metric table
 //===----------------------------------------------------------------------===//
 
-// The headline concurrency guarantee: 8 threads hammering one counter with
-// a million increments each lose nothing — the aggregated total is exact,
-// not approximate.
-TEST(Obs, ConcurrentCounterStressExactTotal) {
-  MetricsRegistry Reg;
-  MetricId C = Reg.counter("stress_total", "concurrency stress counter");
-  MetricId H = Reg.histogram("stress_hist", "concurrency stress histogram",
-                             {10, 100, 1000});
-  constexpr unsigned NumThreads = 8;
-  constexpr uint64_t PerThread = 1000000;
-  std::vector<std::thread> Threads;
-  for (unsigned T = 0; T < NumThreads; ++T)
-    Threads.emplace_back([&Reg, C, H, T] {
-      for (uint64_t I = 0; I < PerThread; ++I)
-        Reg.add(C);
-      // A sprinkle of histogram traffic rides along on each thread.
-      for (uint64_t I = 0; I < 1000; ++I)
-        Reg.observe(H, static_cast<double>(T * 137 % 2000));
-    });
-  for (std::thread &T : Threads)
-    T.join();
-  EXPECT_EQ(Reg.value(C), NumThreads * PerThread);
-  EXPECT_EQ(Reg.value(H), NumThreads * 1000u);
+namespace {
+
+const MetricValue &snapshotOf(const std::vector<MetricValue> &Snap,
+                              Metric M) {
+  return Snap[static_cast<size_t>(M)];
 }
 
+} // namespace
+
 TEST(Obs, HistogramBucketBoundaries) {
-  MetricsRegistry Reg;
-  MetricId H = Reg.histogram("h", "boundary semantics", {1, 2, 4});
+  // Frontier-size bounds: 1, 8, 64, ..., 2097152.
+  MetricTable T;
   // Prometheus `le` semantics: a value equal to a bound lands IN that
   // bucket; anything above the last bound lands in +Inf.
-  Reg.observe(H, 0.5);
-  Reg.observe(H, 1.0);
-  Reg.observe(H, 1.5);
-  Reg.observe(H, 4.0);
-  Reg.observe(H, 5.0);
-  auto Snap = Reg.snapshot();
-  ASSERT_EQ(Snap.size(), 1u);
-  const MetricValue &V = Snap[0];
-  ASSERT_EQ(V.BucketCounts.size(), 4u); // 3 finite + the +Inf bucket.
-  EXPECT_EQ(V.BucketCounts[0], 2u);     // le=1: 0.5, 1.0
-  EXPECT_EQ(V.BucketCounts[1], 3u);     // le=2: + 1.5
-  EXPECT_EQ(V.BucketCounts[2], 4u);     // le=4: + 4.0 (== bound)
-  EXPECT_EQ(V.BucketCounts[3], 5u);     // +Inf: + 5.0
-  EXPECT_EQ(V.Value, 5u);
-  EXPECT_NEAR(V.Sum, 12.0, 1e-9);
+  for (double V : {0.5, 1.0, 1.5, 8.0, 9.0, 3e6})
+    T.observe(Metric::FrontierSize, V);
+  auto Snap = T.snapshot();
+  ASSERT_EQ(Snap.size(), NumMetrics);
+  const MetricValue &V = snapshotOf(Snap, Metric::FrontierSize);
+  ASSERT_EQ(V.BucketCounts.size(), 9u); // 8 finite + the +Inf bucket.
+  EXPECT_EQ(V.BucketCounts[0], 2u);     // le=1: 0.5, 1.0 (== bound)
+  EXPECT_EQ(V.BucketCounts[1], 4u);     // le=8: + 1.5, 8.0 (== bound)
+  EXPECT_EQ(V.BucketCounts[2], 5u);     // le=64: + 9.0
+  EXPECT_EQ(V.BucketCounts[7], 5u);     // le=2097152: nothing more
+  EXPECT_EQ(V.BucketCounts[8], 6u);     // +Inf: + 3e6
+  EXPECT_EQ(V.Value, 6u);
+  EXPECT_EQ(T.value(Metric::FrontierSize), 6u);
+  EXPECT_NEAR(V.Sum, 3000020.0, 1e-9);
+  // The neighbouring histogram's slots are untouched.
+  EXPECT_EQ(T.value(Metric::StepDurMs), 0u);
 }
 
 TEST(Obs, GaugeSetAndMax) {
-  MetricsRegistry Reg;
-  MetricId G = Reg.gauge("g", "gauge");
-  Reg.set(G, 7);
-  EXPECT_EQ(Reg.value(G), 7u);
-  Reg.max(G, 3); // Lower: no effect.
-  EXPECT_EQ(Reg.value(G), 7u);
-  Reg.max(G, 11);
-  EXPECT_EQ(Reg.value(G), 11u);
-}
-
-TEST(Obs, RegistryDedupesAndChecksKinds) {
-  MetricsRegistry Reg;
-  MetricId A = Reg.counter("same", "help");
-  MetricId B = Reg.counter("same", "help");
-  EXPECT_EQ(A.Slot, B.Slot);
-  EXPECT_THROW(Reg.gauge("same", "help"), std::runtime_error);
-  EXPECT_THROW(Reg.histogram("bad", "help", {2, 2}), std::runtime_error);
+  MetricTable T;
+  T.set(Metric::PeakFrontier, 7);
+  EXPECT_EQ(T.value(Metric::PeakFrontier), 7u);
+  T.max(Metric::PeakFrontier, 3); // Lower: no effect.
+  EXPECT_EQ(T.value(Metric::PeakFrontier), 7u);
+  T.max(Metric::PeakFrontier, 11);
+  EXPECT_EQ(T.value(Metric::PeakFrontier), 11u);
 }
 
 TEST(Obs, RenderPromFormat) {
-  MetricsRegistry Reg;
-  MetricId C = Reg.counter("bayo_test_total", "a counter");
-  MetricId H = Reg.histogram("bayo_lat", "a histogram", {1, 2, 4});
-  Reg.add(C, 42);
-  Reg.observe(H, 1.0);
-  Reg.observe(H, 9.0);
-  std::string Prom = Reg.renderProm();
-  EXPECT_NE(Prom.find("# HELP bayo_test_total a counter\n"),
+  MetricTable T;
+  T.add(Metric::StatesExpanded, 42);
+  T.observe(Metric::StepDurMs, 0.5);
+  T.observe(Metric::StepDurMs, 9000);
+  std::string Prom = T.renderProm();
+  EXPECT_EQ(Prom.rfind("# HELP bayonet_states_expanded_total NetConfig "
+                       "states expanded by the exact engines\n"
+                       "# TYPE bayonet_states_expanded_total counter\n"
+                       "bayonet_states_expanded_total 42\n",
+                       0),
+            0u)
+      << "metrics render in Metric order";
+  EXPECT_NE(Prom.find("# TYPE bayonet_step_duration_ms histogram\n"),
             std::string::npos);
-  EXPECT_NE(Prom.find("# TYPE bayo_test_total counter\n"), std::string::npos);
-  EXPECT_NE(Prom.find("bayo_test_total 42\n"), std::string::npos);
-  EXPECT_NE(Prom.find("# TYPE bayo_lat histogram\n"), std::string::npos);
-  EXPECT_NE(Prom.find("bayo_lat_bucket{le=\"1\"} 1\n"), std::string::npos);
-  EXPECT_NE(Prom.find("bayo_lat_bucket{le=\"+Inf\"} 2\n"),
+  EXPECT_NE(Prom.find("bayonet_step_duration_ms_bucket{le=\"0.1\"} 0\n"),
             std::string::npos);
-  EXPECT_NE(Prom.find("bayo_lat_sum 10\n"), std::string::npos);
-  EXPECT_NE(Prom.find("bayo_lat_count 2\n"), std::string::npos);
+  EXPECT_NE(Prom.find("bayonet_step_duration_ms_bucket{le=\"0.5\"} 1\n"),
+            std::string::npos);
+  EXPECT_NE(Prom.find("bayonet_step_duration_ms_bucket{le=\"+Inf\"} 2\n"),
+            std::string::npos);
+  EXPECT_NE(Prom.find("bayonet_step_duration_ms_sum 9000.5\n"),
+            std::string::npos);
+  EXPECT_NE(Prom.find("bayonet_step_duration_ms_count 2\n"),
+            std::string::npos);
+  EXPECT_EQ(countSubstr(Prom, "# HELP "), NumMetrics);
+}
+
+// A snapshot file is outside input. Restore skips a metric it does not
+// know, drops the slots a known metric has beyond its own, and reports a
+// section cut short.
+TEST(Obs, MetricRestoreToleratesUnknownNamesAndExtraSlots) {
+  SnapWriter W;
+  W.u64(3);
+  W.str("bayonet_no_such_metric_total");
+  W.u64(2);
+  W.u64(99);
+  W.u64(98);
+  W.str("bayonet_states_expanded_total"); // A counter owns one slot.
+  W.u64(3);
+  for (uint64_t V : {7, 8, 9})
+    W.u64(V);
+  W.str("bayonet_frontier_size"); // A histogram owns ten slots.
+  W.u64(12);
+  for (uint64_t V = 1; V <= 12; ++V)
+    W.u64(V);
+  MetricTable T;
+  SnapReader R(W.buffer());
+  ASSERT_TRUE(T.restoreFrom(R));
+  EXPECT_TRUE(R.atEnd());
+
+  auto Snap = T.snapshot();
+  EXPECT_EQ(T.value(Metric::StatesExpanded), 7u);
+  EXPECT_EQ(T.value(Metric::MergeAttempts), 0u);
+  const MetricValue &F = snapshotOf(Snap, Metric::FrontierSize);
+  EXPECT_EQ(F.BucketCounts,
+            (std::vector<uint64_t>{1, 3, 6, 10, 15, 21, 28, 36, 45}));
+  EXPECT_NEAR(F.Sum, 10 / 1e6, 1e-12); // Slot 10 is the scaled sum.
+  EXPECT_EQ(T.value(Metric::StepDurMs), 0u) << "slots 11-12 are dropped";
+  for (const MetricValue &V : Snap) {
+    if (V.Name != "bayonet_states_expanded_total" &&
+        V.Name != "bayonet_frontier_size") {
+      EXPECT_EQ(V.Value, 0u) << V.Name;
+    }
+  }
+
+  // The table's own section round-trips byte for byte, and every proper
+  // prefix of it is reported as corrupt.
+  SnapWriter Full;
+  T.snapshotTo(Full);
+  MetricTable Copy;
+  SnapReader CR(Full.buffer());
+  ASSERT_TRUE(Copy.restoreFrom(CR));
+  SnapWriter Again;
+  Copy.snapshotTo(Again);
+  EXPECT_EQ(Again.buffer(), Full.buffer());
+  for (size_t Len = 0; Len < Full.buffer().size(); ++Len) {
+    MetricTable Cut;
+    SnapReader CutR(Full.buffer().data(), Len);
+    EXPECT_FALSE(Cut.restoreFrom(CutR)) << "prefix of " << Len << " bytes";
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -256,18 +292,18 @@ TEST(Obs, ExactCountersIdenticalAcrossThreadCounts) {
   ASSERT_TRUE(R1.Status.ok());
   ASSERT_TRUE(R2.Status.ok());
   ASSERT_TRUE(R8.Status.ok());
-  EXPECT_GT(Ctx1->metrics()->value(Ctx1->ids().StatesExpanded), 0u);
+  EXPECT_GT(Ctx1->metrics()->value(Metric::StatesExpanded), 0u);
   std::string F1 = metricFingerprint(*Ctx1);
   EXPECT_EQ(F1, metricFingerprint(*Ctx2));
   EXPECT_EQ(F1, metricFingerprint(*Ctx8));
   // The registry view agrees with the engine's own result statistics.
-  EXPECT_EQ(Ctx1->metrics()->value(Ctx1->ids().StatesExpanded),
+  EXPECT_EQ(Ctx1->metrics()->value(Metric::StatesExpanded),
             R1.ConfigsExpanded);
-  EXPECT_EQ(Ctx1->metrics()->value(Ctx1->ids().MergeHits), R1.MergeHits);
-  EXPECT_EQ(Ctx1->metrics()->value(Ctx1->ids().MergeAttempts),
+  EXPECT_EQ(Ctx1->metrics()->value(Metric::MergeHits), R1.MergeHits);
+  EXPECT_EQ(Ctx1->metrics()->value(Metric::MergeAttempts),
             R1.MergeAttempts);
   EXPECT_GE(R1.MergeAttempts, R1.MergeHits);
-  EXPECT_EQ(Ctx1->metrics()->value(Ctx1->ids().PeakFrontier),
+  EXPECT_EQ(Ctx1->metrics()->value(Metric::PeakFrontier),
             R1.MaxFrontierSize);
 }
 
@@ -296,7 +332,7 @@ TEST(Obs, SamplerCountersIdenticalAcrossThreadCounts) {
     return Ctx;
   };
   auto C1 = run(1), C2 = run(2), C8 = run(8);
-  EXPECT_GT(C1->metrics()->value(C1->ids().Particles), 0u);
+  EXPECT_GT(C1->metrics()->value(Metric::Particles), 0u);
   std::string F1 = metricFingerprint(*C1);
   EXPECT_EQ(F1, metricFingerprint(*C2));
   EXPECT_EQ(F1, metricFingerprint(*C8));
@@ -337,7 +373,7 @@ TEST(Obs, TxCacheMatrixCountersAndTraceShape) {
       Posterior = *R1.concreteValue();
     else
       EXPECT_EQ(*R1.concreteValue(), *Posterior);
-    uint64_t Hits = Ctx1->metrics()->value(Ctx1->ids().TxCacheHits);
+    uint64_t Hits = Ctx1->metrics()->value(Metric::TxCacheHits);
     bool HasSpan =
         Trace1.find("\"name\":\"exact.txcache\"") != std::string::npos;
     if (CacheBytes) {
@@ -406,7 +442,7 @@ TEST(Obs, TranslatedEngineEmitsPsiSpans) {
   EXPECT_NE(Json.find("\"name\":\"psi.stmt\""), std::string::npos);
   EXPECT_NE(Json.find("\"name\":\"psi.round\""), std::string::npos);
   ASSERT_TRUE(R.Translated.has_value());
-  EXPECT_EQ(Ctx->metrics()->value(Ctx->ids().StatesExpanded),
+  EXPECT_EQ(Ctx->metrics()->value(Metric::StatesExpanded),
             R.Translated->BranchesExpanded);
   EXPECT_EQ(R.Spent.MergeAttempts, R.Translated->MergeAttempts);
 }
@@ -423,7 +459,7 @@ TEST(Obs, SmcEmitsResampleSpansAndParticleCounters) {
   std::string Json = Ctx->tracer()->renderChromeJson();
   EXPECT_NE(Json.find("\"name\":\"smc.run\""), std::string::npos);
   EXPECT_NE(Json.find("\"name\":\"smc.step\""), std::string::npos);
-  EXPECT_GT(Ctx->metrics()->value(Ctx->ids().Particles), 0u);
+  EXPECT_GT(Ctx->metrics()->value(Metric::Particles), 0u);
 }
 
 TEST(Obs, BudgetTripBecomesEventCounterAndSpendField) {
@@ -435,10 +471,43 @@ TEST(Obs, BudgetTripBecomesEventCounterAndSpendField) {
   InferenceResult R = runInference(Net, Opts);
   EXPECT_EQ(R.Status.Code, StatusCode::BudgetExceeded);
   EXPECT_EQ(R.Spent.TrippedBudget, "state");
-  EXPECT_EQ(Ctx->metrics()->value(Ctx->ids().BudgetTrips), 1u);
+  EXPECT_EQ(Ctx->metrics()->value(Metric::BudgetTrips), 1u);
   std::string Json = Ctx->tracer()->renderChromeJson();
   EXPECT_NE(Json.find("\"name\":\"budget-trip\""), std::string::npos);
   EXPECT_NE(Json.find("\"class\":\"state\""), std::string::npos);
+}
+
+// A byte budget trips inside a step, on whichever lane charges past the
+// limit. The API counts the trip once, on the serial thread after the run,
+// so the metrics at 4 threads equal the serial run's.
+TEST(Obs, ByteBudgetTripCountedOnceAtFourThreads) {
+  struct Case {
+    const char *Program;
+    EngineChoice Engine;
+    uint64_t MaxBytes;
+  };
+  const Case Cases[] = {{"gossip4.bay", EngineChoice::Exact, 2000000},
+                        {"figure2.bay", EngineChoice::Translated, 500000}};
+  for (const Case &C : Cases) {
+    DiagEngine Diags;
+    auto Net = loadNetworkFile(
+        std::string(BAYONET_EXAMPLES_DIR) + "/" + C.Program, Diags);
+    ASSERT_TRUE(Net.has_value()) << Diags.toString();
+    auto fingerprintAt = [&](unsigned Threads) {
+      auto Ctx = std::make_shared<ObsContext>(false, true);
+      InferenceOptions Opts;
+      Opts.Engine = C.Engine;
+      Opts.Threads = Threads;
+      Opts.Limits.MaxBytes = C.MaxBytes;
+      Opts.Obs = Ctx;
+      InferenceResult R = runInference(*Net, Opts);
+      EXPECT_EQ(R.Spent.TrippedBudget, "byte") << C.Program;
+      EXPECT_EQ(Ctx->metrics()->value(Metric::BudgetTrips), 1u)
+          << C.Program << " threads=" << Threads;
+      return metricFingerprint(*Ctx);
+    };
+    EXPECT_EQ(fingerprintAt(4), fingerprintAt(1)) << C.Program;
+  }
 }
 
 TEST(Obs, FallbackEmitsEventAndCounter) {
@@ -451,7 +520,7 @@ TEST(Obs, FallbackEmitsEventAndCounter) {
   Opts.Obs = Ctx;
   InferenceResult R = runInference(Net, Opts);
   EXPECT_TRUE(R.FellBack);
-  EXPECT_EQ(Ctx->metrics()->value(Ctx->ids().Fallbacks), 1u);
+  EXPECT_EQ(Ctx->metrics()->value(Metric::Fallbacks), 1u);
   std::string Json = Ctx->tracer()->renderChromeJson();
   EXPECT_NE(Json.find("\"name\":\"fallback-smc\""), std::string::npos);
   // The fallback sampler reuses the same context: its spans follow.
@@ -567,8 +636,8 @@ TEST(Obs, DegenerateSmcStepWarnsAndCountersAgree) {
   EXPECT_EQ(countSubstr(Json, "\"name\":\"smc.resample\""),
             Rep.Summary.Resamples);
   EXPECT_EQ(countSubstr(Json, "\"name\":\"diag.degeneracy\""),
-            Ctx->metrics()->value(Ctx->ids().DegeneracySteps));
-  EXPECT_GE(Ctx->metrics()->value(Ctx->ids().DegeneracySteps), 1u);
+            Ctx->metrics()->value(Metric::DegeneracySteps));
+  EXPECT_GE(Ctx->metrics()->value(Metric::DegeneracySteps), 1u);
 }
 
 // The optional exact-vs-SMC cross-check: on a small network the budgeted
@@ -597,11 +666,12 @@ TEST(Obs, CrossCheckTvDivergenceReportedAndSmall) {
 // HELP escaping, HELP/TYPE preceding every sample family, cumulative
 // nondecreasing buckets, and +Inf bucket == _count.
 TEST(Obs, RenderPromConformance) {
-  // Escaping first, on a registry we control.
+  // Escaping first, on a metric we control.
   {
-    MetricsRegistry Reg;
-    Reg.counter("esc_total", "line one\nline two \\ backslash");
-    std::string Prom = Reg.renderProm();
+    MetricValue Esc;
+    Esc.Name = "esc_total";
+    Esc.Help = "line one\nline two \\ backslash";
+    std::string Prom = renderProm({Esc});
     EXPECT_NE(Prom.find("# HELP esc_total line one\\nline two \\\\ "
                         "backslash\n"),
               std::string::npos);
@@ -609,7 +679,7 @@ TEST(Obs, RenderPromConformance) {
         << "raw newline must not survive in HELP";
   }
 
-  // Then the full engine registry after a real run.
+  // Then the full engine table after a real run.
   LoadedNetwork Net = load(scenarios::gossip(3));
   auto [Ctx, R] = exactWithObs(Net, 2);
   ASSERT_TRUE(R.Status.ok());
