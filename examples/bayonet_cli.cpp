@@ -385,13 +385,6 @@ int runMain(int argc, char **argv) {
                     ProfileFormat, ProfileAnnotate, FileName]() -> bool {
     if (!ObsCtx)
       return true;
-    if (ObsCtx->metrics()) {
-      // The pool counters live process-global (they are thread-count
-      // dependent by construction); fold them in at export time.
-      ThreadPool::PoolStats PS = ThreadPool::stats();
-      ObsCtx->metrics()->set(Metric::PoolBatches, PS.Batches);
-      ObsCtx->metrics()->set(Metric::PoolTasks, PS.Tasks);
-    }
     auto writeFile = [](const std::string &Path,
                         const std::string &Text) -> bool {
       std::ofstream Out(Path);
@@ -406,8 +399,11 @@ int runMain(int argc, char **argv) {
     if (!TraceFile.empty() && ObsCtx->tracer() &&
         !writeFile(TraceFile, ObsCtx->tracer()->renderChromeJson()))
       return false;
+    // The pool counters live process-global (they are thread-count
+    // dependent by construction); they are passed in at export time.
     if (!MetricsFile.empty() && ObsCtx->metrics() &&
-        !writeFile(MetricsFile, ObsCtx->metrics()->renderProm()))
+        !writeFile(MetricsFile,
+                   ObsCtx->metrics()->renderProm(ThreadPool::stats())))
       return false;
     if (!DiagFile.empty() && ObsCtx->diag()) {
       DiagReport DR = ObsCtx->diag()->report();

@@ -61,6 +61,7 @@ std::string trimmed(std::string S) {
 
 /// Runs the selected primary engine, filling status/spend/payload.
 void runPrimary(const LoadedNetwork &Net, const InferenceOptions &Opts,
+                const std::shared_ptr<ObsContext> &Obs,
                 const std::shared_ptr<BudgetTracker> &Tracker,
                 const std::shared_ptr<Checkpointer> &Checkpoint,
                 InferenceResult &R) {
@@ -72,7 +73,7 @@ void runPrimary(const LoadedNetwork &Net, const InferenceOptions &Opts,
     EO.TxCacheBytes = Opts.TxCacheBytes;
     EO.InternBytes = Opts.InternBytes;
     EO.Budget = Tracker;
-    EO.Obs = Opts.Obs;
+    EO.Obs = Obs;
     EO.Checkpoint = Checkpoint;
     ExactResult ER = ExactEngine(Net.Spec, EO).run();
     R.Status = ER.Status;
@@ -83,7 +84,7 @@ void runPrimary(const LoadedNetwork &Net, const InferenceOptions &Opts,
   }
   case EngineChoice::Translated: {
     DiagEngine TDiags;
-    ObsHandle O(Opts.Obs);
+    ObsHandle O(Obs);
     Span TranslateSpan = O.span("translate");
     auto Psi = translateToPsi(Net.Spec, TDiags);
     TranslateSpan.end();
@@ -96,7 +97,7 @@ void runPrimary(const LoadedNetwork &Net, const InferenceOptions &Opts,
     PO.TxCacheBytes = Opts.TxCacheBytes;
     PO.InternBytes = Opts.InternBytes;
     PO.Budget = Tracker;
-    PO.Obs = Opts.Obs;
+    PO.Obs = Obs;
     PO.Checkpoint = Checkpoint;
     PsiExactResult PR = PsiExact(*Psi, PO).run();
     R.Status = PR.Status;
@@ -115,7 +116,7 @@ void runPrimary(const LoadedNetwork &Net, const InferenceOptions &Opts,
     SO.Seed = Opts.Seed;
     SO.Threads = Opts.Threads;
     SO.Budget = Tracker;
-    SO.Obs = Opts.Obs;
+    SO.Obs = Obs;
     SO.Checkpoint = Checkpoint;
     SampleResult SR = Sampler(Net.Spec, SO).run();
     R.Status = SR.Status;
@@ -132,7 +133,12 @@ InferenceResult bayonet::runInference(const LoadedNetwork &Net,
                                       const InferenceOptions &Opts) {
   InferenceResult R;
   R.EngineUsed = Opts.Engine;
-  ObsHandle O(Opts.Obs);
+  // A checkpointed run always keeps a run log, so its snapshots carry the
+  // log and a resume with metrics or diagnostics on reports the whole run.
+  std::shared_ptr<ObsContext> Obs = Opts.Obs;
+  if (!Obs && Opts.Checkpoint)
+    Obs = std::make_shared<ObsContext>(false, false);
+  ObsHandle O(Obs);
   try {
     auto Tracker = std::make_shared<BudgetTracker>(Opts.Limits, Opts.Cancel);
     const std::shared_ptr<Checkpointer> &Checkpoint = Opts.Checkpoint;
@@ -140,7 +146,7 @@ InferenceResult bayonet::runInference(const LoadedNetwork &Net,
       // Restore before the "inference" span opens: the snapshot's trace is
       // installed wholesale and its open spans (this one included) are
       // re-adopted by the spans the resumed run opens.
-      Checkpoint->restoreCommon(Tracker.get(), Opts.Obs.get());
+      Checkpoint->restoreCommon(Tracker.get(), Obs.get());
       if (Checkpoint->resumeFailed()) {
         // A requested resume without a valid snapshot is an error, never a
         // silent fresh start.
@@ -163,10 +169,10 @@ InferenceResult bayonet::runInference(const LoadedNetwork &Net,
                                  {"limit", std::to_string(V.Limit)}});
       });
     }
-    runPrimary(Net, Opts, Tracker, Checkpoint, R);
+    runPrimary(Net, Opts, Obs, Tracker, Checkpoint, R);
     // The trip is counted here, on the serial thread, once per tracker.
-    if (Tracker->violation())
-      O.count(Metric::BudgetTrips);
+    if (Tracker->violation() && O.log())
+      ++O.log()->BudgetTrips;
 
     // Graceful degradation: an exact engine ran out of budget and the
     // policy prefers an approximate answer over a failure. Cancellation is
@@ -176,7 +182,8 @@ InferenceResult bayonet::runInference(const LoadedNetwork &Net,
         (Opts.Engine == EngineChoice::Exact ||
          Opts.Engine == EngineChoice::Translated)) {
       R.ExactStatus = R.Status;
-      O.count(Metric::Fallbacks);
+      if (O.log())
+        ++O.log()->Fallbacks;
       O.event("fallback-smc",
               {{"from", engineChoiceName(Opts.Engine)},
                {"why", budgetClassName(R.Status.Violation.Which)}});
@@ -201,7 +208,7 @@ InferenceResult bayonet::runInference(const LoadedNetwork &Net,
       SO.Seed = Opts.Seed;
       SO.Threads = Opts.Threads;
       SO.Budget = FallbackTracker;
-      SO.Obs = Opts.Obs;
+      SO.Obs = Obs;
       SampleResult SR = Sampler(Net.Spec, SO).run();
       R.FellBack = true;
       R.EngineUsed = EngineChoice::Smc;
@@ -234,10 +241,9 @@ InferenceResult bayonet::runInference(const LoadedNetwork &Net,
         if (auto V = Ref.concreteValue())
           Tv = std::abs(V->toDouble() - R.Sampled->Value);
     }
-    DiagCollector *DC = Opts.Obs ? Opts.Obs->diag() : nullptr;
-    if (DC) {
-      if (Tv)
-        DC->recordTv(*Tv);
+    if (O.log())
+      O.log()->Tv = Tv;
+    if (const DiagCollector *DC = O.diag()) {
       R.Diagnostics = DC->summary();
     } else {
       R.Diagnostics.Engine = engineChoiceName(R.EngineUsed);

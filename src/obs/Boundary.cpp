@@ -10,7 +10,6 @@
 #include "psi/PsiIr.h"
 #include "symbolic/SymProb.h"
 
-#include <cmath>
 #include <cstdio>
 #include <map>
 
@@ -64,10 +63,11 @@ std::optional<EngineStatus> Boundary::attach(const BoundaryLayout &L) {
       return EngineStatus::invalid("cannot resume: " + CP->resumeError());
   }
   RunSpan = O.span(names(K).Run);
-  Particles = L.Particles;
-  DC = O.diag();
-  if (DC)
-    DC->beginEngine(Engine, Particles);
+  if (RunLog *Log = O.log()) {
+    Log->Engine = Engine;
+    if (L.Particles)
+      Log->Particles = L.Particles;
+  }
   // Profiler attach (serial): the engine frame, its phase frames, and the
   // program statements (each assigned its dense slot), then the per-lane
   // shard arrays. Runs after restoreCommon so a resumed aggregate
@@ -194,33 +194,10 @@ void Boundary::commit(Step &S, const BoundaryDelta &D) {
   const double Ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - S.T0)
                         .count();
-  const double Ess =
-      Particles ? static_cast<double>(D.Alive) / static_cast<double>(Particles)
-                : 0.0;
 
-  // 1. Metrics.
-  O.count(Metric::StatesExpanded, D.Expanded);
-  O.count(Metric::MergeAttempts, D.MergeAttempts);
-  O.count(Metric::MergeHits, D.MergeHits);
-  O.count(Metric::Particles, D.Active);
-  O.count(Metric::Resamples, D.Resampled);
-  O.count(Metric::TxCacheHits, D.TxHits);
-  O.count(Metric::TxCacheMisses, D.TxMisses);
-  O.count(Metric::TxCacheEvictions, D.TxEvictions);
-  O.gaugeMax(Metric::TxCacheBytes, D.TxBytes);
-  O.count(Metric::InternHits, D.InternHits);
-  O.count(Metric::InternMisses, D.InternMisses);
-  O.count(Metric::InternEvictions, D.InternEvictions);
-  O.gaugeMax(Metric::InternBytes, D.InternBytes);
-  O.count(Metric::SchedSteps);
-  if (K != EngineKind::Smc) {
-    // The exact engine gauges the frontier a round expands; PSI the
-    // distribution a statement leaves.
-    uint64_t F = K == EngineKind::Exact ? D.FrontierIn : D.FrontierOut;
-    O.gaugeMax(Metric::PeakFrontier, F);
-    O.observe(Metric::FrontierSize, static_cast<double>(F));
-  }
-  O.observe(Metric::StepDurMs, Ms);
+  // 1. The run log.
+  RunLog &Log = *O.log();
+  Log.Rows.push_back({D, K, Ms});
 
   // 2. Profiler: charge the phase frames from the same deltas, then fold
   // the lanes' statement shards into the serial aggregate. Integer counts
@@ -255,56 +232,23 @@ void Boundary::commit(Step &S, const BoundaryDelta &D) {
     PF->drainLanes();
   }
 
-  // 3. Diagnostics and their trace events.
-  if (DC && K == EngineKind::Smc) {
-    // Hard observes give 0/1 weights: sum w = sum w^2 = Alive, hence
-    // ESS = Alive and CV = sqrt(N/Alive - 1).
-    SmcStepDiag SD;
-    SD.Step = D.Step;
-    SD.Active = D.Active;
-    SD.Alive = D.Alive;
-    const double N = static_cast<double>(Particles);
-    SD.Ess = static_cast<double>(D.Alive);
-    SD.EssFraction = Ess;
-    SD.WeightCv = D.Alive ? std::sqrt(N / D.Alive - 1.0) : 0.0;
-    SD.DeadMassFraction = Particles ? (N - D.Alive) / N : 0.0;
-    SD.Resampled = D.Resampled;
-    bool Degenerate = DC->recordSmcStep(SD);
-    O.observe(Metric::EssFraction, Ess);
-    if (Degenerate)
-      O.count(Metric::DegeneracySteps);
-    if (O.tracing()) {
-      std::vector<std::pair<std::string, std::string>> Args = {
-          {"step", std::to_string(D.Step)},
-          {"ess", std::to_string(D.Alive)},
-          {"fraction", fmt9(Ess)}};
-      O.event("diag.ess", Args);
-      if (Degenerate)
-        O.event("diag.degeneracy", Args);
-    }
-  } else if (DC) {
-    ExactRoundDiag RD;
-    RD.Step = D.Step;
-    RD.FrontierIn = D.FrontierIn;
-    RD.FrontierOut = D.FrontierOut;
-    RD.Expanded = D.Expanded;
-    RD.MergeAttempts = D.MergeAttempts;
-    RD.MergeHits = D.MergeHits;
-    RD.MergeHitRate = D.MergeAttempts ? static_cast<double>(D.MergeHits) /
-                                            static_cast<double>(D.MergeAttempts)
-                                      : 0.0;
-    RD.TxHits = D.TxHits;
-    RD.TxMisses = D.TxMisses;
-    RD.TxBytes = D.TxBytes;
-    bool Blowup = DC->recordExactRound(RD);
-    if (O.tracing()) {
-      O.event("diag.frontier", {{"step", std::to_string(D.Step)},
-                                {"frontier_out", std::to_string(D.FrontierOut)},
-                                {"merge_hit_rate", fmt9(RD.MergeHitRate)}});
-      if (Blowup)
-        O.event("diag.blowup", {{"step", std::to_string(D.Step)},
-                                {"frontier", std::to_string(D.FrontierOut)}});
-    }
+  // 3. The diagnostics' trace events, when both views are on.
+  const DiagCollector *DC = O.diag();
+  if (DC && O.tracing() && K == EngineKind::Smc) {
+    std::vector<std::pair<std::string, std::string>> Args = {
+        {"step", std::to_string(D.Step)},
+        {"ess", std::to_string(D.Alive)},
+        {"fraction", fmt9(Log.essFraction(Log.Rows.back()))}};
+    O.event("diag.ess", Args);
+    if (degenerate(Log, Log.Rows.back()))
+      O.event("diag.degeneracy", Args);
+  } else if (DC && O.tracing()) {
+    O.event("diag.frontier", {{"step", std::to_string(D.Step)},
+                              {"frontier_out", std::to_string(D.FrontierOut)},
+                              {"merge_hit_rate", fmt9(mergeHitRate(D))}});
+    if (DC->firstBlowup(Log.Rows.size() - 1))
+      O.event("diag.blowup", {{"step", std::to_string(D.Step)},
+                              {"frontier", std::to_string(D.FrontierOut)}});
   }
 
   // 4. Step-span args.
@@ -342,10 +286,9 @@ void Boundary::finish(const RunSummary &S, bool Completed) {
   // Samplers leave the totals unset.
   if (PF && Completed && K != EngineKind::Smc)
     PF->setTotals({.States = S.States});
-  if (!DC || !Completed)
-    return;
-  if (K == EngineKind::Smc)
-    DC->finishSampler(S.Support);
-  else
-    DC->finishExact(S.Support, S.Residual);
+  if (RunLog *Log = O.log(); Log && Completed) {
+    Log->Support = S.Support;
+    if (K != EngineKind::Smc)
+      Log->Residual = S.Residual;
+  }
 }

@@ -7,8 +7,8 @@
 /// \file
 /// The bookkeeping every engine does at its serial step boundaries, kept in
 /// one place. An engine does inference; at each boundary it calls this
-/// record, which feeds the six sinks — budget, checkpoint, metrics,
-/// profiler, diagnostics and trace. A run is
+/// record, which feeds the sinks — budget, checkpoint, run log, profiler
+/// and trace. A run is
 ///
 ///   attach  { open  beginStep  (commit | abort) }*  finish
 ///
@@ -17,13 +17,14 @@
 ///      boundary's counts reach a sink;
 ///   2. discard on abort: abort() drops the lane shards and restores the
 ///      engine's counters to the last boundary;
-///   3. publish in a fixed order: commit() fans a BoundaryDelta out to
-///      metrics, profiler, diagnostics and step-span args, always in that
-///      order.
+///   3. publish in a fixed order: commit() appends the boundary's row to
+///      the run log, then charges the profiler, then emits the
+///      diagnostics trace events and the step-span args, always in that
+///      order. The metrics and diagnostics are views of the log.
 ///
 /// Per-state charges (BudgetTracker::chargeStates/chargeBytes/chargeMerges,
 /// the profiler's lane arrays) and cache publication stay inside the
-/// engines' expansion code; metrics are charged only here, on the serial
+/// engines' expansion code; the log is appended only here, on the serial
 /// thread (runInference counts a lane's budget trip after the run).
 /// With no ObsContext and no Checkpointer each call costs one null check
 /// beyond the budget decision itself.
@@ -46,41 +47,6 @@ namespace bayonet {
 struct NetworkSpec;
 struct PsiProgram;
 class SymProb;
-
-/// The engine families, which differ in their span names, profiler frame
-/// layout and diagnostics series.
-enum class EngineKind { Exact, Psi, Smc };
-
-/// What one completed boundary did. Counts are deltas over the boundary;
-/// the byte fields are the retained totals after it.
-struct BoundaryDelta {
-  int64_t Step = 0; ///< Scheduler step / top-level statement index.
-  uint64_t FrontierIn = 0, FrontierOut = 0;
-  uint64_t Expanded = 0, MergeAttempts = 0, MergeHits = 0;
-  uint64_t TxHits = 0, TxMisses = 0, TxEvictions = 0, TxBytes = 0;
-  uint64_t InternHits = 0, InternMisses = 0, InternEvictions = 0;
-  uint64_t InternBytes = 0;
-  uint64_t Active = 0, Alive = 0; ///< SMC: particles stepped / surviving.
-  bool Resampled = false;
-  /// PSI: the frame of the statement this boundary completed.
-  uint32_t ProfSlot = Profiler::InvalidSlot;
-
-  /// The delta between two cumulative counter snapshots: the counts
-  /// subtract, every other field is the later snapshot's.
-  friend BoundaryDelta operator-(BoundaryDelta After,
-                                 const BoundaryDelta &Before) {
-    After.Expanded -= Before.Expanded;
-    After.MergeAttempts -= Before.MergeAttempts;
-    After.MergeHits -= Before.MergeHits;
-    After.TxHits -= Before.TxHits;
-    After.TxMisses -= Before.TxMisses;
-    After.TxEvictions -= Before.TxEvictions;
-    After.InternHits -= Before.InternHits;
-    After.InternMisses -= Before.InternMisses;
-    After.InternEvictions -= Before.InternEvictions;
-    return After;
-  }
-};
 
 /// The engine's profiler frames and population, fixed at attach.
 struct BoundaryLayout {
@@ -118,7 +84,7 @@ public:
   std::function<void()> Save, Restore;
 
   /// Restores a resumed run's common snapshot section, then opens the run
-  /// span, starts the diagnostics series, lays out the profiler frames
+  /// span, names the engine in the run log, lays out the profiler frames
   /// and, on resume, opens the engine section.
   /// Returns the Invalid status of a requested resume that found no valid
   /// snapshot for this engine.
@@ -158,7 +124,7 @@ public:
   void abort();
 
   /// Ends the run: run-span args and, when \p Completed, stamps the exact
-  /// engines' profiler totals and closes diagnostics.
+  /// engines' profiler totals and records the run's support in the log.
   void finish(const RunSummary &S, bool Completed = true);
 
 private:
@@ -170,10 +136,8 @@ private:
   BudgetTracker *BT;
   Checkpointer *CP;
   Profiler *PF = nullptr;
-  DiagCollector *DC = nullptr;
   BoundaryMark Mark;
   SnapReader *Resume = nullptr;
-  uint64_t Particles = 0;
   std::vector<Profiler::DefFrames> Defs;
   uint32_t StepSlot = Profiler::InvalidSlot, ExpandSlot = StepSlot,
            MergeSlot = StepSlot, InternSlot = StepSlot, ResampleSlot = StepSlot;

@@ -6,185 +6,88 @@
 
 #include "obs/Diagnostics.h"
 
-#include "support/Snapshot.h"
-
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 using namespace bayonet;
 
-DiagCollector::DiagCollector(double EssWarnFraction, uint64_t FrontierWarnSize)
-    : EssWarnFrac(EssWarnFraction), FrontierWarnSize(FrontierWarnSize) {}
+namespace {
 
-void DiagCollector::beginEngine(const std::string &Name, uint64_t Particles) {
-  R.Summary.Engine = Name;
-  if (Particles)
-    R.Summary.Particles = Particles;
+// The warning levels. An SMC step whose ESS falls below this fraction of
+// the population is degenerate; an exact round whose frontier reaches this
+// size is a state-space blowup, warned about once per run.
+constexpr double EssWarnFraction = 0.1;
+constexpr uint64_t FrontierWarnSize = 1000000;
+
+bool blowup(const BoundaryRow &R) {
+  return R.Kind != EngineKind::Smc &&
+         std::max(R.FrontierIn, R.FrontierOut) >= FrontierWarnSize;
 }
 
-bool DiagCollector::recordSmcStep(const SmcStepDiag &D) {
-  R.SmcSteps.push_back(D);
-  return R.Summary.Particles > 0 && D.EssFraction < EssWarnFrac;
+} // namespace
+
+double bayonet::mergeHitRate(const BoundaryDelta &D) {
+  return D.MergeAttempts ? static_cast<double>(D.MergeHits) /
+                               static_cast<double>(D.MergeAttempts)
+                         : 0.0;
 }
 
-bool DiagCollector::recordExactRound(const ExactRoundDiag &D) {
-  R.ExactRounds.push_back(D);
-  uint64_t Peak = std::max(D.FrontierIn, D.FrontierOut);
-  if (FrontierWarned || Peak < FrontierWarnSize)
-    return false;
-  FrontierWarned = true;
-  char Buf[128];
-  std::snprintf(Buf, sizeof(Buf),
-                "frontier grew to %llu states at round %lld",
-                static_cast<unsigned long long>(Peak),
-                static_cast<long long>(D.Step));
-  addWarning(Buf);
-  return true;
+bool bayonet::degenerate(const RunLog &Log, const BoundaryRow &R) {
+  return Log.Particles > 0 && Log.essFraction(R) < EssWarnFraction;
 }
 
-void DiagCollector::finishExact(uint64_t SupportSize,
-                                std::optional<double> ResidualMass) {
-  R.Summary.SupportSize = SupportSize;
-  if (ResidualMass) {
-    R.Summary.ResidualMass = *ResidualMass;
-    R.Summary.ResidualMassKnown = true;
-  }
-}
+double DiagCollector::essWarnFraction() const { return EssWarnFraction; }
 
-void DiagCollector::finishSampler(uint64_t Survivors) {
-  R.Summary.SupportSize = Survivors;
-}
-
-void DiagCollector::recordTv(double Tv) { R.Summary.TvDivergence = Tv; }
-
-void DiagCollector::addWarning(std::string W) {
-  R.Summary.Warnings.push_back(std::move(W));
-}
-
-void DiagCollector::snapshotTo(SnapWriter &W) const {
-  W.boolean(FrontierWarned);
-  // Stored summary facts only; report() recomputes the derived fields.
-  W.str(R.Summary.Engine);
-  W.u64(R.Summary.Particles);
-  W.u64(R.Summary.SupportSize);
-  W.f64(R.Summary.ResidualMass);
-  W.boolean(R.Summary.ResidualMassKnown);
-  W.boolean(R.Summary.TvDivergence.has_value());
-  W.f64(R.Summary.TvDivergence.value_or(0));
-  W.u64(R.Summary.Warnings.size());
-  for (const std::string &S : R.Summary.Warnings)
-    W.str(S);
-  W.u64(R.SmcSteps.size());
-  for (const SmcStepDiag &D : R.SmcSteps) {
-    W.i64(D.Step);
-    W.u64(D.Active);
-    W.u64(D.Alive);
-    W.f64(D.Ess);
-    W.f64(D.EssFraction);
-    W.f64(D.WeightCv);
-    W.f64(D.MinLogWeight);
-    W.f64(D.MaxLogWeight);
-    W.f64(D.DeadMassFraction);
-    W.boolean(D.Resampled);
-  }
-  W.u64(R.ExactRounds.size());
-  for (const ExactRoundDiag &D : R.ExactRounds) {
-    W.i64(D.Step);
-    W.u64(D.FrontierIn);
-    W.u64(D.FrontierOut);
-    W.u64(D.Expanded);
-    W.u64(D.MergeAttempts);
-    W.u64(D.MergeHits);
-    W.f64(D.MergeHitRate);
-    W.u64(D.TxHits);
-    W.u64(D.TxMisses);
-    W.u64(D.TxBytes);
-  }
-}
-
-bool DiagCollector::restoreFrom(SnapReader &R2) {
-  R = DiagReport();
-  FrontierWarned = R2.boolean();
-  R.Summary.Engine = R2.str();
-  R.Summary.Particles = R2.u64();
-  R.Summary.SupportSize = R2.u64();
-  R.Summary.ResidualMass = R2.f64();
-  R.Summary.ResidualMassKnown = R2.boolean();
-  bool HasTv = R2.boolean();
-  double Tv = R2.f64();
-  if (HasTv)
-    R.Summary.TvDivergence = Tv;
-  uint64_t NWarn = R2.count();
-  for (uint64_t I = 0; I < NWarn && R2.ok(); ++I)
-    R.Summary.Warnings.push_back(R2.str());
-  uint64_t NSmc = R2.count();
-  R.SmcSteps.reserve(NSmc);
-  for (uint64_t I = 0; I < NSmc && R2.ok(); ++I) {
-    SmcStepDiag D;
-    D.Step = R2.i64();
-    D.Active = R2.u64();
-    D.Alive = R2.u64();
-    D.Ess = R2.f64();
-    D.EssFraction = R2.f64();
-    D.WeightCv = R2.f64();
-    D.MinLogWeight = R2.f64();
-    D.MaxLogWeight = R2.f64();
-    D.DeadMassFraction = R2.f64();
-    D.Resampled = R2.boolean();
-    R.SmcSteps.push_back(D);
-  }
-  uint64_t NExact = R2.count();
-  R.ExactRounds.reserve(NExact);
-  for (uint64_t I = 0; I < NExact && R2.ok(); ++I) {
-    ExactRoundDiag D;
-    D.Step = R2.i64();
-    D.FrontierIn = R2.u64();
-    D.FrontierOut = R2.u64();
-    D.Expanded = R2.u64();
-    D.MergeAttempts = R2.u64();
-    D.MergeHits = R2.u64();
-    D.MergeHitRate = R2.f64();
-    D.TxHits = R2.u64();
-    D.TxMisses = R2.u64();
-    D.TxBytes = R2.u64();
-    R.ExactRounds.push_back(D);
-  }
-  if (!R2.ok()) {
-    R = DiagReport();
-    FrontierWarned = false;
-    return false;
-  }
-  return true;
+bool DiagCollector::firstBlowup(size_t I) const {
+  return blowup(Log.Rows[I]) &&
+         std::none_of(Log.Rows.begin(), Log.Rows.begin() + I, blowup);
 }
 
 DiagReport DiagCollector::report() const {
-  DiagReport Out = R;
+  DiagReport Out;
+  Out.Rows = Log.Rows;
   InferenceDiagnostics &S = Out.Summary;
-  S.Resamples = 0;
+  S.Engine = Log.Engine;
+  S.Particles = Log.Particles;
+  S.SupportSize = Log.Support;
+  S.ResidualMassKnown = Log.Residual.has_value();
+  S.ResidualMass = Log.Residual.value_or(0);
+  S.TvDivergence = Log.Tv;
   bool HaveMin = false;
-  for (const SmcStepDiag &D : Out.SmcSteps) {
-    if (D.Resampled)
-      ++S.Resamples;
-    if (!HaveMin || D.Ess < S.MinEss) {
-      HaveMin = true;
-      S.MinEss = D.Ess;
-      S.MinEssFraction = D.EssFraction;
-      S.MinEssStep = D.Step;
+  for (const BoundaryRow &R : Log.Rows) {
+    if (R.Kind != EngineKind::Smc) {
+      S.PeakFrontier =
+          std::max(S.PeakFrontier, std::max(R.FrontierIn, R.FrontierOut));
+      continue;
     }
+    const double Ess = static_cast<double>(R.Alive);
+    if (R.Resampled)
+      ++S.Resamples;
+    if (!HaveMin || Ess < S.MinEss) {
+      HaveMin = true;
+      S.MinEss = Ess;
+      S.MinEssFraction = Log.essFraction(R);
+      S.MinEssStep = R.Step;
+    }
+    S.FinalEss = Ess;
   }
-  if (!Out.SmcSteps.empty())
-    S.FinalEss = Out.SmcSteps.back().Ess;
-  for (const ExactRoundDiag &D : Out.ExactRounds)
-    S.PeakFrontier =
-        std::max(S.PeakFrontier, std::max(D.FrontierIn, D.FrontierOut));
-  if (HaveMin && S.MinEssFraction < EssWarnFrac) {
-    char Buf[128];
+  char Buf[128];
+  if (HaveMin && S.MinEssFraction < EssWarnFraction) {
     std::snprintf(Buf, sizeof(Buf),
                   "ESS fell to %.1f%% of particles at step %lld",
                   S.MinEssFraction * 100.0,
                   static_cast<long long>(S.MinEssStep));
-    // Degeneracy leads; recorded warnings (blowup etc.) follow.
-    S.Warnings.insert(S.Warnings.begin(), Buf);
+    S.Warnings.push_back(Buf);
+  }
+  auto Blown = std::find_if(Log.Rows.begin(), Log.Rows.end(), blowup);
+  if (Blown != Log.Rows.end()) {
+    std::snprintf(Buf, sizeof(Buf),
+                  "frontier grew to %llu states at round %lld",
+                  static_cast<unsigned long long>(
+                      std::max(Blown->FrontierIn, Blown->FrontierOut)),
+                  static_cast<long long>(Blown->Step));
+    S.Warnings.push_back(Buf);
   }
   return Out;
 }
@@ -220,23 +123,20 @@ void appendEscaped(std::string &Out, const std::string &S) {
   Out += '"';
 }
 
-// Deterministic double formatting: same value -> same bytes, everywhere.
-void appendDouble(std::string &Out, double V) {
+// Appends \p Prefix and then the value. Deterministic formatting: same
+// value -> same bytes, everywhere.
+void put(std::string &Out, const char *Prefix, double V) {
   char Buf[40];
   std::snprintf(Buf, sizeof(Buf), "%.9g", V);
-  Out += Buf;
+  Out.append(Prefix).append(Buf);
 }
 
-void appendUInt(std::string &Out, uint64_t V) {
-  char Buf[24];
-  std::snprintf(Buf, sizeof(Buf), "%llu", static_cast<unsigned long long>(V));
-  Out += Buf;
+void put(std::string &Out, const char *Prefix, uint64_t V) {
+  Out.append(Prefix).append(std::to_string(V));
 }
 
-void appendInt(std::string &Out, int64_t V) {
-  char Buf[24];
-  std::snprintf(Buf, sizeof(Buf), "%lld", static_cast<long long>(V));
-  Out += Buf;
+void put(std::string &Out, const char *Prefix, int64_t V) {
+  Out.append(Prefix).append(std::to_string(V));
 }
 
 } // namespace
@@ -245,89 +145,65 @@ std::string DiagReport::toJson() const {
   const InferenceDiagnostics &S = Summary;
   std::string J = "{\n  \"schema\": 1,\n  \"engine\": ";
   appendEscaped(J, S.Engine);
-  J += ",\n  \"particles\": ";
-  appendUInt(J, S.Particles);
-  J += ",\n  \"resamples\": ";
-  appendUInt(J, S.Resamples);
-  J += ",\n  \"final_ess\": ";
-  appendDouble(J, S.FinalEss);
-  J += ",\n  \"min_ess\": ";
-  appendDouble(J, S.MinEss);
-  J += ",\n  \"min_ess_fraction\": ";
-  appendDouble(J, S.MinEssFraction);
-  J += ",\n  \"min_ess_step\": ";
-  appendInt(J, S.MinEssStep);
-  J += ",\n  \"support_size\": ";
-  appendUInt(J, S.SupportSize);
-  J += ",\n  \"peak_frontier\": ";
-  appendUInt(J, S.PeakFrontier);
-  if (S.ResidualMassKnown) {
-    J += ",\n  \"residual_mass\": ";
-    appendDouble(J, S.ResidualMass);
-  }
-  if (S.TvDivergence) {
-    J += ",\n  \"tv_divergence\": ";
-    appendDouble(J, *S.TvDivergence);
-  }
+  put(J, ",\n  \"particles\": ", S.Particles);
+  put(J, ",\n  \"resamples\": ", S.Resamples);
+  put(J, ",\n  \"final_ess\": ", S.FinalEss);
+  put(J, ",\n  \"min_ess\": ", S.MinEss);
+  put(J, ",\n  \"min_ess_fraction\": ", S.MinEssFraction);
+  put(J, ",\n  \"min_ess_step\": ", S.MinEssStep);
+  put(J, ",\n  \"support_size\": ", S.SupportSize);
+  put(J, ",\n  \"peak_frontier\": ", S.PeakFrontier);
+  if (S.ResidualMassKnown)
+    put(J, ",\n  \"residual_mass\": ", S.ResidualMass);
+  if (S.TvDivergence)
+    put(J, ",\n  \"tv_divergence\": ", *S.TvDivergence);
   J += ",\n  \"warnings\": [";
   for (size_t I = 0; I < S.Warnings.size(); ++I) {
     J += I ? ", " : "";
     appendEscaped(J, S.Warnings[I]);
   }
   J += "],\n  \"smc_steps\": [";
-  for (size_t I = 0; I < SmcSteps.size(); ++I) {
-    const SmcStepDiag &D = SmcSteps[I];
-    J += I ? ",\n    {" : "\n    {";
-    J += "\"step\": ";
-    appendInt(J, D.Step);
-    J += ", \"active\": ";
-    appendUInt(J, D.Active);
-    J += ", \"alive\": ";
-    appendUInt(J, D.Alive);
-    J += ", \"ess\": ";
-    appendDouble(J, D.Ess);
-    J += ", \"ess_fraction\": ";
-    appendDouble(J, D.EssFraction);
-    J += ", \"weight_cv\": ";
-    appendDouble(J, D.WeightCv);
-    J += ", \"min_log_weight\": ";
-    appendDouble(J, D.MinLogWeight);
-    J += ", \"max_log_weight\": ";
-    appendDouble(J, D.MaxLogWeight);
-    J += ", \"dead_mass_fraction\": ";
-    appendDouble(J, D.DeadMassFraction);
-    J += ", \"resampled\": ";
-    J += D.Resampled ? "true" : "false";
-    J += "}";
+  // Two passes over the rows: SMC steps, then exact and PSI rounds.
+  const double N = static_cast<double>(S.Particles);
+  bool First = true;
+  for (const BoundaryRow &D : Rows) {
+    if (D.Kind != EngineKind::Smc)
+      continue;
+    J += First ? "\n    {" : ",\n    {";
+    First = false;
+    put(J, "\"step\": ", D.Step);
+    put(J, ", \"active\": ", D.Active);
+    put(J, ", \"alive\": ", D.Alive);
+    put(J, ", \"ess\": ", static_cast<double>(D.Alive));
+    put(J, ", \"ess_fraction\": ", S.Particles ? D.Alive / N : 0.0);
+    // Hard observes give 0/1 weights: CV = sqrt(N / Alive - 1). The
+    // log-weight fields are kept at 0 for the schema.
+    put(J, ", \"weight_cv\": ", D.Alive ? std::sqrt(N / D.Alive - 1.0) : 0.0);
+    J += ", \"min_log_weight\": 0, \"max_log_weight\": 0";
+    put(J, ", \"dead_mass_fraction\": ", S.Particles ? (N - D.Alive) / N : 0.0);
+    J += D.Resampled ? ", \"resampled\": true}" : ", \"resampled\": false}";
   }
-  J += SmcSteps.empty() ? "]" : "\n  ]";
+  J += First ? "]" : "\n  ]";
   J += ",\n  \"exact_rounds\": [";
-  for (size_t I = 0; I < ExactRounds.size(); ++I) {
-    const ExactRoundDiag &D = ExactRounds[I];
-    J += I ? ",\n    {" : "\n    {";
-    J += "\"step\": ";
-    appendInt(J, D.Step);
-    J += ", \"frontier_in\": ";
-    appendUInt(J, D.FrontierIn);
-    J += ", \"frontier_out\": ";
-    appendUInt(J, D.FrontierOut);
-    J += ", \"expanded\": ";
-    appendUInt(J, D.Expanded);
-    J += ", \"merge_attempts\": ";
-    appendUInt(J, D.MergeAttempts);
-    J += ", \"merge_hits\": ";
-    appendUInt(J, D.MergeHits);
-    J += ", \"merge_hit_rate\": ";
-    appendDouble(J, D.MergeHitRate);
-    J += ", \"tx_hits\": ";
-    appendUInt(J, D.TxHits);
-    J += ", \"tx_misses\": ";
-    appendUInt(J, D.TxMisses);
-    J += ", \"tx_bytes\": ";
-    appendUInt(J, D.TxBytes);
+  First = true;
+  for (const BoundaryRow &D : Rows) {
+    if (D.Kind == EngineKind::Smc)
+      continue;
+    J += First ? "\n    {" : ",\n    {";
+    First = false;
+    put(J, "\"step\": ", D.Step);
+    put(J, ", \"frontier_in\": ", D.FrontierIn);
+    put(J, ", \"frontier_out\": ", D.FrontierOut);
+    put(J, ", \"expanded\": ", D.Expanded);
+    put(J, ", \"merge_attempts\": ", D.MergeAttempts);
+    put(J, ", \"merge_hits\": ", D.MergeHits);
+    put(J, ", \"merge_hit_rate\": ", mergeHitRate(D));
+    put(J, ", \"tx_hits\": ", D.TxHits);
+    put(J, ", \"tx_misses\": ", D.TxMisses);
+    put(J, ", \"tx_bytes\": ", D.TxBytes);
     J += "}";
   }
-  J += ExactRounds.empty() ? "]" : "\n  ]";
+  J += First ? "]" : "\n  ]";
   J += "\n}\n";
   return J;
 }

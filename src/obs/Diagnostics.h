@@ -11,14 +11,17 @@
 /// for the samplers, per-round frontier and merge-rate trajectories for the
 /// exact engines, and an optional exact-vs-SMC total-variation cross-check.
 ///
-/// Engines feed a DiagCollector only at their existing serial checkpoint
-/// boundaries (the same discipline as metric deltas), so a DiagReport is
-/// bit-identical across 1, 2 or 8 threads and across obs on/off.
+/// Like the metrics, the diagnostics are a view of the run log
+/// (obs/Metrics.h): the series and the warnings are computed from the
+/// committed boundary rows, so a DiagReport is bit-identical across 1, 2
+/// or 8 threads, across obs on/off, and across a crash and resume.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef BAYONET_OBS_DIAGNOSTICS_H
 #define BAYONET_OBS_DIAGNOSTICS_H
+
+#include "obs/Metrics.h"
 
 #include <cstdint>
 #include <optional>
@@ -27,43 +30,10 @@
 
 namespace bayonet {
 
-class SnapReader;
-class SnapWriter;
-
-/// One SMC population checkpoint, recorded at the serial end of each
-/// scheduler step (after stepping every particle, before the next step).
-struct SmcStepDiag {
-  int64_t Step = 0;         ///< Scheduler step index (0-based).
-  uint64_t Active = 0;      ///< Particles advanced this step.
-  uint64_t Alive = 0;       ///< Particles with nonzero weight afterwards.
-  double Ess = 0;           ///< Effective sample size (Kong's estimator).
-  double EssFraction = 0;   ///< Ess / population size.
-  double WeightCv = 0;      ///< Coefficient of variation of the weights.
-  double MinLogWeight = 0;  ///< log of smallest nonzero weight.
-  double MaxLogWeight = 0;  ///< log of largest weight.
-  double DeadMassFraction = 0; ///< Rejected/failed fraction of the population.
-  bool Resampled = false;   ///< Whether this step triggered a resample.
-};
-
-/// One exact-engine round checkpoint (scheduler round in ExactEngine, top
-/// level statement in PsiExact), recorded in the serial post-round block.
-struct ExactRoundDiag {
-  int64_t Step = 0;          ///< Round / statement index (0-based).
-  uint64_t FrontierIn = 0;   ///< Distribution size entering the round.
-  uint64_t FrontierOut = 0;  ///< Distribution size after merging.
-  uint64_t Expanded = 0;     ///< States / branches expanded this round.
-  uint64_t MergeAttempts = 0;
-  uint64_t MergeHits = 0;
-  double MergeHitRate = 0;   ///< Hits / attempts (0 when no attempts).
-  uint64_t TxHits = 0;       ///< Transition-cache hits this round (0 = off).
-  uint64_t TxMisses = 0;     ///< Transition-cache misses this round.
-  uint64_t TxBytes = 0;      ///< Retained cache bytes after the round.
-};
-
 /// Summary handed back on InferenceResult: the headline numbers a caller
 /// should look at before trusting the answer.
 struct InferenceDiagnostics {
-  std::string Engine;          ///< Last engine that fed the collector.
+  std::string Engine;          ///< Last engine attached.
   uint64_t Particles = 0;      ///< Population size (samplers only).
   uint64_t Resamples = 0;      ///< Resample generations triggered.
   double FinalEss = 0;         ///< ESS at the last recorded step.
@@ -79,76 +49,45 @@ struct InferenceDiagnostics {
 };
 
 /// Full report: the summary plus the per-step series, exportable as
-/// deterministic JSON (`--diag-out`). Doubles are printed with %.9g so the
-/// bytes are identical whenever the values are.
+/// deterministic JSON (`--diag-out`): SMC rows as `smc_steps`, exact and
+/// PSI rows as `exact_rounds`. Doubles are printed with %.9g so the bytes
+/// are identical whenever the values are.
 struct DiagReport {
   InferenceDiagnostics Summary;
-  std::vector<SmcStepDiag> SmcSteps;
-  std::vector<ExactRoundDiag> ExactRounds;
+  std::vector<BoundaryRow> Rows;
 
   std::string toJson() const;
 };
 
-/// Accumulates diagnostics for one run. All record methods are called from
-/// serial checkpoint code only, so no locking is needed and insertion order
-/// is deterministic. Owned by ObsContext; engines reach it through
-/// `ObsHandle::diag()` (null when diagnostics are off).
+/// Merge hits / attempts of one boundary (0 when no attempts).
+double mergeHitRate(const BoundaryDelta &D);
+
+/// Whether an SMC row's ESS fell below the degeneracy warning fraction.
+bool degenerate(const RunLog &Log, const BoundaryRow &R);
+
+/// The diagnostics view of a run log. Owned by ObsContext; engines reach
+/// it through `ObsHandle::diag()` (null when diagnostics are off).
 class DiagCollector {
 public:
-  /// \p EssWarnFraction: a step whose ESS falls below this fraction of the
-  /// population counts as degenerate. \p FrontierWarnSize: a frontier at or
-  /// above this size triggers a state-space blowup warning.
-  explicit DiagCollector(double EssWarnFraction = 0.1,
-                         uint64_t FrontierWarnSize = 1000000);
+  explicit DiagCollector(const RunLog &Log) : Log(Log) {}
 
-  /// Marks the start of an engine run ("exact", "smc", "psi", "psi-smc").
-  /// A fallback run appends to the same collector: both series survive.
-  void beginEngine(const std::string &Name, uint64_t Particles = 0);
+  /// A step whose ESS falls below this fraction of the population counts
+  /// as degenerate.
+  double essWarnFraction() const;
 
-  /// Records one SMC step. Returns true when the step is degenerate (ESS
-  /// below the warning fraction) so the caller can emit the trace event /
-  /// bump the warning counter at the same serial point.
-  bool recordSmcStep(const SmcStepDiag &D);
+  /// Whether row \p I is the run's first exact round whose frontier
+  /// reached the blowup warning size.
+  bool firstBlowup(size_t I) const;
 
-  /// Records one exact round. Returns true when the frontier crossed the
-  /// blowup warning size for the first time.
-  bool recordExactRound(const ExactRoundDiag &D);
-
-  /// Final exact-run facts: terminal support size and, when the retained
-  /// mass is concrete, the observe-discarded residual mass.
-  void finishExact(uint64_t SupportSize, std::optional<double> ResidualMass);
-
-  /// Final sampler facts: surviving particles (the support of the estimate).
-  void finishSampler(uint64_t Survivors);
-
-  /// Cross-engine total-variation divergence |p_exact - p_smc|.
-  void recordTv(double Tv);
-
-  void addWarning(std::string W);
-
-  double essWarnFraction() const { return EssWarnFrac; }
-
-  /// Snapshot of everything recorded so far, with summary fields (min/final
-  /// ESS, warning lines) computed from the series.
+  /// The report, with summary fields (min/final ESS, peak frontier,
+  /// warning lines) computed from the rows.
   DiagReport report() const;
 
   /// Summary only (what InferenceResult carries).
   InferenceDiagnostics summary() const { return report().Summary; }
 
-  /// Serializes the recorded series and stored summary facts (derived
-  /// summary fields are recomputed by report(), so they are not stored).
-  /// Checkpoint support (support/Snapshot.h).
-  void snapshotTo(SnapWriter &W) const;
-
-  /// Replaces the collector's state with a checkpointed one. Returns
-  /// false (leaving the collector empty) on a corrupt section.
-  bool restoreFrom(SnapReader &R);
-
 private:
-  double EssWarnFrac;
-  uint64_t FrontierWarnSize;
-  bool FrontierWarned = false;
-  DiagReport R;
+  const RunLog &Log;
 };
 
 } // namespace bayonet

@@ -1,4 +1,4 @@
-//===- obs/Metrics.cpp - The engine metric table --------------------------===//
+//===- obs/Metrics.cpp - The run log and its metric view ------------------===//
 //
 // Part of the Bayonet reproduction. MIT license.
 //
@@ -6,10 +6,10 @@
 
 #include "obs/Metrics.h"
 
+#include "obs/Diagnostics.h"
 #include "support/Snapshot.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <span>
@@ -87,26 +87,9 @@ constexpr MetricDesc Descs[NumMetrics] = {
      "Total snapshot bytes written by the Checkpointer", Counter},
 };
 
-constexpr uint32_t numSlots(const MetricDesc &D) {
-  return D.Kind == MetricKind::Histogram
-             ? static_cast<uint32_t>(D.Bounds.size()) + 2
-             : 1;
-}
-
-/// FirstSlot[I] is metric I's first slot; the last entry is the total.
-constexpr std::array<uint32_t, NumMetrics + 1> FirstSlot = [] {
-  std::array<uint32_t, NumMetrics + 1> A{};
-  for (size_t I = 0; I < NumMetrics; ++I)
-    A[I + 1] = A[I] + numSlots(Descs[I]);
-  return A;
-}();
-static_assert(FirstSlot[NumMetrics] == MetricTable::NumSlots);
-
-uint32_t first(Metric M) { return FirstSlot[static_cast<size_t>(M)]; }
-const MetricDesc &desc(Metric M) { return Descs[static_cast<size_t>(M)]; }
-
-/// Histograms store their running sum as a micro-unit integer, which keeps
-/// six fractional digits of millisecond latencies.
+/// Histogram sums are folded as micro-unit integers, which keeps six
+/// fractional digits of millisecond latencies and makes the fold
+/// independent of the order of the rows.
 constexpr double SumScale = 1e6;
 
 std::string fmtDouble(double V) {
@@ -135,89 +118,136 @@ std::string escapeHelp(const std::string &S) {
   return Out;
 }
 
+/// A row's counts, in snapshot order.
+constexpr uint64_t BoundaryDelta::*RowCounts[] = {
+    &BoundaryDelta::FrontierIn,      &BoundaryDelta::FrontierOut,
+    &BoundaryDelta::Expanded,        &BoundaryDelta::MergeAttempts,
+    &BoundaryDelta::MergeHits,       &BoundaryDelta::TxHits,
+    &BoundaryDelta::TxMisses,        &BoundaryDelta::TxEvictions,
+    &BoundaryDelta::TxBytes,         &BoundaryDelta::InternHits,
+    &BoundaryDelta::InternMisses,    &BoundaryDelta::InternEvictions,
+    &BoundaryDelta::InternBytes,     &BoundaryDelta::Active,
+    &BoundaryDelta::Alive};
+
 } // namespace
 
-void MetricTable::add(Metric M, uint64_t N) { Slots[first(M)] += N; }
-
-void MetricTable::set(Metric M, uint64_t V) { Slots[first(M)] = V; }
-
-void MetricTable::max(Metric M, uint64_t V) {
-  uint64_t &S = Slots[first(M)];
-  S = std::max(S, V);
+void RunLog::snapshotTo(SnapWriter &W) const {
+  for (uint64_t V : {CheckpointWrites, CheckpointBytes, BudgetTrips, Fallbacks})
+    W.u64(V);
+  W.u64(Rows.size());
+  for (const BoundaryRow &R : Rows) {
+    W.u8(static_cast<uint8_t>(R.Kind));
+    W.i64(R.Step);
+    for (auto Count : RowCounts)
+      W.u64(R.*Count);
+    W.boolean(R.Resampled);
+    W.f64(R.Ms);
+  }
 }
 
-void MetricTable::observe(Metric M, double V) {
-  const MetricDesc &D = desc(M);
-  assert(D.Kind == MetricKind::Histogram && "observe needs a histogram");
-  size_t Bucket = std::find_if(D.Bounds.begin(), D.Bounds.end(),
-                               [V](double B) { return V <= B; }) -
-                  D.Bounds.begin(); // +Inf when past the last bound.
-  ++Slots[first(M) + Bucket];
-  Slots[first(M) + numSlots(D) - 1] +=
-      V <= 0 ? 0 : static_cast<uint64_t>(std::llround(V * SumScale));
+bool RunLog::restoreFrom(SnapReader &R) {
+  // Encoded row size: kind, step, the counts, resampled, wall ms.
+  constexpr uint64_t RowBytes = 1 + 8 + std::size(RowCounts) * 8 + 1 + 8;
+  Rows.clear();
+  for (uint64_t *V : {&CheckpointWrites, &CheckpointBytes, &BudgetTrips,
+                      &Fallbacks})
+    *V = R.u64();
+  uint64_t N = R.u64();
+  if (N > R.remaining() / RowBytes)
+    R.fail(); // Also rejects an absurd count before anything is reserved.
+  Rows.reserve(R.ok() ? N : 0);
+  for (uint64_t I = 0; I < N && R.ok(); ++I) {
+    BoundaryRow &Row = Rows.emplace_back();
+    uint8_t Kind = R.u8();
+    if (Kind > static_cast<uint8_t>(EngineKind::Smc))
+      R.fail();
+    Row.Kind = static_cast<EngineKind>(Kind);
+    Row.Step = R.i64();
+    for (auto Count : RowCounts)
+      Row.*Count = R.u64();
+    Row.Resampled = R.boolean();
+    Row.Ms = R.f64();
+  }
+  if (R.ok())
+    return true;
+  *this = RunLog();
+  return false;
 }
 
-uint64_t MetricTable::value(Metric M) const {
-  if (desc(M).Kind != MetricKind::Histogram)
-    return Slots[first(M)];
-  uint64_t Count = 0;
-  for (uint32_t I = 0; I + 1 < numSlots(desc(M)); ++I)
-    Count += Slots[first(M) + I];
-  return Count;
-}
-
-std::vector<MetricValue> MetricTable::snapshot() const {
+std::vector<MetricValue>
+MetricTable::snapshot(ThreadPool::PoolStats Pool) const {
   std::vector<MetricValue> Out(NumMetrics);
   for (size_t MI = 0; MI < NumMetrics; ++MI) {
     const MetricDesc &D = Descs[MI];
-    const uint32_t Slot = FirstSlot[MI];
+    Out[MI].Name = D.Name;
+    Out[MI].Help = D.Help;
+    Out[MI].Kind = D.Kind;
+    Out[MI].BucketBounds.assign(D.Bounds.begin(), D.Bounds.end());
+    if (D.Kind == MetricKind::Histogram)
+      Out[MI].BucketCounts.assign(D.Bounds.size() + 1, 0);
+  }
+  auto at = [&](Metric M) -> MetricValue & {
+    return Out[static_cast<size_t>(M)];
+  };
+  auto add = [&](Metric M, uint64_t N) { at(M).Value += N; };
+  auto max = [&](Metric M, uint64_t V) {
+    at(M).Value = std::max(at(M).Value, V);
+  };
+  uint64_t Micro[NumMetrics] = {};
+  auto observe = [&](Metric M, double X) {
+    // Prometheus `le` semantics: the value lands in the first bucket
+    // whose bound is >= the value, or in +Inf past the last bound.
+    MetricValue &V = at(M);
+    size_t B = std::find_if(V.BucketBounds.begin(), V.BucketBounds.end(),
+                            [X](double Bound) { return X <= Bound; }) -
+               V.BucketBounds.begin();
+    ++V.BucketCounts[B];
+    ++V.Value;
+    Micro[static_cast<size_t>(M)] +=
+        X <= 0 ? 0 : static_cast<uint64_t>(std::llround(X * SumScale));
+  };
+
+  for (const BoundaryRow &R : Log.Rows) {
+    add(Metric::StatesExpanded, R.Expanded);
+    add(Metric::MergeAttempts, R.MergeAttempts);
+    add(Metric::MergeHits, R.MergeHits);
+    add(Metric::SchedSteps, 1);
+    add(Metric::Particles, R.Active);
+    add(Metric::Resamples, R.Resampled);
+    add(Metric::TxCacheHits, R.TxHits);
+    add(Metric::TxCacheMisses, R.TxMisses);
+    add(Metric::TxCacheEvictions, R.TxEvictions);
+    max(Metric::TxCacheBytes, R.TxBytes);
+    add(Metric::InternHits, R.InternHits);
+    add(Metric::InternMisses, R.InternMisses);
+    add(Metric::InternEvictions, R.InternEvictions);
+    max(Metric::InternBytes, R.InternBytes);
+    if (R.Kind == EngineKind::Smc) {
+      observe(Metric::EssFraction, Log.essFraction(R));
+      add(Metric::DegeneracySteps, degenerate(Log, R));
+    } else {
+      // The exact engine gauges the frontier a round expands; PSI the
+      // distribution a statement leaves.
+      uint64_t F = R.Kind == EngineKind::Exact ? R.FrontierIn : R.FrontierOut;
+      max(Metric::PeakFrontier, F);
+      observe(Metric::FrontierSize, static_cast<double>(F));
+    }
+    observe(Metric::StepDurMs, R.Ms);
+  }
+  add(Metric::BudgetTrips, Log.BudgetTrips);
+  add(Metric::Fallbacks, Log.Fallbacks);
+  add(Metric::PoolBatches, Pool.Batches);
+  add(Metric::PoolTasks, Pool.Tasks);
+  add(Metric::CheckpointWrites, Log.CheckpointWrites);
+  add(Metric::CheckpointBytes, Log.CheckpointBytes);
+
+  for (size_t MI = 0; MI < NumMetrics; ++MI) {
     MetricValue &V = Out[MI];
-    V.Name = D.Name;
-    V.Help = D.Help;
-    V.Kind = D.Kind;
-    if (D.Kind != MetricKind::Histogram) {
-      V.Value = Slots[Slot];
-      continue;
-    }
-    V.BucketBounds.assign(D.Bounds.begin(), D.Bounds.end());
-    uint64_t Cumulative = 0;
-    for (uint32_t I = 0; I + 1 < numSlots(D); ++I) {
-      Cumulative += Slots[Slot + I];
-      V.BucketCounts.push_back(Cumulative);
-    }
-    V.Value = Cumulative;
-    V.Sum = static_cast<double>(Slots[Slot + numSlots(D) - 1]) / SumScale;
+    for (size_t B = 1; B < V.BucketCounts.size(); ++B)
+      V.BucketCounts[B] += V.BucketCounts[B - 1];
+    V.Sum = static_cast<double>(Micro[MI]) / SumScale;
   }
   return Out;
-}
-
-void MetricTable::snapshotTo(SnapWriter &W) const {
-  W.u64(NumMetrics);
-  for (size_t MI = 0; MI < NumMetrics; ++MI) {
-    W.str(Descs[MI].Name);
-    W.u64(numSlots(Descs[MI]));
-    for (uint32_t I = 0; I < numSlots(Descs[MI]); ++I)
-      W.u64(Slots[FirstSlot[MI] + I]);
-  }
-}
-
-bool MetricTable::restoreFrom(SnapReader &R) {
-  uint64_t N = R.count();
-  for (uint64_t MI = 0; MI < N && R.ok(); ++MI) {
-    std::string Name = R.str();
-    uint64_t NumSlots = R.count();
-    const auto *Found =
-        std::find_if(std::begin(Descs), std::end(Descs),
-                     [&](const MetricDesc &D) { return Name == D.Name; });
-    const size_t Index = Found - std::begin(Descs);
-    const uint32_t Known = Index < NumMetrics ? numSlots(*Found) : 0;
-    for (uint64_t I = 0; I < NumSlots && R.ok(); ++I) {
-      uint64_t V = R.u64();
-      if (I < Known)
-        Slots[FirstSlot[Index] + I] = V;
-    }
-  }
-  return R.ok();
 }
 
 std::string bayonet::renderProm(const std::vector<MetricValue> &Values) {

@@ -1,29 +1,32 @@
-//===- obs/Metrics.h - The engine metric table -----------------*- C++ -*-===//
+//===- obs/Metrics.h - The run log and its metric view ----------*- C++ -*-===//
 //
 // Part of the Bayonet reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The engine metrics: a fixed list of monotonic counters, gauges and
-/// fixed-bucket histograms, kept as a plain table of integer slots. Every
-/// charge runs on the serial thread — the engines charge at their step
-/// boundaries (obs/Boundary.h), the API charges budget trips and
-/// fallbacks after the engine returns, the Checkpointer charges its
-/// writes — so the table needs no atomics and no locks.
+/// What a run did, kept once: the RunLog holds one row per committed
+/// boundary (appended by Boundary::commit, on the serial thread) and the
+/// few run-level counters charged outside the engines — checkpoint writes,
+/// budget trips, fallbacks. The snapshot stores the log; every export is a
+/// view of it. This file holds the Prometheus view: a fixed list of
+/// counters, gauges and fixed-bucket histograms, folded from the log when
+/// it is read.
 ///
-/// Everything counted here is a pure sum of per-boundary charges, so as
-/// long as the engines charge a thread-count-independent event set (they
-/// do — see docs/IMPLEMENTATION.md §7), counter and histogram values are
-/// bit-identical for every thread count. Only durations may vary.
+/// Every counted quantity is a pure function of the committed rows, so as
+/// long as the engines commit a thread-count-independent row sequence
+/// (they do — see docs/IMPLEMENTATION.md §7), counter and histogram values
+/// are bit-identical for every thread count. Only durations may vary.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef BAYONET_OBS_METRICS_H
 #define BAYONET_OBS_METRICS_H
 
-#include <array>
+#include "support/ThreadPool.h"
+
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,7 +35,80 @@ namespace bayonet {
 class SnapReader;
 class SnapWriter;
 
-/// Every engine metric, in exposition and snapshot order.
+/// The engine families, which differ in their span names, profiler frame
+/// layout and diagnostics series.
+enum class EngineKind : uint8_t { Exact, Psi, Smc };
+
+/// What one completed boundary did. Counts are deltas over the boundary;
+/// the byte fields are the retained totals after it.
+struct BoundaryDelta {
+  int64_t Step = 0; ///< Scheduler step / top-level statement index.
+  uint64_t FrontierIn = 0, FrontierOut = 0;
+  uint64_t Expanded = 0, MergeAttempts = 0, MergeHits = 0;
+  uint64_t TxHits = 0, TxMisses = 0, TxEvictions = 0, TxBytes = 0;
+  uint64_t InternHits = 0, InternMisses = 0, InternEvictions = 0;
+  uint64_t InternBytes = 0;
+  uint64_t Active = 0, Alive = 0; ///< SMC: particles stepped / surviving.
+  bool Resampled = false;
+  /// PSI: the profiler frame of the statement this boundary completed
+  /// (Profiler::InvalidSlot: none). Consumed at commit; not snapshotted.
+  uint32_t ProfSlot = UINT32_MAX;
+
+  /// The delta between two cumulative counter snapshots: the counts
+  /// subtract, every other field is the later snapshot's.
+  friend BoundaryDelta operator-(BoundaryDelta After,
+                                 const BoundaryDelta &Before) {
+    After.Expanded -= Before.Expanded;
+    After.MergeAttempts -= Before.MergeAttempts;
+    After.MergeHits -= Before.MergeHits;
+    After.TxHits -= Before.TxHits;
+    After.TxMisses -= Before.TxMisses;
+    After.TxEvictions -= Before.TxEvictions;
+    After.InternHits -= Before.InternHits;
+    After.InternMisses -= Before.InternMisses;
+    After.InternEvictions -= Before.InternEvictions;
+    return After;
+  }
+};
+
+/// One committed boundary: its delta, the engine family that committed it
+/// and the step's wall milliseconds.
+struct BoundaryRow : BoundaryDelta {
+  EngineKind Kind = EngineKind::Exact;
+  double Ms = 0;
+};
+
+/// Everything one run committed. Rows and counters are snapshotted; the
+/// run facts are set by the engine that is running (at attach and at the
+/// end), so a resume sets them again.
+struct RunLog {
+  std::vector<BoundaryRow> Rows;
+  uint64_t CheckpointWrites = 0, CheckpointBytes = 0;
+  uint64_t BudgetTrips = 0, Fallbacks = 0;
+
+  std::string Engine;     ///< Last engine attached ("exact", "smc", ...).
+  uint64_t Particles = 0; ///< Sampler population (0: none ran).
+  uint64_t Support = 0;   ///< Terminal support / surviving particles.
+  std::optional<double> Residual; ///< Observe-discarded mass (exact).
+  std::optional<double> Tv;       ///< Exact-vs-SMC cross-check.
+
+  /// An SMC row's surviving fraction of the population. Hard observes give
+  /// 0/1 weights, so the effective sample size is the survivor count.
+  double essFraction(const BoundaryRow &R) const {
+    return Particles ? static_cast<double>(R.Alive) /
+                           static_cast<double>(Particles)
+                     : 0.0;
+  }
+
+  /// Serializes the rows and counters (checkpoint support).
+  void snapshotTo(SnapWriter &W) const;
+  /// Replaces the rows and counters with a checkpointed section. The
+  /// section is outside input: returns false, leaving them empty, on a
+  /// corrupt or truncated one.
+  bool restoreFrom(SnapReader &R);
+};
+
+/// Every engine metric, in exposition order.
 enum class Metric : uint8_t {
   StatesExpanded,   ///< Counter: NetConfig states expanded (exact).
   MergeAttempts,    ///< Counter: state-merge lookups.
@@ -83,44 +159,27 @@ struct MetricValue {
 /// Prometheus text exposition 0.0.4 (HELP/TYPE comments + samples).
 std::string renderProm(const std::vector<MetricValue> &Values);
 
-/// One run's metric values. Counters and gauges own one slot; a histogram
-/// owns one slot per bucket, one +Inf slot and one micro-scaled sum slot.
+/// The metric view of a run log: counter sums, gauge maxima and histogram
+/// buckets, folded from the rows each time it is read.
 class MetricTable {
 public:
-  /// Slots of the whole table: 22 scalars plus three histograms of eight
-  /// finite buckets (ten slots each).
-  static constexpr size_t NumSlots = 52;
+  explicit MetricTable(const RunLog &Log) : Log(Log) {}
 
-  /// Adds \p N to a counter.
-  void add(Metric M, uint64_t N = 1);
-  /// Sets a counter or gauge.
-  void set(Metric M, uint64_t V);
-  /// Raises a gauge to at least \p V.
-  void max(Metric M, uint64_t V);
-  /// Records one histogram observation. Prometheus `le` semantics: the
-  /// value lands in the first bucket whose bound is >= the value.
-  void observe(Metric M, double V);
+  /// Every metric, in Metric order. The pool dispatch counters are
+  /// process-global, not part of the run, so the caller passes them in.
+  std::vector<MetricValue> snapshot(ThreadPool::PoolStats Pool = {}) const;
 
   /// Value of one counter/gauge (histograms: total count).
-  uint64_t value(Metric M) const;
+  uint64_t value(Metric M) const {
+    return snapshot()[static_cast<size_t>(M)].Value;
+  }
 
-  /// Every metric, in Metric order.
-  std::vector<MetricValue> snapshot() const;
-
-  std::string renderProm() const { return bayonet::renderProm(snapshot()); }
-
-  /// Serializes every metric's raw integer slots by name — exact
-  /// integers, so restore + re-snapshot is byte-stable. Checkpoint support
-  /// (support/Snapshot.h).
-  void snapshotTo(SnapWriter &W) const;
-
-  /// Installs checkpointed slots by name lookup: the snapshot is outside
-  /// input, so unknown names are skipped and slots beyond a metric's own
-  /// are dropped. Returns false on a corrupt or truncated section.
-  bool restoreFrom(SnapReader &R);
+  std::string renderProm(ThreadPool::PoolStats Pool = {}) const {
+    return bayonet::renderProm(snapshot(Pool));
+  }
 
 private:
-  std::array<uint64_t, NumSlots> Slots{};
+  const RunLog &Log;
 };
 
 } // namespace bayonet

@@ -6,14 +6,14 @@
 ///
 /// \file
 /// The glue between the engines and the observability primitives. An
-/// ObsContext owns an optional Tracer and an optional MetricTable; engines
-/// receive it through their options as `std::shared_ptr<ObsContext>`
-/// (mirroring BudgetTracker from the budget layer) and charge it through
-/// ObsHandle, whose every method inlines to a single null-check branch
-/// when no context is attached — that branch is the entire disabled-path
-/// cost. Every metric charge runs on the serial thread; a budget trip,
-/// which a worker lane may record, is charged by the API after the engine
-/// returns.
+/// ObsContext owns the run log (obs/Metrics.h) and the views chosen for
+/// the run: an optional Tracer, metric table, diagnostics view and
+/// profiler. Engines receive it through their options as
+/// `std::shared_ptr<ObsContext>` (mirroring BudgetTracker from the budget
+/// layer) and reach it through ObsHandle, whose every method inlines to a
+/// single null-check branch when no context is attached — that branch is
+/// the entire disabled-path cost. The flags choose which views exist, not
+/// what is logged: every context logs every committed boundary.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,8 +31,8 @@
 
 namespace bayonet {
 
-/// Owns the observability state for one run: an optional tracer, metric
-/// table, diagnostics collector and profiler.
+/// Owns the observability state for one run: the run log, and an
+/// optional tracer, metric view, diagnostics view and profiler.
 class ObsContext {
 public:
   ObsContext(bool EnableTrace, bool EnableMetrics, bool EnableDiag = false,
@@ -40,32 +40,35 @@ public:
     if (EnableTrace)
       Trace = std::make_unique<Tracer>();
     if (EnableMetrics)
-      Table.emplace();
+      Table.emplace(Log);
     if (EnableDiag)
-      Diag = std::make_unique<DiagCollector>();
+      Diag.emplace(Log);
     if (EnableProfile)
       Prof = std::make_unique<Profiler>();
   }
+  // The views refer to the log.
+  ObsContext(const ObsContext &) = delete;
+  ObsContext &operator=(const ObsContext &) = delete;
 
+  RunLog &log() { return Log; }
   Tracer *tracer() { return Trace.get(); }
   const Tracer *tracer() const { return Trace.get(); }
-  MetricTable *metrics() { return Table ? &*Table : nullptr; }
   const MetricTable *metrics() const { return Table ? &*Table : nullptr; }
-  DiagCollector *diag() { return Diag.get(); }
-  const DiagCollector *diag() const { return Diag.get(); }
+  const DiagCollector *diag() const { return Diag ? &*Diag : nullptr; }
   Profiler *profiler() { return Prof.get(); }
   const Profiler *profiler() const { return Prof.get(); }
 
 private:
+  RunLog Log;
   std::unique_ptr<Tracer> Trace;
   std::optional<MetricTable> Table;
-  std::unique_ptr<DiagCollector> Diag;
+  std::optional<DiagCollector> Diag;
   std::unique_ptr<Profiler> Prof;
 };
 
 /// Cheap value-type handle the engines thread through their hot paths. A
 /// default-constructed handle is inert: every method is an inlined
-/// null-check. All metric charges happen on the serial thread, at
+/// null-check. The log is appended on the serial thread only, at
 /// per-step/statement boundaries or after the run, so counted quantities
 /// are thread-count-independent.
 class ObsHandle {
@@ -92,30 +95,15 @@ public:
       Ctx->tracer()->event(std::move(Name), std::move(Args));
   }
 
-  /// Adds to a counter.
-  void count(Metric M, uint64_t N = 1) {
-    if (Ctx && Ctx->metrics() && N)
-      Ctx->metrics()->add(M, N);
-  }
-
-  /// Raises a gauge to at least V.
-  void gaugeMax(Metric M, uint64_t V) {
-    if (Ctx && Ctx->metrics())
-      Ctx->metrics()->max(M, V);
-  }
-
-  /// Records a histogram observation.
-  void observe(Metric M, double V) {
-    if (Ctx && Ctx->metrics())
-      Ctx->metrics()->observe(M, V);
-  }
+  /// The run log, or null without a context. Charged on the serial
+  /// thread only.
+  RunLog *log() const { return Ctx ? &Ctx->log() : nullptr; }
 
   /// Whether tracing is live (to skip arg-formatting work when off).
   bool tracing() const { return Ctx && Ctx->tracer(); }
 
-  /// The diagnostics collector, or null when diagnostics are off. Engines
-  /// only touch it at serial checkpoint boundaries.
-  DiagCollector *diag() const { return Ctx ? Ctx->diag() : nullptr; }
+  /// The diagnostics view, or null when diagnostics are off.
+  const DiagCollector *diag() const { return Ctx ? Ctx->diag() : nullptr; }
 
   /// The cost profiler, or null when profiling is off. The serial thread
   /// owns its attribution stack and aggregates; lanes only write their

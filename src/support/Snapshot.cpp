@@ -532,6 +532,9 @@ uint64_t getU64(const std::string &S, size_t Off) {
 
 constexpr char SnapMagic[8] = {'B', 'A', 'Y', 'S', 'N', 'A', 'P', '1'};
 constexpr size_t SnapHeaderSize = 32;
+// Version 2: the common section carries the run log in place of version
+// 1's metric and diagnostics sections.
+constexpr uint32_t SnapVersion = 2;
 
 } // namespace
 
@@ -563,7 +566,7 @@ bool Checkpointer::loadFile(const std::string &Path, std::string &PayloadOut,
     return false;
   }
   uint32_t Version = getU32(Data, 8);
-  if (Version != 1) {
+  if (Version != SnapVersion) {
     Err = "unsupported snapshot version " + std::to_string(Version);
     return false;
   }
@@ -639,18 +642,10 @@ void Checkpointer::restoreCommon(BudgetTracker *BT, ObsContext *Obs) {
     }
   }
   if (SectionOk && R.boolean()) {
-    if (Obs && Obs->metrics()) {
-      SectionOk = Obs->metrics()->restoreFrom(R);
+    if (Obs) {
+      SectionOk = Obs->log().restoreFrom(R);
     } else {
-      MetricTable Scratch;
-      SectionOk = Scratch.restoreFrom(R);
-    }
-  }
-  if (SectionOk && R.boolean()) {
-    if (Obs && Obs->diag()) {
-      SectionOk = Obs->diag()->restoreFrom(R);
-    } else {
-      DiagCollector Scratch;
+      RunLog Scratch;
       SectionOk = Scratch.restoreFrom(R);
     }
   }
@@ -754,17 +749,9 @@ void Checkpointer::writeNow(const std::string &Engine, uint64_t SpecFp,
   } else {
     W.u8(0);
   }
-  const MetricTable *Mx = Obs ? Obs->metrics() : nullptr;
-  if (Mx) {
+  if (Obs) {
     W.u8(1);
-    Mx->snapshotTo(W);
-  } else {
-    W.u8(0);
-  }
-  const DiagCollector *Dg = Obs ? Obs->diag() : nullptr;
-  if (Dg) {
-    W.u8(1);
-    Dg->snapshotTo(W);
+    Obs->log().snapshotTo(W);
   } else {
     W.u8(0);
   }
@@ -784,7 +771,7 @@ void Checkpointer::writeNow(const std::string &Engine, uint64_t SpecFp,
   std::string File;
   File.reserve(SnapHeaderSize + P.size());
   File.append(SnapMagic, sizeof(SnapMagic));
-  putU32(File, 1); // version
+  putU32(File, SnapVersion);
   putU32(File, 0); // reserved
   putU64(File, P.size());
   putU64(File, fnv1a(P.data(), P.size()));
@@ -832,8 +819,10 @@ void Checkpointer::writeNow(const std::string &Engine, uint64_t SpecFp,
     std::rename(Tmp.c_str(), Opts.OutPath.c_str());
   }
   WriteSpan.end();
-  OH.count(Metric::CheckpointWrites);
-  OH.count(Metric::CheckpointBytes, File.size());
+  if (RunLog *Log = OH.log()) {
+    ++Log->CheckpointWrites;
+    Log->CheckpointBytes += File.size();
+  }
   ++WritesDone;
   if (CrashAtWrite && WritesDone == CrashAtWrite) {
     if (Opts.HardExit)

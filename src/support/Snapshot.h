@@ -15,7 +15,7 @@
 /// File format (all integers little-endian):
 ///
 ///   magic    "BAYSNAP1"                        8 bytes
-///   version  u32 (currently 1)                 4 bytes
+///   version  u32 (currently 2)                 4 bytes
 ///   reserved u32                               4 bytes
 ///   length   u64 payload byte count            8 bytes
 ///   checksum u64 FNV-1a over the payload       8 bytes
@@ -25,7 +25,7 @@
 /// both are rejected and the loader falls back to the previous good
 /// snapshot (`PATH.prev`, rotated on every write). The payload starts with
 /// a common section — engine name, spec/options fingerprints, boundary
-/// counter, budget spend, tracer/metrics/diagnostics state — followed by
+/// counter, budget spend, tracer, run log and profiler state — followed by
 /// the engine-specific state.
 ///
 /// Write protocol (atomic, crash-safe at every instant):
@@ -337,7 +337,7 @@ public:
 
   /// Loads the resume snapshot (falling back to `PATH.prev` when the
   /// primary is truncated/corrupt), restores budget spend into \p BT and
-  /// tracer/metrics/diagnostics into \p Obs, and stashes the engine
+  /// the trace, run log and profile into \p Obs, and stashes the engine
   /// payload for beginEngine(). Idempotent: only the first call acts.
   /// Null \p BT / \p Obs skip the corresponding sections.
   void restoreCommon(BudgetTracker *BT, ObsContext *Obs);

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Observability tests: histogram buckets follow Prometheus `le`
-/// semantics exactly, a metric snapshot restores robustly, the tracer
+/// Observability tests: histogram buckets folded from the run log follow
+/// Prometheus `le` semantics exactly, the log restores robustly, the tracer
 /// renders well-formed and well-nested Chrome-trace JSON with
 /// deterministic span ids, and every counted quantity is bit-identical
 /// across 1 / 2 / 8 worker threads and with observability on or off.
@@ -71,7 +71,7 @@ size_t countSubstr(const std::string &Hay, const std::string &Needle) {
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Metric table
+// Run log and its metric view
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -81,47 +81,76 @@ const MetricValue &snapshotOf(const std::vector<MetricValue> &Snap,
   return Snap[static_cast<size_t>(M)];
 }
 
+/// A committed exact-engine row with the given frontier and wall ms.
+BoundaryRow exactRow(uint64_t FrontierIn, double Ms = 0) {
+  BoundaryRow R;
+  R.Kind = EngineKind::Exact;
+  R.FrontierIn = FrontierIn;
+  R.Ms = Ms;
+  return R;
+}
+
 } // namespace
 
 TEST(Obs, HistogramBucketBoundaries) {
-  // Frontier-size bounds: 1, 8, 64, ..., 2097152.
-  MetricTable T;
-  // Prometheus `le` semantics: a value equal to a bound lands IN that
-  // bucket; anything above the last bound lands in +Inf.
-  for (double V : {0.5, 1.0, 1.5, 8.0, 9.0, 3e6})
-    T.observe(Metric::FrontierSize, V);
+  // Frontier-size bounds: 1, 8, 64, ..., 2097152; step-duration bounds:
+  // 0.1, 0.5, 2, ..., 5000 ms.
+  RunLog Log;
+  const std::pair<uint64_t, double> Rows[] = {
+      {1, 0.05}, {8, 0.1}, {9, 0.3}, {3000000, 0.5}, {0, 0.6}, {2, 9000}};
+  for (auto [Frontier, Ms] : Rows)
+    Log.Rows.push_back(exactRow(Frontier, Ms));
+  MetricTable T(Log);
   auto Snap = T.snapshot();
   ASSERT_EQ(Snap.size(), NumMetrics);
-  const MetricValue &V = snapshotOf(Snap, Metric::FrontierSize);
-  ASSERT_EQ(V.BucketCounts.size(), 9u); // 8 finite + the +Inf bucket.
-  EXPECT_EQ(V.BucketCounts[0], 2u);     // le=1: 0.5, 1.0 (== bound)
-  EXPECT_EQ(V.BucketCounts[1], 4u);     // le=8: + 1.5, 8.0 (== bound)
-  EXPECT_EQ(V.BucketCounts[2], 5u);     // le=64: + 9.0
-  EXPECT_EQ(V.BucketCounts[7], 5u);     // le=2097152: nothing more
-  EXPECT_EQ(V.BucketCounts[8], 6u);     // +Inf: + 3e6
-  EXPECT_EQ(V.Value, 6u);
+  // Prometheus `le` semantics: a value equal to a bound lands IN that
+  // bucket; anything above the last bound lands in +Inf.
+  const MetricValue &F = snapshotOf(Snap, Metric::FrontierSize);
+  ASSERT_EQ(F.BucketCounts.size(), 9u); // 8 finite + the +Inf bucket.
+  EXPECT_EQ(F.BucketCounts[0], 2u);     // le=1: 0, 1 (== bound)
+  EXPECT_EQ(F.BucketCounts[1], 4u);     // le=8: + 2, 8 (== bound)
+  EXPECT_EQ(F.BucketCounts[2], 5u);     // le=64: + 9
+  EXPECT_EQ(F.BucketCounts[7], 5u);     // le=2097152: nothing more
+  EXPECT_EQ(F.BucketCounts[8], 6u);     // +Inf: + 3e6
+  EXPECT_EQ(F.Value, 6u);
   EXPECT_EQ(T.value(Metric::FrontierSize), 6u);
-  EXPECT_NEAR(V.Sum, 3000020.0, 1e-9);
-  // The neighbouring histogram's slots are untouched.
-  EXPECT_EQ(T.value(Metric::StepDurMs), 0u);
+  EXPECT_NEAR(F.Sum, 3000020.0, 1e-9);
+  const MetricValue &D = snapshotOf(Snap, Metric::StepDurMs);
+  EXPECT_EQ(D.BucketCounts,
+            (std::vector<uint64_t>{2, 4, 5, 5, 5, 5, 5, 5, 6}));
+  EXPECT_NEAR(D.Sum, 9001.55, 1e-9); // Micro-scaled, so exact to 1e-6.
+  // Exact rows feed no SMC histogram.
+  EXPECT_EQ(T.value(Metric::EssFraction), 0u);
+  EXPECT_EQ(T.value(Metric::SchedSteps), 6u);
 }
 
-TEST(Obs, GaugeSetAndMax) {
-  MetricTable T;
-  T.set(Metric::PeakFrontier, 7);
+TEST(Obs, GaugeIsMaxOverRows) {
+  RunLog Log;
+  MetricTable T(Log);
+  Log.Rows.push_back(exactRow(7));
   EXPECT_EQ(T.value(Metric::PeakFrontier), 7u);
-  T.max(Metric::PeakFrontier, 3); // Lower: no effect.
+  Log.Rows.push_back(exactRow(3)); // Lower: no effect.
   EXPECT_EQ(T.value(Metric::PeakFrontier), 7u);
-  T.max(Metric::PeakFrontier, 11);
+  Log.Rows.push_back(exactRow(11));
   EXPECT_EQ(T.value(Metric::PeakFrontier), 11u);
+  // PSI gauges the distribution a statement leaves, not the one entering.
+  BoundaryRow Psi;
+  Psi.Kind = EngineKind::Psi;
+  Psi.FrontierIn = 50;
+  Psi.FrontierOut = 12;
+  Psi.TxBytes = 4096;
+  Log.Rows.push_back(Psi);
+  EXPECT_EQ(T.value(Metric::PeakFrontier), 12u);
+  EXPECT_EQ(T.value(Metric::TxCacheBytes), 4096u);
 }
 
 TEST(Obs, RenderPromFormat) {
-  MetricTable T;
-  T.add(Metric::StatesExpanded, 42);
-  T.observe(Metric::StepDurMs, 0.5);
-  T.observe(Metric::StepDurMs, 9000);
-  std::string Prom = T.renderProm();
+  RunLog Log;
+  Log.Rows.push_back(exactRow(1, 0.5));
+  Log.Rows.back().Expanded = 40;
+  Log.Rows.push_back(exactRow(1, 9000));
+  Log.Rows.back().Expanded = 2;
+  std::string Prom = MetricTable(Log).renderProm({.Batches = 3, .Tasks = 9});
   EXPECT_EQ(Prom.rfind("# HELP bayonet_states_expanded_total NetConfig "
                        "states expanded by the exact engines\n"
                        "# TYPE bayonet_states_expanded_total counter\n"
@@ -141,62 +170,71 @@ TEST(Obs, RenderPromFormat) {
             std::string::npos);
   EXPECT_NE(Prom.find("bayonet_step_duration_ms_count 2\n"),
             std::string::npos);
+  // The pool counters are passed in at render time.
+  EXPECT_NE(Prom.find("bayonet_pool_batches_total 3\n"), std::string::npos);
+  EXPECT_NE(Prom.find("bayonet_pool_tasks_total 9\n"), std::string::npos);
   EXPECT_EQ(countSubstr(Prom, "# HELP "), NumMetrics);
 }
 
-// A snapshot file is outside input. Restore skips a metric it does not
-// know, drops the slots a known metric has beyond its own, and reports a
-// section cut short.
-TEST(Obs, MetricRestoreToleratesUnknownNamesAndExtraSlots) {
-  SnapWriter W;
-  W.u64(3);
-  W.str("bayonet_no_such_metric_total");
-  W.u64(2);
-  W.u64(99);
-  W.u64(98);
-  W.str("bayonet_states_expanded_total"); // A counter owns one slot.
-  W.u64(3);
-  for (uint64_t V : {7, 8, 9})
-    W.u64(V);
-  W.str("bayonet_frontier_size"); // A histogram owns ten slots.
-  W.u64(12);
-  for (uint64_t V = 1; V <= 12; ++V)
-    W.u64(V);
-  MetricTable T;
-  SnapReader R(W.buffer());
-  ASSERT_TRUE(T.restoreFrom(R));
-  EXPECT_TRUE(R.atEnd());
+// A snapshot file is outside input. The run log's section round-trips
+// byte for byte; every proper prefix of it, a row of an unknown engine
+// family, and a row count the remaining bytes cannot hold are reported as
+// corrupt, and leave the log empty.
+TEST(Obs, RunLogRestoreRejectsTruncatedAndAbsurdSections) {
+  RunLog Log;
+  Log.CheckpointWrites = 2;
+  Log.CheckpointBytes = 999;
+  Log.BudgetTrips = 1;
+  Log.Rows.push_back(exactRow(5, 1.25));
+  Log.Rows.back().Expanded = 17;
+  BoundaryRow Smc;
+  Smc.Kind = EngineKind::Smc;
+  Smc.Step = 3;
+  Smc.Active = 100;
+  Smc.Alive = 40;
+  Smc.Resampled = true;
+  Log.Rows.push_back(Smc);
 
-  auto Snap = T.snapshot();
-  EXPECT_EQ(T.value(Metric::StatesExpanded), 7u);
-  EXPECT_EQ(T.value(Metric::MergeAttempts), 0u);
-  const MetricValue &F = snapshotOf(Snap, Metric::FrontierSize);
-  EXPECT_EQ(F.BucketCounts,
-            (std::vector<uint64_t>{1, 3, 6, 10, 15, 21, 28, 36, 45}));
-  EXPECT_NEAR(F.Sum, 10 / 1e6, 1e-12); // Slot 10 is the scaled sum.
-  EXPECT_EQ(T.value(Metric::StepDurMs), 0u) << "slots 11-12 are dropped";
-  for (const MetricValue &V : Snap) {
-    if (V.Name != "bayonet_states_expanded_total" &&
-        V.Name != "bayonet_frontier_size") {
-      EXPECT_EQ(V.Value, 0u) << V.Name;
-    }
-  }
-
-  // The table's own section round-trips byte for byte, and every proper
-  // prefix of it is reported as corrupt.
   SnapWriter Full;
-  T.snapshotTo(Full);
-  MetricTable Copy;
+  Log.snapshotTo(Full);
+  RunLog Copy;
   SnapReader CR(Full.buffer());
   ASSERT_TRUE(Copy.restoreFrom(CR));
+  EXPECT_TRUE(CR.atEnd());
   SnapWriter Again;
   Copy.snapshotTo(Again);
   EXPECT_EQ(Again.buffer(), Full.buffer());
+  EXPECT_EQ(MetricTable(Copy).renderProm(), MetricTable(Log).renderProm());
+
   for (size_t Len = 0; Len < Full.buffer().size(); ++Len) {
-    MetricTable Cut;
+    RunLog Cut;
     SnapReader CutR(Full.buffer().data(), Len);
     EXPECT_FALSE(Cut.restoreFrom(CutR)) << "prefix of " << Len << " bytes";
+    EXPECT_TRUE(Cut.Rows.empty());
+    EXPECT_EQ(Cut.CheckpointWrites, 0u);
   }
+
+  // The first row's engine-family byte follows four counters and the row
+  // count.
+  std::string BadKind = Full.buffer();
+  BadKind[5 * 8] = 7;
+  RunLog Bad;
+  SnapReader BR(BadKind);
+  EXPECT_FALSE(Bad.restoreFrom(BR));
+  EXPECT_TRUE(Bad.Rows.empty());
+
+  // A row count of 2^60 with a few bytes behind it is rejected before
+  // anything is reserved (a reserve of that size would throw).
+  SnapWriter Absurd;
+  for (int I = 0; I < 4; ++I)
+    Absurd.u64(0);
+  Absurd.u64(uint64_t(1) << 60);
+  Absurd.u64(0);
+  RunLog Huge;
+  SnapReader HR(Absurd.buffer());
+  EXPECT_FALSE(Huge.restoreFrom(HR));
+  EXPECT_TRUE(Huge.Rows.empty());
+  EXPECT_EQ(Huge.Rows.capacity(), 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -627,8 +665,8 @@ TEST(Obs, DegenerateSmcStepWarnsAndCountersAgree) {
             std::string::npos);
 
   uint64_t ResampledSteps = 0;
-  for (const SmcStepDiag &S : Rep.SmcSteps)
-    if (S.Resampled)
+  for (const BoundaryRow &S : Rep.Rows)
+    if (S.Kind == EngineKind::Smc && S.Resampled)
       ++ResampledSteps;
   EXPECT_GT(Rep.Summary.Resamples, 0u);
   EXPECT_EQ(Rep.Summary.Resamples, ResampledSteps);
@@ -656,6 +694,101 @@ TEST(Obs, CrossCheckTvDivergenceReportedAndSmall) {
   EXPECT_GE(*R.Diagnostics.TvDivergence, 0.0);
   EXPECT_LT(*R.Diagnostics.TvDivergence, 0.05);
   EXPECT_EQ(R.Diagnostics.Engine, "smc");
+}
+
+//===----------------------------------------------------------------------===//
+// The run log across a crash and a resume
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+std::string readFile(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(In),
+                     std::istreambuf_iterator<char>());
+}
+
+void removeSnapshot(const std::string &Path) {
+  std::remove(Path.c_str());
+  std::remove((Path + ".prev").c_str());
+}
+
+/// Runs \p Net exact through the API, checkpointing every boundary to
+/// \p Out (and resuming from \p Resume when set).
+InferenceResult checkpointedRun(const LoadedNetwork &Net,
+                                std::shared_ptr<ObsContext> Ctx,
+                                const std::string &Out,
+                                const std::string &Resume = "",
+                                const std::string &Fault = "") {
+  CheckpointOptions CO;
+  CO.OutPath = Out;
+  CO.ResumePath = Resume;
+  CO.Fault = Fault;
+  CO.Every = 1;
+  InferenceOptions Opts;
+  Opts.Obs = std::move(Ctx);
+  Opts.Checkpoint = std::make_shared<Checkpointer>(CO);
+  return runInference(Net, Opts);
+}
+
+} // namespace
+
+// A run checkpointed with no exporter on still snapshots its run log, so a
+// resume with metrics and diagnostics on reports the whole run: the same
+// metric totals and DiagReport as a straight run with the same checkpoint
+// configuration, not just the boundaries after the resume.
+TEST(Obs, ResumeWithExportersAfterCheckpointWithoutReportsWholeRun) {
+  DiagEngine Diags;
+  auto Net = loadNetworkFile(
+      std::string(BAYONET_EXAMPLES_DIR) + "/gossip4.bay", Diags);
+  ASSERT_TRUE(Net.has_value()) << Diags.toString();
+  const std::string Base = ::testing::TempDir() + "bayonet_obs_straight.snap";
+  const std::string Path = ::testing::TempDir() + "bayonet_obs_resumed.snap";
+
+  auto Straight = std::make_shared<ObsContext>(false, true, true);
+  ASSERT_TRUE(checkpointedRun(*Net, Straight, Base).Status.ok());
+  InferenceResult Dead =
+      checkpointedRun(*Net, nullptr, Path, "", "crash-at-checkpoint=3");
+  EXPECT_EQ(Dead.Status.Code, StatusCode::Internal);
+  auto Resumed = std::make_shared<ObsContext>(false, true, true);
+  InferenceResult R = checkpointedRun(*Net, Resumed, Path, Path);
+  ASSERT_TRUE(R.Status.ok()) << R.Status.toString();
+  removeSnapshot(Base);
+  removeSnapshot(Path);
+
+  EXPECT_EQ(metricFingerprint(*Resumed), metricFingerprint(*Straight));
+  EXPECT_EQ(Resumed->diag()->report().toJson(),
+            Straight->diag()->report().toJson());
+  EXPECT_EQ(Resumed->metrics()->value(Metric::StatesExpanded), 8080u);
+  EXPECT_EQ(Resumed->metrics()->value(Metric::SchedSteps), 16u);
+  EXPECT_EQ(Resumed->diag()->report().Rows.size(), 16u);
+}
+
+// Version 2 changed the common section's layout, so a version-1 file is
+// refused by name and never parsed. The file here is a real snapshot
+// relabelled version 1; its checksum covers only the payload, so it stays
+// valid and the version is the only thing wrong with it.
+TEST(Obs, SnapshotVersionOneIsRejected) {
+  LoadedNetwork Net = load(scenarios::gossip(3));
+  const std::string Path = ::testing::TempDir() + "bayonet_obs_v1.snap";
+  ASSERT_TRUE(checkpointedRun(Net, nullptr, Path).Status.ok());
+  std::string File = readFile(Path);
+  removeSnapshot(Path);
+  ASSERT_GT(File.size(), 32u);
+  ASSERT_EQ(File.substr(0, 12), std::string("BAYSNAP1\2\0\0\0", 12));
+  File[8] = 1;
+  uint64_t Sum = 0;
+  for (int I = 7; I >= 0; --I)
+    Sum = Sum << 8 | static_cast<unsigned char>(File[24 + I]);
+  ASSERT_EQ(fnv1a(File.data() + 32, File.size() - 32), Sum);
+  std::ofstream(Path, std::ios::binary) << File;
+
+  InferenceResult R = checkpointedRun(Net, nullptr, "", Path);
+  std::remove(Path.c_str());
+  EXPECT_EQ(R.Status.Code, StatusCode::Invalid);
+  EXPECT_NE(R.Status.Diagnostic.find(Path + ": unsupported snapshot version 1"),
+            std::string::npos)
+      << R.Status.Diagnostic;
 }
 
 //===----------------------------------------------------------------------===//
