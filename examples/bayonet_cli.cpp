@@ -535,14 +535,7 @@ int runMain(int argc, char **argv) {
   case EngineChoice::Translated:
     if (R.Translated) {
       const PsiExactResult &PR = *R.Translated;
-      if (auto V = PR.concreteValue())
-        std::printf("%s (~%f)\n", V->toString().c_str(), V->toDouble());
-      else {
-        for (const ProbCase &C : PR.cases())
-          std::printf("%s: %s (~%f)\n",
-                      C.Region.toString(Net->Spec.Params).c_str(),
-                      C.Value.toString().c_str(), C.Value.toDouble());
-      }
+      std::printf("%s\n", formatExactAnswer(PR, Net->Spec.Params).c_str());
       if (Stats) {
         std::printf("branches expanded: %zu, max dist: %zu, merge hits: "
                     "%zu\n",
@@ -556,7 +549,10 @@ int runMain(int argc, char **argv) {
   case EngineChoice::Reject:
     if (R.Sampled) {
       const SampleResult &SR = *R.Sampled;
-      std::printf("%f (+- %f at ~95%%)\n", SR.Value, 1.96 * SR.StdError);
+      if (SR.QueryUnsupported)
+        std::printf("unsupported: %s\n", SR.UnsupportedReason.c_str());
+      else
+        std::printf("%f (+- %f at ~95%%)\n", SR.Value, 1.96 * SR.StdError);
       if (SR.ErrorFraction > 0)
         std::printf("error fraction: %f\n", SR.ErrorFraction);
       if (Stats)

@@ -144,13 +144,16 @@ echo "=== tier-1: assert-enabled ASan+UBSan leg (translated pipeline, staged tab
 # Obs.*/ObsGolden.* run the run log's fold into metric buckets, and
 # Obs.* and Snapshot.* its restore from snapshot bytes (outside input),
 # under bounds checking.
+# OpsTable.* runs lang/Ops.h's int64 operators on the int64 extremes and
+# overflowing pairs, whose overflow checks UBSan watches; QuerySemantics.*
+# runs the one query evaluator through all three engines.
 # CrossEngineCorpus includes loadbalancing: about 35 s of this leg.
 AsanStart=$SECONDS
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
   -DBAYONET_SANITIZE=address,undefined
 cmake --build build-asan -j --target bayonet_tests
 ./build-asan/tests/bayonet_tests \
-  --gtest_filter='PsiIr*:*CrossEngine*:Translator*:*FuzzDiff*DirectVersusTranslated*:*FuzzDiff*PsiArmCache*:*PsiArmCacheMatrix*:Intern*:TxCache*:*TxCacheMatrix*:Snapshot.*:BigIntTest*:RationalTest*:SymProbTest*:LinExprTest*:ConstraintTest*:Obs.*:ObsGolden.*'
+  --gtest_filter='PsiIr*:*CrossEngine*:Translator*:*FuzzDiff*DirectVersusTranslated*:*FuzzDiff*PsiArmCache*:*PsiArmCacheMatrix*:Intern*:TxCache*:*TxCacheMatrix*:Snapshot.*:BigIntTest*:RationalTest*:SymProbTest*:LinExprTest*:ConstraintTest*:Obs.*:ObsGolden.*:OpsTable.*:QuerySemantics.*'
 echo "asan leg: $((SECONDS - AsanStart)) s"
 
 if [ "$NO_TSAN" = 1 ]; then

@@ -351,7 +351,7 @@ std::string bayonet::describeConfig(const NetworkSpec &Spec,
   return Out.empty() ? "(all zero)" : Out;
 }
 
-std::string bayonet::formatExactAnswer(const ExactResult &Result,
+std::string bayonet::formatExactAnswer(const ExactAnswer &Result,
                                        const ParamTable &Params) {
   std::string Out;
   if (Result.QueryUnsupported)

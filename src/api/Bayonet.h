@@ -169,9 +169,10 @@ struct InferenceResult {
 InferenceResult runInference(const LoadedNetwork &Net,
                              const InferenceOptions &Opts);
 
-/// Renders the answer of an exact run for humans: a single number for a
-/// concrete run, or one "guard: value" line per parameter region.
-std::string formatExactAnswer(const ExactResult &Result,
+/// Renders the answer of an exact run (ExactResult or PsiExactResult) for
+/// humans: a single number for a concrete run, one "guard: value" line per
+/// parameter region, or "unsupported: <reason>".
+std::string formatExactAnswer(const ExactAnswer &Result,
                               const ParamTable &Params);
 
 /// Renders one network configuration for humans: per-node state variables

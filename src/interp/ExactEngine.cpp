@@ -7,6 +7,7 @@
 #include "interp/ExactEngine.h"
 
 #include "obs/Boundary.h"
+#include "query/QueryEval.h"
 #include "support/FlatIndexMap.h"
 #include "support/ThreadPool.h"
 
@@ -28,208 +29,6 @@ SymProb applyGuards(SymProb W, const std::vector<Constraint> &Guards) {
   }
   return W;
 }
-
-/// One (value, guards) outcome of evaluating a query expression.
-struct QueryOutcome {
-  LinExpr V;
-  std::vector<Constraint> Guards;
-  bool Failed = false;
-  std::string FailReason;
-};
-
-/// Evaluates a query expression (paper Figure 8) on a terminal
-/// configuration. Deterministic, but may split on symbolic comparisons.
-class QueryEvaluator {
-public:
-  QueryEvaluator(const NetworkSpec &Spec, const NetConfig &C)
-      : Spec(Spec), C(C) {}
-
-  std::vector<QueryOutcome> eval(const Expr &E) {
-    switch (E.Kind) {
-    case ExprKind::Number:
-      return {{LinExpr(cast<NumberExpr>(E).Value), {}, false, {}}};
-    case ExprKind::Var: {
-      const auto &V = cast<VarExpr>(E);
-      if (V.Res == VarRes::NodeConst)
-        return {{LinExpr(Rational(static_cast<int64_t>(V.Index))), {}, false,
-                 {}}};
-      if (V.Res == VarRes::SymParam)
-        return {{Spec.paramValue(V.Index), {}, false, {}}};
-      return {{LinExpr(), {}, true, "unknown identifier in query"}};
-    }
-    case ExprKind::StateRef: {
-      const auto &SR = cast<StateRefExpr>(E);
-      LinExpr Sum;
-      for (const auto &[Node, Slot] : SR.Targets)
-        Sum = Sum + C.Nodes[Node].State[Slot].toLinExpr();
-      return {{std::move(Sum), {}, false, {}}};
-    }
-    case ExprKind::Unary: {
-      const auto &U = cast<UnaryExpr>(E);
-      std::vector<QueryOutcome> Out;
-      for (QueryOutcome &O : eval(*U.Operand)) {
-        if (O.Failed) {
-          Out.push_back(std::move(O));
-          continue;
-        }
-        if (U.Op == UnOpKind::Neg) {
-          O.V = -O.V;
-          Out.push_back(std::move(O));
-          continue;
-        }
-        splitTruth(std::move(O), Out, /*Invert=*/true);
-      }
-      return Out;
-    }
-    case ExprKind::Binary:
-      return evalBinary(cast<BinaryExpr>(E));
-    default:
-      return {{LinExpr(), {}, true, "expression kind not allowed in query"}};
-    }
-  }
-
-  /// Splits an outcome into boolean 0/1 outcomes (for conditions).
-  static void splitTruth(QueryOutcome O, std::vector<QueryOutcome> &Out,
-                         bool Invert = false) {
-    if (O.V.isConstant()) {
-      bool T = !O.V.constant().isZero();
-      O.V = LinExpr(Rational((T != Invert) ? 1 : 0));
-      Out.push_back(std::move(O));
-      return;
-    }
-    QueryOutcome True = O;
-    True.Guards.push_back(Constraint(O.V, RelKind::NE));
-    True.V = LinExpr(Rational(Invert ? 0 : 1));
-    Out.push_back(std::move(True));
-    QueryOutcome False = std::move(O);
-    False.Guards.push_back(Constraint(False.V, RelKind::EQ));
-    False.V = LinExpr(Rational(Invert ? 1 : 0));
-    Out.push_back(std::move(False));
-  }
-
-private:
-  const NetworkSpec &Spec;
-  const NetConfig &C;
-
-  std::vector<QueryOutcome> evalBinary(const BinaryExpr &B) {
-    std::vector<QueryOutcome> Out;
-    // The operands are independent: evaluate the right side once and pair
-    // it against every left outcome, instead of re-evaluating the whole
-    // right subtree per left outcome (quadratic re-evaluation for chained
-    // binary expressions).
-    const std::vector<QueryOutcome> Rhs = eval(*B.Rhs);
-    for (QueryOutcome &L : eval(*B.Lhs)) {
-      if (L.Failed) {
-        Out.push_back(std::move(L));
-        continue;
-      }
-      for (const QueryOutcome &R : Rhs) {
-        if (R.Failed) {
-          Out.push_back(R);
-          continue;
-        }
-        QueryOutcome Base;
-        Base.Guards = L.Guards;
-        for (const Constraint &G : R.Guards)
-          Base.Guards.push_back(G);
-        apply(B.Op, L.V, R.V, std::move(Base), Out);
-      }
-    }
-    return Out;
-  }
-
-  void apply(BinOpKind Op, const LinExpr &L, const LinExpr &R,
-             QueryOutcome Base, std::vector<QueryOutcome> &Out) {
-    switch (Op) {
-    case BinOpKind::Add:
-      Base.V = L + R;
-      Out.push_back(std::move(Base));
-      return;
-    case BinOpKind::Sub:
-      Base.V = L - R;
-      Out.push_back(std::move(Base));
-      return;
-    case BinOpKind::Mul: {
-      auto P = L.mul(R);
-      if (!P) {
-        Base.Failed = true;
-        Base.FailReason = "nonlinear query expression";
-      } else
-        Base.V = std::move(*P);
-      Out.push_back(std::move(Base));
-      return;
-    }
-    case BinOpKind::Div: {
-      auto Q = L.div(R);
-      if (!Q) {
-        Base.Failed = true;
-        Base.FailReason = "query division by zero or by a symbolic value";
-      } else
-        Base.V = std::move(*Q);
-      Out.push_back(std::move(Base));
-      return;
-    }
-    case BinOpKind::And:
-    case BinOpKind::Or: {
-      // Boolean combination: split both sides to 0/1 first.
-      std::vector<QueryOutcome> Ls, Rs;
-      splitTruth({L, Base.Guards, false, {}}, Ls);
-      for (QueryOutcome &LB : Ls) {
-        std::vector<QueryOutcome> RBs;
-        splitTruth({R, LB.Guards, false, {}}, RBs);
-        for (QueryOutcome &RB : RBs) {
-          bool LT = !LB.V.constant().isZero();
-          bool RT = !RB.V.constant().isZero();
-          bool T = Op == BinOpKind::And ? (LT && RT) : (LT || RT);
-          QueryOutcome O;
-          O.V = LinExpr(Rational(T ? 1 : 0));
-          O.Guards = RB.Guards;
-          Out.push_back(std::move(O));
-        }
-      }
-      return;
-    }
-    case BinOpKind::Eq:
-    case BinOpKind::Ne:
-    case BinOpKind::Lt:
-    case BinOpKind::Le:
-    case BinOpKind::Gt:
-    case BinOpKind::Ge: {
-      LinExpr D = L - R;
-      Constraint C = [&] {
-        switch (Op) {
-        case BinOpKind::Eq:
-          return Constraint(D, RelKind::EQ);
-        case BinOpKind::Ne:
-          return Constraint(D, RelKind::NE);
-        case BinOpKind::Lt:
-          return Constraint(D, RelKind::LT);
-        case BinOpKind::Le:
-          return Constraint(D, RelKind::LE);
-        case BinOpKind::Gt:
-          return Constraint(-D, RelKind::LT);
-        default:
-          return Constraint(-D, RelKind::LE);
-        }
-      }();
-      if (auto Decided = C.tryDecide()) {
-        Base.V = LinExpr(Rational(*Decided ? 1 : 0));
-        Out.push_back(std::move(Base));
-        return;
-      }
-      QueryOutcome True = Base;
-      True.V = LinExpr(Rational(1));
-      True.Guards.push_back(C);
-      Out.push_back(std::move(True));
-      QueryOutcome False = std::move(Base);
-      False.V = LinExpr(Rational(0));
-      False.Guards.push_back(C.negated());
-      Out.push_back(std::move(False));
-      return;
-    }
-    }
-  }
-};
 
 } // namespace
 
@@ -304,66 +103,40 @@ void ExactEngine::accumulateQuery(const NetConfig &C, const SymProb &WtIn,
     Result.UnsupportedReason = "no query";
     return;
   }
+  auto unsupported = [&](std::string Reason) {
+    Result.QueryUnsupported = true;
+    Result.UnsupportedReason = std::move(Reason);
+  };
   // A "given" clause acts as a terminal-state observation: mass violating
   // it is discarded before normalization.
   SymProb Wt = WtIn;
   if (Spec.Query->Given) {
-    QueryEvaluator GE(Spec, C);
     SymProb Kept;
-    std::vector<QueryOutcome> Split;
-    for (QueryOutcome &O : GE.eval(*Spec.Query->Given)) {
-      if (O.Failed) {
-        Result.QueryUnsupported = true;
-        Result.UnsupportedReason = O.FailReason;
-        continue;
-      }
-      QueryEvaluator::splitTruth(std::move(O), Split);
-    }
-    for (QueryOutcome &O : Split) {
-      if (O.V.constant().isZero())
-        continue;
-      Kept += applyGuards(Wt, O.Guards);
+    for (QueryOutcome &O : evalQueryTruth(Spec, *Spec.Query->Given, C)) {
+      if (O.Failed)
+        unsupported(std::move(O.FailReason));
+      else if (!O.V.isZero())
+        Kept += applyGuards(Wt, O.Guards);
     }
     Wt = std::move(Kept);
     if (Wt.isZero())
       return;
   }
   Result.OkMass += Wt;
-  QueryEvaluator QE(Spec, C);
-  std::vector<QueryOutcome> Outcomes = QE.eval(*Spec.Query->Body);
-  if (Spec.Query->Kind == QueryKind::Probability) {
-    std::vector<QueryOutcome> Split;
-    for (QueryOutcome &O : Outcomes) {
-      if (O.Failed) {
-        Result.QueryUnsupported = true;
-        Result.UnsupportedReason = O.FailReason;
-        continue;
-      }
-      QueryEvaluator::splitTruth(std::move(O), Split);
-    }
-    for (QueryOutcome &O : Split) {
-      if (O.V.constant().isZero())
-        continue;
-      SymProb W2 = applyGuards(Wt, O.Guards);
-      Result.QueryMass += W2;
-    }
-    return;
-  }
-  // Expectation query.
-  for (QueryOutcome &O : Outcomes) {
-    if (O.Failed) {
-      Result.QueryUnsupported = true;
-      Result.UnsupportedReason = O.FailReason;
+  const bool Probability = Spec.Query->Kind == QueryKind::Probability;
+  for (QueryOutcome &O : Probability
+                             ? evalQueryTruth(Spec, *Spec.Query->Body, C)
+                             : evalQuery(Spec, *Spec.Query->Body, C)) {
+    if (O.Failed)
+      unsupported(std::move(O.FailReason));
+    else if (!O.V.isConstant())
+      unsupported("expectation of a symbolic value is not supported");
+    else if (O.V.isZero())
       continue;
-    }
-    if (!O.V.isConstant()) {
-      Result.QueryUnsupported = true;
-      Result.UnsupportedReason =
-          "expectation of a symbolic value is not supported";
-      continue;
-    }
-    SymProb W2 = applyGuards(Wt, O.Guards);
-    Result.QueryMass += W2.scaled(O.V.constant());
+    else if (Probability)
+      Result.QueryMass += applyGuards(Wt, O.Guards);
+    else
+      Result.QueryMass += applyGuards(Wt, O.Guards).scaled(O.V.constant());
   }
 }
 

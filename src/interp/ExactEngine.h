@@ -84,19 +84,8 @@ struct ExactOptions {
 };
 
 /// Result of one exact inference run.
-struct ExactResult {
+struct ExactResult : ExactAnswer {
   QueryKind Kind = QueryKind::Probability;
-  /// Query numerator: mass where the predicate holds (probability queries)
-  /// or sum of value-weighted mass (expectation queries).
-  SymProb QueryMass;
-  /// Normalizer Z: all observe-surviving, non-error terminal mass.
-  SymProb OkMass;
-  /// Mass in the ⊥ state: failed asserts, runtime errors, and mass still
-  /// live when the num_steps bound is reached.
-  SymProb ErrorMass;
-  /// Set if the query touched symbolic values it cannot aggregate.
-  bool QueryUnsupported = false;
-  std::string UnsupportedReason;
 
   /// Outcome of the run: Ok, or why it stopped early (budget/cancellation).
   /// On a non-Ok status the masses and statistics are the partial state as
@@ -142,20 +131,6 @@ struct ExactResult {
 
   /// Terminal distribution (only when CollectTerminals was set).
   std::vector<std::pair<NetConfig, SymProb>> Terminals;
-
-  /// The query answer per parameter region (one unguarded case when no
-  /// parameter is symbolic). Values are QueryMass/OkMass.
-  std::vector<ProbCase> cases() const {
-    return partitionRatio(QueryMass, OkMass);
-  }
-
-  /// Concrete answer; requires a concrete (non-symbolic) run with Z > 0.
-  std::optional<Rational> concreteValue() const {
-    if (!QueryMass.isConcrete() || !OkMass.isConcrete() ||
-        OkMass.concreteValue().isZero())
-      return std::nullopt;
-    return QueryMass.concreteValue() / OkMass.concreteValue();
-  }
 
   /// Error probability relative to all retained mass.
   std::optional<Rational> errorProbability() const {

@@ -6,8 +6,7 @@
 
 #include "interp/Exec.h"
 
-#include <cassert>
-#include <span>
+#include "lang/Ops.h"
 
 using namespace bayonet;
 
@@ -27,45 +26,20 @@ struct EvalRes {
     R.FailReason = std::move(Reason);
     return R;
   }
-};
 
-/// Extends a guard list with one more constraint.
-std::vector<Constraint> withGuard(std::vector<Constraint> Gs, Constraint C) {
-  Gs.push_back(std::move(C));
-  return Gs;
-}
-
-/// A boolean split of one evaluation outcome: concrete values map to a
-/// single branch, symbolic values split on [E != 0] / [E == 0].
-struct TruthBranch {
-  bool Truth;
-  EvalRes Res;
-};
-
-std::vector<TruthBranch> truthSplit(EvalRes R) {
-  std::vector<TruthBranch> Out;
-  if (R.Failed) {
-    Out.push_back({false, std::move(R)});
-    return Out;
+  /// An outcome with the probability and guards of both operands, failed
+  /// with B's reason if B failed.
+  static EvalRes combined(const EvalRes &A, const EvalRes &B) {
+    EvalRes O;
+    O.Prob = A.Prob * B.Prob;
+    O.Guards = A.Guards;
+    for (const Constraint &G : B.Guards)
+      O.Guards.push_back(G);
+    O.Failed = B.Failed;
+    O.FailReason = B.FailReason;
+    return O;
   }
-  if (R.V.isConcrete()) {
-    bool T = !R.V.concrete().isZero();
-    Out.push_back({T, std::move(R)});
-    return Out;
-  }
-  LinExpr E = R.V.toLinExpr();
-  EvalRes TrueRes = R;
-  TrueRes.V = Value(Rational(1));
-  TrueRes.Guards = withGuard(std::move(TrueRes.Guards),
-                             Constraint(E, RelKind::NE));
-  EvalRes FalseRes = std::move(R);
-  FalseRes.V = Value(Rational(0));
-  FalseRes.Guards = withGuard(std::move(FalseRes.Guards),
-                              Constraint(E, RelKind::EQ));
-  Out.push_back({true, std::move(TrueRes)});
-  Out.push_back({false, std::move(FalseRes)});
-  return Out;
-}
+};
 
 } // namespace
 
@@ -293,21 +267,16 @@ private:
     return branchEval(
         E, std::move(W), [&Then](EvalRes R, ExecWorld B) {
           // R's probability and guards are already folded into B.
+          ops::LinResult T = ops::truth(R.V.toLinExpr());
+          if (T.K == ops::LinResult::Kind::Value)
+            return Then(!T.V.isZero(), std::move(B));
           std::vector<ExecWorld> Out;
-          if (R.V.isConcrete()) {
-            bool Truth = !R.V.concrete().isZero();
-            for (ExecWorld &Next : Then(Truth, std::move(B)))
-              Out.push_back(std::move(Next));
-            return Out;
-          }
-          LinExpr VE = R.V.toLinExpr();
           ExecWorld TrueW = B;
-          TrueW.Guards.push_back(Constraint(VE, RelKind::NE));
+          TrueW.Guards.push_back(T.C);
           for (ExecWorld &Next : Then(true, std::move(TrueW)))
             Out.push_back(std::move(Next));
-          ExecWorld FalseW = std::move(B);
-          FalseW.Guards.push_back(Constraint(VE, RelKind::EQ));
-          for (ExecWorld &Next : Then(false, std::move(FalseW)))
+          B.Guards.push_back(T.C.negated());
+          for (ExecWorld &Next : Then(false, std::move(B)))
             Out.push_back(std::move(Next));
           return Out;
         });
@@ -380,15 +349,17 @@ private:
           Out.push_back(std::move(R));
           continue;
         }
-        for (TruthBranch &T : truthSplit(std::move(R))) {
-          T.Res.V = Value(Rational(T.Truth ? 0 : 1));
-          Out.push_back(std::move(T.Res));
-        }
+        LinExpr X = R.V.toLinExpr();
+        ops::append(ops::truth(X), std::move(R), Out, /*Negate=*/true);
       }
       return Out;
     }
-    case ExprKind::Binary:
-      return evalBinary(cast<BinaryExpr>(E), W);
+    case ExprKind::Binary: {
+      const auto &B = cast<BinaryExpr>(E);
+      return ops::applyOutcomes(
+          B.Op, eval(*B.Lhs, W), [&] { return eval(*B.Rhs, W); },
+          EvalRes::combined);
+    }
     case ExprKind::Flip: {
       const auto &F = cast<FlipExpr>(E);
       std::vector<EvalRes> Out;
@@ -468,161 +439,6 @@ private:
     return {EvalRes::fail("unknown expression")};
   }
 
-  std::vector<EvalRes> evalBinary(const BinaryExpr &B, const ExecWorld &W) {
-    // Short-circuit boolean operators first.
-    if (B.Op == BinOpKind::And || B.Op == BinOpKind::Or) {
-      bool IsAnd = B.Op == BinOpKind::And;
-      std::vector<EvalRes> Out;
-      for (EvalRes &L : eval(*B.Lhs, W)) {
-        if (L.Failed) {
-          Out.push_back(std::move(L));
-          continue;
-        }
-        for (TruthBranch &T : truthSplit(std::move(L))) {
-          if (T.Truth != IsAnd) {
-            // Short circuit: And with false lhs, Or with true lhs.
-            T.Res.V = Value(Rational(T.Truth ? 1 : 0));
-            Out.push_back(std::move(T.Res));
-            continue;
-          }
-          for (EvalRes &R : eval(*B.Rhs, W)) {
-            if (R.Failed) {
-              EvalRes F = std::move(R);
-              F.Prob = T.Res.Prob * F.Prob;
-              std::vector<Constraint> Gs = T.Res.Guards;
-              for (Constraint &G : F.Guards)
-                Gs.push_back(std::move(G));
-              F.Guards = std::move(Gs);
-              Out.push_back(std::move(F));
-              continue;
-            }
-            for (TruthBranch &TR : truthSplit(std::move(R))) {
-              EvalRes Combined;
-              Combined.V = Value(Rational(TR.Truth ? 1 : 0));
-              Combined.Prob = T.Res.Prob * TR.Res.Prob;
-              Combined.Guards = T.Res.Guards;
-              for (const Constraint &G : TR.Res.Guards)
-                Combined.Guards.push_back(G);
-              Out.push_back(std::move(Combined));
-            }
-          }
-        }
-      }
-      return Out;
-    }
-
-    std::vector<EvalRes> Out;
-    for (EvalRes &L : eval(*B.Lhs, W)) {
-      if (L.Failed) {
-        Out.push_back(std::move(L));
-        continue;
-      }
-      for (EvalRes &R : eval(*B.Rhs, W)) {
-        if (R.Failed) {
-          EvalRes F = R;
-          F.Prob = L.Prob * F.Prob;
-          std::vector<Constraint> Gs = L.Guards;
-          for (Constraint &G : F.Guards)
-            Gs.push_back(std::move(G));
-          F.Guards = std::move(Gs);
-          Out.push_back(std::move(F));
-          continue;
-        }
-        EvalRes Base;
-        Base.Prob = L.Prob * R.Prob;
-        Base.Guards = L.Guards;
-        for (const Constraint &G : R.Guards)
-          Base.Guards.push_back(G);
-        applyArith(B.Op, L.V, R.V, std::move(Base), Out);
-      }
-    }
-    return Out;
-  }
-
-  /// Applies a non-boolean binary operator, splitting on symbolic
-  /// comparisons. Appends outcomes to \p Out.
-  void applyArith(BinOpKind Op, const Value &L, const Value &R, EvalRes Base,
-                  std::vector<EvalRes> &Out) {
-    LinExpr LE = L.toLinExpr(), RE = R.toLinExpr();
-    switch (Op) {
-    case BinOpKind::Add:
-      Base.V = Value(LE + RE);
-      Out.push_back(std::move(Base));
-      return;
-    case BinOpKind::Sub:
-      Base.V = Value(LE - RE);
-      Out.push_back(std::move(Base));
-      return;
-    case BinOpKind::Mul: {
-      auto P = LE.mul(RE);
-      if (!P) {
-        Out.push_back(EvalRes::fail(
-            "nonlinear arithmetic on symbolic parameters is not supported"));
-        return;
-      }
-      Base.V = Value(std::move(*P));
-      Out.push_back(std::move(Base));
-      return;
-    }
-    case BinOpKind::Div: {
-      if (RE.isConstant() && RE.constant().isZero()) {
-        Out.push_back(EvalRes::fail("division by zero"));
-        return;
-      }
-      auto Q = LE.div(RE);
-      if (!Q) {
-        Out.push_back(
-            EvalRes::fail("division by a symbolic value is not supported"));
-        return;
-      }
-      Base.V = Value(std::move(*Q));
-      Out.push_back(std::move(Base));
-      return;
-    }
-    case BinOpKind::Eq:
-    case BinOpKind::Ne:
-    case BinOpKind::Lt:
-    case BinOpKind::Le:
-    case BinOpKind::Gt:
-    case BinOpKind::Ge: {
-      LinExpr D = LE - RE;
-      Constraint C = [&] {
-        switch (Op) {
-        case BinOpKind::Eq:
-          return Constraint(D, RelKind::EQ);
-        case BinOpKind::Ne:
-          return Constraint(D, RelKind::NE);
-        case BinOpKind::Lt:
-          return Constraint(D, RelKind::LT);
-        case BinOpKind::Le:
-          return Constraint(D, RelKind::LE);
-        case BinOpKind::Gt:
-          return Constraint(-D, RelKind::LT);
-        default:
-          return Constraint(-D, RelKind::LE);
-        }
-      }();
-      if (auto Decided = C.tryDecide()) {
-        Base.V = Value(Rational(*Decided ? 1 : 0));
-        Out.push_back(std::move(Base));
-        return;
-      }
-      EvalRes True = Base;
-      True.V = Value(Rational(1));
-      True.Guards.push_back(C);
-      Out.push_back(std::move(True));
-      EvalRes False = std::move(Base);
-      False.V = Value(Rational(0));
-      False.Guards.push_back(C.negated());
-      Out.push_back(std::move(False));
-      return;
-    }
-    case BinOpKind::And:
-    case BinOpKind::Or:
-      assert(false && "handled in evalBinary");
-      return;
-    }
-  }
 };
 
 } // namespace bayonet
@@ -866,19 +682,13 @@ private:
     }
     case ExprKind::Binary: {
       const auto &B = cast<BinaryExpr>(E);
-      if (B.Op == BinOpKind::And || B.Op == BinOpKind::Or) {
+      if (ops::isLogical(B.Op)) {
         bool L;
         if (!evalTruth(*B.Lhs, L))
           return false;
-        bool IsAnd = B.Op == BinOpKind::And;
-        if (L != IsAnd) {
-          Out = Value(Rational(L ? 1 : 0));
-          return true;
-        }
-        bool R;
-        if (!evalTruth(*B.Rhs, R))
+        if (!ops::decidedByLhs(B.Op, L) && !evalTruth(*B.Rhs, L))
           return false;
-        Out = Value(Rational(R ? 1 : 0));
+        Out = Value(Rational(L ? 1 : 0));
         return true;
       }
       Value L, R;
@@ -886,43 +696,11 @@ private:
         return false;
       if (!L.isConcrete() || !R.isConcrete())
         return false;
-      const Rational &A = L.concrete(), &C = R.concrete();
-      switch (B.Op) {
-      case BinOpKind::Add:
-        Out = Value(A + C);
-        return true;
-      case BinOpKind::Sub:
-        Out = Value(A - C);
-        return true;
-      case BinOpKind::Mul:
-        Out = Value(A * C);
-        return true;
-      case BinOpKind::Div:
-        if (C.isZero())
-          return false;
-        Out = Value(A / C);
-        return true;
-      case BinOpKind::Eq:
-        Out = Value(Rational(A == C ? 1 : 0));
-        return true;
-      case BinOpKind::Ne:
-        Out = Value(Rational(A != C ? 1 : 0));
-        return true;
-      case BinOpKind::Lt:
-        Out = Value(Rational(A < C ? 1 : 0));
-        return true;
-      case BinOpKind::Le:
-        Out = Value(Rational(A <= C ? 1 : 0));
-        return true;
-      case BinOpKind::Gt:
-        Out = Value(Rational(A > C ? 1 : 0));
-        return true;
-      case BinOpKind::Ge:
-        Out = Value(Rational(A >= C ? 1 : 0));
-        return true;
-      default:
+      auto X = ops::applyRational(B.Op, L.concrete(), R.concrete());
+      if (!X)
         return false;
-      }
+      Out = Value(std::move(*X));
+      return true;
     }
     case ExprKind::Flip: {
       Value P;

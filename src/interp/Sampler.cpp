@@ -380,21 +380,29 @@ SampleResult Sampler::run() const {
       continue;
     }
     // The "given" clause is a terminal-state observation: particles that
-    // violate it are discarded like failed observes.
+    // violate it are discarded like failed observes. A sampled state is
+    // concrete, so the query evaluator's answer is one unguarded constant;
+    // anything else (a failure, or a split on an unbound parameter) makes
+    // the query unsupported.
+    std::string Reason;
     if (Spec.Query->Given) {
-      auto G = evalQueryConcrete(Spec, *Spec.Query->Given, Pop.Configs[PI]);
+      auto G = evalQueryConstant(Spec, *Spec.Query->Given, Pop.Configs[PI],
+                                 Reason);
       if (!G) {
         Result.QueryUnsupported = true;
-        Result.UnsupportedReason = "given clause not evaluable";
+        Result.UnsupportedReason =
+            Reason.empty() ? "given clause not evaluable" : Reason;
         continue;
       }
       if (G->isZero())
         continue;
     }
-    auto V = evalQueryConcrete(Spec, *Spec.Query->Body, Pop.Configs[PI]);
+    auto V =
+        evalQueryConstant(Spec, *Spec.Query->Body, Pop.Configs[PI], Reason);
     if (!V) {
       Result.QueryUnsupported = true;
-      Result.UnsupportedReason = "query not evaluable on a sampled state";
+      Result.UnsupportedReason =
+          Reason.empty() ? "query not evaluable on a sampled state" : Reason;
       continue;
     }
     double Sample = Result.Kind == QueryKind::Probability

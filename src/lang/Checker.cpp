@@ -6,6 +6,8 @@
 
 #include "lang/Checker.h"
 
+#include "lang/Ops.h"
+
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -506,22 +508,9 @@ std::optional<Rational> CheckerImpl::foldConst(const Expr &E) {
     const auto &B = static_cast<const BinaryExpr &>(E);
     auto L = foldConst(*B.Lhs);
     auto R = foldConst(*B.Rhs);
-    if (!L || !R)
+    if (!L || !R || !ops::isArithmetic(B.Op))
       return std::nullopt;
-    switch (B.Op) {
-    case BinOpKind::Add:
-      return *L + *R;
-    case BinOpKind::Sub:
-      return *L - *R;
-    case BinOpKind::Mul:
-      return *L * *R;
-    case BinOpKind::Div:
-      if (R->isZero())
-        return std::nullopt;
-      return *L / *R;
-    default:
-      return std::nullopt;
-    }
+    return ops::applyRational(B.Op, *L, *R);
   }
   default:
     return std::nullopt;

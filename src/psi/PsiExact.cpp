@@ -6,6 +6,7 @@
 
 #include "psi/PsiExact.h"
 
+#include "lang/Ops.h"
 #include "net/Scheduler.h"
 #include "obs/Boundary.h"
 #include "psi/PsiLiveness.h"
@@ -462,9 +463,18 @@ struct Outcome {
   /// that outcome count.
   static Outcome failCombined(std::string Reason, const Outcome &A,
                               const Outcome &B) {
-    Outcome O;
+    Outcome O = combined(A, B);
     O.Failed = true;
     O.FailReason = std::move(Reason);
+    return O;
+  }
+
+  /// An outcome with the probability and guards of both operands, failed
+  /// with B's reason if B failed.
+  static Outcome combined(const Outcome &A, const Outcome &B) {
+    Outcome O;
+    O.Failed = B.Failed;
+    O.FailReason = B.FailReason;
     O.Prob = A.Prob * B.Prob;
     O.Guards = A.Guards;
     for (const Constraint &G : B.Guards)
@@ -1681,16 +1691,16 @@ private:
         Err += std::move(NB.W); // Failed, or a tuple used as a condition.
         continue;
       }
-      if (O.V.isRational()) {
-        Emit(std::move(NB), !O.V.rational().isZero());
+      ops::LinResult T = ops::truth(O.V.toLinExpr());
+      if (T.K == ops::LinResult::Kind::Value) {
+        Emit(std::move(NB), !T.V.isZero());
         continue;
       }
-      LinExpr E = O.V.toLinExpr();
       Branch TrueB = NB;
-      TrueB.W = TrueB.W.restricted(Constraint(E, RelKind::NE));
+      TrueB.W = TrueB.W.restricted(T.C);
       if (!TrueB.W.isZero())
         Emit(std::move(TrueB), true);
-      NB.W = NB.W.restricted(Constraint(E, RelKind::EQ));
+      NB.W = NB.W.restricted(T.C.negated());
       if (!NB.W.isZero())
         Emit(std::move(NB), false);
     }
@@ -1727,20 +1737,8 @@ private:
           Out.push_back(std::move(O));
           continue;
         }
-        // Logical not with symbolic split.
-        if (O.V.isRational()) {
-          O.V = PsiValue(Rational(O.V.rational().isZero() ? 1 : 0));
-          Out.push_back(std::move(O));
-          continue;
-        }
-        LinExpr L = O.V.toLinExpr();
-        Outcome True = O;
-        True.V = PsiValue(Rational(0));
-        True.Guards.push_back(Constraint(L, RelKind::NE));
-        Out.push_back(std::move(True));
-        O.V = PsiValue(Rational(1));
-        O.Guards.push_back(Constraint(L, RelKind::EQ));
-        Out.push_back(std::move(O));
+        LinExpr X = O.V.toLinExpr();
+        ops::append(ops::truth(X), std::move(O), Out, /*Negate=*/true);
       }
       return Out;
     }
@@ -1920,162 +1918,19 @@ private:
   }
 
   std::vector<Outcome> evalBin(const PExpr &E, const Env &Vars) {
-    BinOpKind Op = E.BinOp;
-    // Short-circuit boolean operators.
-    if (Op == BinOpKind::And || Op == BinOpKind::Or) {
-      bool IsAnd = Op == BinOpKind::And;
-      std::vector<Outcome> Out;
-      for (Outcome &L : eval(*E.Ops[0], Vars)) {
-        if (L.Failed) {
-          Out.push_back(std::move(L));
-          continue;
+    // Operators take scalars: a tuple operand fails.
+    auto operand = [&](const PExpr &X) {
+      std::vector<Outcome> Outs = eval(X, Vars);
+      for (Outcome &O : Outs)
+        if (!O.Failed && !O.V.isScalar()) {
+          O.Failed = true;
+          O.FailReason = "scalar operator on a tuple";
         }
-        for (Outcome &LT : boolSplit(std::move(L))) {
-          bool Truth = !LT.V.rational().isZero();
-          if (Truth != IsAnd) {
-            Out.push_back(std::move(LT));
-            continue;
-          }
-          for (Outcome &R : eval(*E.Ops[1], Vars)) {
-            if (R.Failed) {
-              Outcome F = std::move(R);
-              F.Prob = LT.Prob * F.Prob;
-              Out.push_back(std::move(F));
-              continue;
-            }
-            for (Outcome &RT : boolSplit(std::move(R))) {
-              Outcome O;
-              O.V = RT.V;
-              O.Prob = LT.Prob * RT.Prob;
-              O.Guards = LT.Guards;
-              for (const Constraint &G : RT.Guards)
-                O.Guards.push_back(G);
-              Out.push_back(std::move(O));
-            }
-          }
-        }
-      }
-      return Out;
-    }
-
-    std::vector<Outcome> Out;
-    for (Outcome &L : eval(*E.Ops[0], Vars)) {
-      if (L.Failed) {
-        Out.push_back(std::move(L));
-        continue;
-      }
-      for (Outcome &R : eval(*E.Ops[1], Vars)) {
-        Outcome Base;
-        Base.Prob = L.Prob * R.Prob;
-        Base.Guards = L.Guards;
-        for (const Constraint &G : R.Guards)
-          Base.Guards.push_back(G);
-        if (R.Failed) {
-          Base.Failed = true;
-          Base.FailReason = R.FailReason;
-          Out.push_back(std::move(Base));
-          continue;
-        }
-        if (!L.V.isScalar() || !R.V.isScalar()) {
-          Base.Failed = true;
-          Base.FailReason = "arithmetic on tuples";
-          Out.push_back(std::move(Base));
-          continue;
-        }
-        applyScalar(Op, L.V.toLinExpr(), R.V.toLinExpr(), std::move(Base),
-                    Out);
-      }
-    }
-    return Out;
-  }
-
-  /// Truth-normalizes an outcome to 0/1 (splitting symbolic scalars).
-  std::vector<Outcome> boolSplit(Outcome O) {
-    std::vector<Outcome> Out;
-    if (!O.V.isScalar()) {
-      Out.push_back(Outcome::fail("tuple used as a boolean"));
-      return Out;
-    }
-    if (O.V.isRational()) {
-      O.V = PsiValue(Rational(O.V.rational().isZero() ? 0 : 1));
-      Out.push_back(std::move(O));
-      return Out;
-    }
-    LinExpr L = O.V.toLinExpr();
-    Outcome True = O;
-    True.V = PsiValue(Rational(1));
-    True.Guards.push_back(Constraint(L, RelKind::NE));
-    Out.push_back(std::move(True));
-    O.V = PsiValue(Rational(0));
-    O.Guards.push_back(Constraint(L, RelKind::EQ));
-    Out.push_back(std::move(O));
-    return Out;
-  }
-
-  void applyScalar(BinOpKind Op, const LinExpr &L, const LinExpr &R,
-                   Outcome Base, std::vector<Outcome> &Out) {
-    switch (Op) {
-    case BinOpKind::Add:
-      Base.V = PsiValue(L + R);
-      Out.push_back(std::move(Base));
-      return;
-    case BinOpKind::Sub:
-      Base.V = PsiValue(L - R);
-      Out.push_back(std::move(Base));
-      return;
-    case BinOpKind::Mul: {
-      auto M = L.mul(R);
-      if (!M) {
-        Base.Failed = true;
-        Base.FailReason = "nonlinear symbolic arithmetic";
-      } else
-        Base.V = PsiValue(std::move(*M));
-      Out.push_back(std::move(Base));
-      return;
-    }
-    case BinOpKind::Div: {
-      auto Q = L.div(R);
-      if (!Q) {
-        Base.Failed = true;
-        Base.FailReason = "division by zero or by a symbolic value";
-      } else
-        Base.V = PsiValue(std::move(*Q));
-      Out.push_back(std::move(Base));
-      return;
-    }
-    default: {
-      LinExpr D = L - R;
-      Constraint C = [&] {
-        switch (Op) {
-        case BinOpKind::Eq:
-          return Constraint(D, RelKind::EQ);
-        case BinOpKind::Ne:
-          return Constraint(D, RelKind::NE);
-        case BinOpKind::Lt:
-          return Constraint(D, RelKind::LT);
-        case BinOpKind::Le:
-          return Constraint(D, RelKind::LE);
-        case BinOpKind::Gt:
-          return Constraint(-D, RelKind::LT);
-        default:
-          return Constraint(-D, RelKind::LE);
-        }
-      }();
-      if (auto Decided = C.tryDecide()) {
-        Base.V = PsiValue(Rational(*Decided ? 1 : 0));
-        Out.push_back(std::move(Base));
-        return;
-      }
-      Outcome True = Base;
-      True.V = PsiValue(Rational(1));
-      True.Guards.push_back(C);
-      Out.push_back(std::move(True));
-      Base.V = PsiValue(Rational(0));
-      Base.Guards.push_back(C.negated());
-      Out.push_back(std::move(Base));
-      return;
-    }
-    }
+      return Outs;
+    };
+    return ops::applyOutcomes(
+        E.BinOp, operand(*E.Ops[0]), [&] { return operand(*E.Ops[1]); },
+        Outcome::combined);
   }
 
   //===--------------------------------------------------------------------===//
@@ -2181,52 +2036,22 @@ private:
     default: // Flip, UniformInt, Tuple.
       return false;
     }
+    // Rational quotients are concreteScalar's; the right operand of
+    // `and` / `or` is evaluated only where the left one does not decide.
     int64_t L, R;
-    if (!concreteInt(*E.Ops[0], Vars, L))
+    if (E.BinOp == BinOpKind::Div || !concreteInt(*E.Ops[0], Vars, L))
       return false;
-    switch (E.BinOp) {
-    case BinOpKind::And:
-    case BinOpKind::Or:
-      // As concreteBin: the right operand decides only when the left
-      // one does not.
-      if ((L != 0) == (E.BinOp == BinOpKind::And) &&
-          !concreteInt(*E.Ops[1], Vars, L))
-        return false;
+    if (ops::isLogical(E.BinOp) && ops::decidedByLhs(E.BinOp, L != 0)) {
       Out = L != 0;
       return true;
-    case BinOpKind::Div:
-      return false; // Rational results are concreteScalar's.
-    default:
-      break;
     }
     if (!concreteInt(*E.Ops[1], Vars, R))
       return false;
-    switch (E.BinOp) {
-    case BinOpKind::Add:
-      return !__builtin_add_overflow(L, R, &Out);
-    case BinOpKind::Sub:
-      return !__builtin_sub_overflow(L, R, &Out);
-    case BinOpKind::Mul:
-      return !__builtin_mul_overflow(L, R, &Out);
-    case BinOpKind::Eq:
-      Out = L == R;
-      return true;
-    case BinOpKind::Ne:
-      Out = L != R;
-      return true;
-    case BinOpKind::Lt:
-      Out = L < R;
-      return true;
-    case BinOpKind::Le:
-      Out = L <= R;
-      return true;
-    case BinOpKind::Gt:
-      Out = L > R;
-      return true;
-    default:
-      Out = L >= R;
-      return true;
-    }
+    auto X = ops::applyInt(E.BinOp, L, R);
+    if (!X)
+      return false;
+    Out = *X;
+    return true;
   }
 
   /// A Var / TupleGet / Index path resolved to the value it names inside
@@ -2313,61 +2138,19 @@ private:
     if (!concreteScalar(*E.Ops[0], Vars, L))
       return false;
     const BinOpKind Op = E.BinOp;
-    if (Op == BinOpKind::And || Op == BinOpKind::Or) {
-      // As in evalBin: the right operand is evaluated only when the left
-      // one does not decide the result.
-      if (!L.isZero() == (Op == BinOpKind::And) &&
-          !concreteScalar(*E.Ops[1], Vars, L))
-        return false;
+    // As in evalBin: the right operand of `and` / `or` is evaluated only
+    // where the left one does not decide the result.
+    if (ops::isLogical(Op) && ops::decidedByLhs(Op, !L.isZero())) {
       Out = Rational(L.isZero() ? 0 : 1);
       return true;
     }
     Rational R;
     if (!concreteScalar(*E.Ops[1], Vars, R))
       return false;
-    switch (Op) {
-    case BinOpKind::Add:
-      Out = L + R;
-      return true;
-    case BinOpKind::Sub:
-      Out = L - R;
-      return true;
-    case BinOpKind::Mul:
-      Out = L * R;
-      return true;
-    case BinOpKind::Div:
-      if (R.isZero())
-        return false;
-      Out = L / R;
-      return true;
-    default:
-      break;
-    }
-    // The comparisons decide Constraint(L - R, rel) as applyScalar does,
-    // Gt/Ge (and its default) through the negated difference.
-    const int Cmp = Rational::compare(L, R);
-    bool Truth;
-    switch (Op) {
-    case BinOpKind::Eq:
-      Truth = Cmp == 0;
-      break;
-    case BinOpKind::Ne:
-      Truth = Cmp != 0;
-      break;
-    case BinOpKind::Lt:
-      Truth = Cmp < 0;
-      break;
-    case BinOpKind::Le:
-      Truth = Cmp <= 0;
-      break;
-    case BinOpKind::Gt:
-      Truth = Cmp > 0;
-      break;
-    default:
-      Truth = Cmp >= 0;
-      break;
-    }
-    Out = Rational(Truth ? 1 : 0);
+    auto X = ops::applyRational(Op, L, R);
+    if (!X)
+      return false;
+    Out = std::move(*X);
     return true;
   }
 
@@ -2407,13 +2190,11 @@ private:
         continue;
       }
       if (P.Kind == QueryKind::Probability) {
-        if (O.V.isRational()) {
-          if (!O.V.rational().isZero())
-            Res.QueryMass += W;
-          continue;
-        }
-        Res.QueryMass +=
-            W.restricted(Constraint(O.V.toLinExpr(), RelKind::NE));
+        ops::LinResult T = ops::truth(O.V.toLinExpr());
+        if (T.K == ops::LinResult::Kind::Split)
+          Res.QueryMass += W.restricted(T.C);
+        else if (!T.V.isZero())
+          Res.QueryMass += W;
         continue;
       }
       // Expectation.

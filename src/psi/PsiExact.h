@@ -41,13 +41,8 @@ namespace bayonet {
 class Checkpointer;
 
 /// Result of one exact PSI run. Field meanings match interp::ExactResult.
-struct PsiExactResult {
+struct PsiExactResult : ExactAnswer {
   QueryKind Kind = QueryKind::Probability;
-  SymProb QueryMass;
-  SymProb OkMass;
-  SymProb ErrorMass;
-  bool QueryUnsupported = false;
-  std::string UnsupportedReason;
 
   /// Outcome of the run: Ok, or why it stopped early (budget/cancellation).
   /// On a non-Ok status the statistics are the partial state as of the last
@@ -79,16 +74,6 @@ struct PsiExactResult {
   uint64_t TxMisses = 0;
   uint64_t TxEvictions = 0;
   uint64_t TxBytes = 0;
-
-  std::vector<ProbCase> cases() const {
-    return partitionRatio(QueryMass, OkMass);
-  }
-  std::optional<Rational> concreteValue() const {
-    if (!QueryMass.isConcrete() || !OkMass.isConcrete() ||
-        OkMass.concreteValue().isZero())
-      return std::nullopt;
-    return QueryMass.concreteValue() / OkMass.concreteValue();
-  }
 };
 
 /// Options for the exact PSI engine.

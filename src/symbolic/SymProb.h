@@ -20,6 +20,7 @@
 
 #include "symbolic/Constraint.h"
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -100,6 +101,37 @@ struct ProbCase {
 /// Regions are simplified and deduplicated by value where adjacent.
 std::vector<ProbCase> partitionRatio(const SymProb &Numerator,
                                      const SymProb &Denominator);
+
+/// The masses an exact engine ends a run with, and the answer they give.
+/// Both exact pipelines' results extend it.
+struct ExactAnswer {
+  /// Query numerator: mass where the predicate holds (probability queries)
+  /// or sum of value-weighted mass (expectation queries).
+  SymProb QueryMass;
+  /// Normalizer Z: all observe-surviving, non-error terminal mass.
+  SymProb OkMass;
+  /// Mass in the ⊥ state: failed asserts, runtime errors, and mass still
+  /// live when the num_steps bound is reached.
+  SymProb ErrorMass;
+  /// Set if the query failed somewhere (a division by zero, nonlinear
+  /// arithmetic) or touched symbolic values it cannot aggregate.
+  bool QueryUnsupported = false;
+  std::string UnsupportedReason;
+
+  /// The query answer per parameter region (one unguarded case when no
+  /// parameter is symbolic). Values are QueryMass/OkMass.
+  std::vector<ProbCase> cases() const {
+    return partitionRatio(QueryMass, OkMass);
+  }
+
+  /// Concrete answer; requires a concrete (non-symbolic) run with Z > 0.
+  std::optional<Rational> concreteValue() const {
+    if (!QueryMass.isConcrete() || !OkMass.isConcrete() ||
+        OkMass.concreteValue().isZero())
+      return std::nullopt;
+    return QueryMass.concreteValue() / OkMass.concreteValue();
+  }
+};
 
 } // namespace bayonet
 

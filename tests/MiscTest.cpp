@@ -6,7 +6,9 @@
 
 #include "api/Bayonet.h"
 #include "lang/AstPrinter.h"
+#include "psi/PsiExact.h"
 #include "query/QueryEval.h"
+#include "translate/Translator.h"
 #include "TestNetworks.h"
 
 #include <gtest/gtest.h>
@@ -56,16 +58,20 @@ TEST(QueryEvalTest, ConcreteEvaluation) {
   C.Nodes.resize(2);
   C.Nodes.mut(0).State.push_back(Value(Rational(1)));
   ASSERT_NE(Net->Spec.Query, nullptr);
-  auto V = evalQueryConcrete(Net->Spec, *Net->Spec.Query->Body, C);
+  const Expr &Body = *Net->Spec.Query->Body;
+  std::string Reason;
+  auto V = evalQueryConstant(Net->Spec, Body, C, Reason);
   ASSERT_TRUE(V.has_value());
   EXPECT_EQ(*V, Rational(1)); // x == 1 holds.
   C.Nodes.mut(0).State[0] = Value(Rational(0));
-  V = evalQueryConcrete(Net->Spec, *Net->Spec.Query->Body, C);
+  V = evalQueryConstant(Net->Spec, Body, C, Reason);
   EXPECT_EQ(*V, Rational(0));
-  // Symbolic state is not concretely evaluable.
+  // Symbolic state splits into two guarded outcomes, so it has no single
+  // constant value; no outcome failed, so there is no reason either.
   C.Nodes.mut(0).State[0] = Value(LinExpr::param(0));
-  EXPECT_FALSE(
-      evalQueryConcrete(Net->Spec, *Net->Spec.Query->Body, C).has_value());
+  EXPECT_EQ(evalQuery(Net->Spec, Body, C).size(), 2u);
+  EXPECT_FALSE(evalQueryConstant(Net->Spec, Body, C, Reason).has_value());
+  EXPECT_TRUE(Reason.empty());
 }
 
 TEST(DescribeConfigTest, ShowsNonzeroStateAndQueues) {
@@ -117,6 +123,36 @@ TEST(FormatAnswerTest, ConcreteSymbolicAndEmpty) {
   Bad.QueryUnsupported = true;
   Bad.UnsupportedReason = "reasons";
   EXPECT_EQ(formatExactAnswer(Bad, ParamTable()), "unsupported: reasons");
+}
+
+/// The translated pipeline's answer on corpus program \p Name under
+/// \p Query, as the CLI prints it.
+std::string translatedAnswer(const std::string &Name,
+                             const std::string &Query) {
+  DiagEngine Diags;
+  auto Net = loadNetwork(testnets::corpusWithQuery(Name, Query), Diags);
+  EXPECT_TRUE(Net.has_value()) << Diags.toString();
+  if (!Net)
+    return {};
+  auto Psi = translateToPsi(Net->Spec, Diags);
+  EXPECT_TRUE(Psi.has_value()) << Diags.toString();
+  if (!Psi)
+    return {};
+  return formatExactAnswer(PsiExact(*Psi).run(), Net->Spec.Params);
+}
+
+TEST(FormatAnswerTest, TranslatedUnsupportedQueries) {
+  // Part of the mass fails the query: printing the rest as the answer
+  // (1999/2000 here, three 0 regions below) would be wrong.
+  EXPECT_EQ(translatedAnswer("reliability6", "probability(1/arrived@H1 == 1)"),
+            "unsupported: division by zero");
+  EXPECT_EQ(translatedAnswer("figure2_symbolic",
+                             "probability(COST_01 * COST_02 < 3)"),
+            "unsupported: nonlinear arithmetic on symbolic parameters is not "
+            "supported");
+  // A supported translated query prints like the direct engine's.
+  EXPECT_EQ(translatedAnswer("reliability6", "probability(arrived@H1 == 1)"),
+            "1999/2000 (~0.999500)");
 }
 
 TEST(SourceLocTest, Validity) {

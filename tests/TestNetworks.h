@@ -13,7 +13,22 @@
 #ifndef BAYONET_TESTS_TESTNETWORKS_H
 #define BAYONET_TESTS_TESTNETWORKS_H
 
+#include <fstream>
+#include <string>
+
 namespace bayonet::testnets {
+
+/// The source of corpus program \p Name (examples/programs/<Name>.bay)
+/// with its query replaced by `query <Query>;`.
+inline std::string corpusWithQuery(const std::string &Name,
+                                   const std::string &Query) {
+  std::ifstream In(std::string(BAYONET_EXAMPLES_DIR) + "/" + Name + ".bay");
+  std::string Src, Line;
+  while (std::getline(In, Line))
+    Src += (Line.rfind("query ", 0) == 0 ? "query " + Query + ";" : Line) +
+           "\n";
+  return Src;
+}
 
 /// The paper's Figure 2 network: OSPF/ECMP routing between H0 and H1 with
 /// three switches; H0 sends three packets; queue capacity 2. The query is
