@@ -354,6 +354,30 @@ num_steps 60;
 query probability(pkt_cnt@H1 < 3);
 )";
 
+/// Two hosts race a packet to a common sink under the scheduler declared by
+/// \p SchedDecl. A: port 1 -> C's port 1; B: port 1 -> C's port 2. C
+/// remembers the port of the first packet it sees.
+inline std::string raceNetwork(const std::string &SchedDecl) {
+  return R"(
+topology {
+  nodes { A, B, C }
+  links { (A,pt1) <-> (C,pt1), (B,pt1) <-> (C,pt2) }
+}
+packet_fields { dst }
+programs { A -> send, B -> send, C -> sink }
+def send(pkt, pt) { fwd(1); }
+def sink(pkt, pt) state first(0) {
+  if first == 0 { first = pt; }
+  drop;
+}
+init { A, B }
+)" + SchedDecl + R"(
+queue_capacity 2;
+num_steps 20;
+query probability(first@C == 1);
+)";
+}
+
 } // namespace bayonet::testnets
 
 #endif // BAYONET_TESTS_TESTNETWORKS_H
