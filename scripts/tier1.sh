@@ -8,9 +8,9 @@
 # engine's weight arithmetic, small and 128-bit tiers (alloc_check from an
 # armed BAYONET_COUNT_ALLOCS build), a benchmark-regression check against
 # the committed BENCH.json baseline, an assert-enabled Debug build under
-# ASan+UBSan running the PSI, translator and cross-pipeline tests, and a
-# thread-sanitized run of the parallel-determinism, budget, observability,
-# snapshot, and signal tests. The TSan step runs with BAYONET_THREADS=4 so
+# ASan+UBSan running the PSI, translator, cross-pipeline and sampler
+# tests, and a thread-sanitized run of the parallel-determinism, budget,
+# observability, snapshot, signal and sampler tests. The TSan step runs with BAYONET_THREADS=4 so
 # real worker threads race through the sharded engine paths even on a
 # single-core machine.
 #
@@ -147,13 +147,18 @@ echo "=== tier-1: assert-enabled ASan+UBSan leg (translated pipeline, staged tab
 # OpsTable.* runs lang/Ops.h's int64 operators on the int64 extremes and
 # overflowing pairs, whose overflow checks UBSan watches; QuerySemantics.*
 # runs the one query evaluator through all three engines.
+# SamplerTest.*/WeightedSchedTest.* run the sampler, whose Debug build
+# asserts after every particle-step that the incremental enabled-slot
+# mask equals a recompute from the configuration, while UBSan watches its
+# bit-word shifts; SamplerTest.Pinned* covers every corpus program and
+# every scheduler kind.
 # CrossEngineCorpus includes loadbalancing: about 35 s of this leg.
 AsanStart=$SECONDS
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
   -DBAYONET_SANITIZE=address,undefined
 cmake --build build-asan -j --target bayonet_tests
 ./build-asan/tests/bayonet_tests \
-  --gtest_filter='PsiIr*:*CrossEngine*:Translator*:*FuzzDiff*DirectVersusTranslated*:*FuzzDiff*PsiArmCache*:*PsiArmCacheMatrix*:Intern*:TxCache*:*TxCacheMatrix*:Snapshot.*:BigIntTest*:RationalTest*:SymProbTest*:LinExprTest*:ConstraintTest*:Obs.*:ObsGolden.*:OpsTable.*:QuerySemantics.*'
+  --gtest_filter='PsiIr*:*CrossEngine*:Translator*:*FuzzDiff*DirectVersusTranslated*:*FuzzDiff*PsiArmCache*:*PsiArmCacheMatrix*:Intern*:TxCache*:*TxCacheMatrix*:Snapshot.*:BigIntTest*:RationalTest*:SymProbTest*:LinExprTest*:ConstraintTest*:Obs.*:ObsGolden.*:OpsTable.*:QuerySemantics.*:SamplerTest.*:WeightedSchedTest.*'
 echo "asan leg: $((SECONDS - AsanStart)) s"
 
 if [ "$NO_TSAN" = 1 ]; then
@@ -162,9 +167,11 @@ if [ "$NO_TSAN" = 1 ]; then
 fi
 
 echo "=== tier-1: thread-sanitized parallel determinism + budgets ==="
+# SamplerTest.* steps particles on real lanes, whose second pass reads
+# ahead (prefetch) only inside its own lane's chunk of the population.
 cmake -B build-tsan -S . -DBAYONET_SANITIZE=thread
 cmake --build build-tsan -j --target bayonet_tests
 BAYONET_THREADS=4 ./build-tsan/tests/bayonet_tests \
-  --gtest_filter='ParallelDeterminism.*:Budget.*:Obs.*:Snapshot.*:Signal.*:Profile.*:Intern.*'
+  --gtest_filter='ParallelDeterminism.*:Budget.*:Obs.*:Snapshot.*:Signal.*:Profile.*:Intern.*:SamplerTest.*'
 
 echo "=== tier-1: all checks passed ==="

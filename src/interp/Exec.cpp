@@ -286,7 +286,7 @@ private:
     if (!Port.V.isConcrete() || !Port.V.concrete().isInteger())
       return failWorld(std::move(W), "fwd port is not a concrete integer");
     const BigInt &P = Port.V.concrete().num();
-    if (!P.isSmall() || P.getSmall() < 0 || P.getSmall() > 65535)
+    if (!P.isSmall() || P.getSmall() < 0 || P.getSmall() > Topology::MaxPort)
       return failWorld(std::move(W), "fwd port out of range");
     QueueEntry E = W.Node.QIn.takeFront();
     E.Port = static_cast<int>(P.getSmall());
@@ -555,7 +555,7 @@ private:
           !Port.concrete().num().isSmall())
         return SampleStatus::Error;
       int64_t P = Port.concrete().num().getSmall();
-      if (P < 0 || P > 65535)
+      if (P < 0 || P > Topology::MaxPort)
         return SampleStatus::Error;
       QueueEntry E = Node.QIn.takeFront();
       E.Port = static_cast<int>(P);

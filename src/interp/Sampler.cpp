@@ -10,6 +10,8 @@
 #include "support/Snapshot.h"
 #include "support/ThreadPool.h"
 
+#include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -20,6 +22,34 @@ namespace {
 
 /// SMC resamples when the live fraction of particles drops below this.
 constexpr double ResampleThreshold = 0.5;
+
+/// How far ahead of the executing particle the second pass of a step
+/// prefetches the picked node. Executing a slot walks a chain of dependent
+/// loads, so the prefetch is staged: the particle's Blocks[] slot this many
+/// particles ahead, the NodeBlock it points to half as many ahead, and the
+/// queue (and state) arrays inside the block a quarter as many ahead; each
+/// stage reads only lines the one before it fetched.
+constexpr size_t PrefetchAhead = 12;
+
+/// Sets or clears bit \p Slot of the enabled-slot mask \p Mask.
+void setSlot(uint64_t *Mask, int64_t Slot, bool On) {
+  const uint64_t Bit = uint64_t(1) << (Slot & 63);
+  uint64_t &W = Mask[Slot >> 6];
+  W = On ? W | Bit : W & ~Bit;
+}
+
+/// Refreshes node \p Node's Run and Fwd bits from its queues.
+void maskNode(uint64_t *Mask, unsigned Node, const NodeConfig &NC) {
+  setSlot(Mask, 2 * static_cast<int64_t>(Node), !NC.QIn.empty());
+  setSlot(Mask, 2 * static_cast<int64_t>(Node) + 1, !NC.QOut.empty());
+}
+
+/// Recomputes the whole enabled-slot mask of \p C.
+void buildMask(const NetConfig &C, uint64_t *Mask, size_t Words) {
+  std::fill(Mask, Mask + Words, 0);
+  for (unsigned N = 0; N < C.Nodes.size(); ++N)
+    maskNode(Mask, N, C.Nodes[N]);
+}
 
 } // namespace
 
@@ -61,54 +91,43 @@ void Sampler::initParticle(Population &Pop, size_t I,
   }
 }
 
-void Sampler::step(Population &Pop, size_t Idx, const Scheduler &Sched,
-                   std::vector<SchedChoice> &Choices, Profiler *PF,
-                   const std::vector<Profiler::DefFrames> *ProfDefs,
-                   unsigned Lane) const {
+void Sampler::execute(Population &Pop, size_t Idx, int64_t Slot,
+                      int64_t Next, Profiler *PF,
+                      const std::vector<Profiler::DefFrames> *ProfDefs,
+                      unsigned Lane) const {
   NetConfig &Config = Pop.Configs[Idx];
-  Xoshiro &Rng = Pop.Rngs[Idx];
-  Sched.choicesInto(Config, Choices);
-  if (Choices.empty()) {
-    Pop.Terminal[Idx] = 1;
-    return;
-  }
-  // Sample a choice according to the scheduler distribution.
-  size_t Pick = 0;
-  if (Choices.size() > 1) {
-    double U = Rng.nextDouble();
-    double Acc = 0;
-    for (size_t I = 0; I < Choices.size(); ++I) {
-      Acc += Choices[I].Prob.toDouble();
-      if (U < Acc || I + 1 == Choices.size()) {
-        Pick = I;
-        break;
-      }
-    }
-  }
-  const SchedChoice &Choice = Choices[Pick];
-  Config.SchedState = Choice.NextSchedState;
-  if (Choice.Act.K == Action::Kind::Fwd) {
-    NodeConfig &Src = Config.Nodes.mut(Choice.Act.Node);
+  uint64_t *Mask = Pop.mask(Idx);
+  const Action Act = slotAction(Slot);
+  Config.SchedState = Next;
+  if (Act.K == Action::Kind::Fwd) {
+    // A Fwd changes only the source's output queue and the peer's input
+    // queue, so only those two bits can flip.
+    NodeConfig &Src = Config.Nodes.mut(Act.Node);
     QueueEntry E = Src.QOut.takeFront();
-    if (auto Peer = Spec.Topo.peer(Choice.Act.Node, E.Port)) {
+    setSlot(Mask, Slot, !Src.QOut.empty());
+    if (auto Peer = Spec.Topo.peer(Act.Node, E.Port)) {
       E.Port = Peer->Port;
-      Config.Nodes.mut(Peer->Node).QIn.pushBack(std::move(E));
+      NodeConfig &Dst = Config.Nodes.mut(Peer->Node);
+      Dst.QIn.pushBack(std::move(E));
+      setSlot(Mask, 2 * static_cast<int64_t>(Peer->Node), !Dst.QIn.empty());
     }
     return;
   }
-  const DefDecl *Def = Spec.NodePrograms[Choice.Act.Node];
+  const DefDecl *Def = Spec.NodePrograms[Act.Node];
   StmtProfSink Sink;
   const StmtProfSink *SinkP = nullptr;
   if (PF) {
     // Point the executor at this lane's shard, offset to the def's
     // statement range (Stmt::ProfIndex is def-local).
-    const Profiler::DefFrames &DF = (*ProfDefs)[Choice.Act.Node];
+    const Profiler::DefFrames &DF = (*ProfDefs)[Act.Node];
     Sink.Execs = PF->laneExecs(Lane) + DF.First;
     Sink.Samples = PF->laneSamples(Lane) + DF.First;
     SinkP = &Sink;
   }
-  SampleStatus St =
-      Exec.runSampled(*Def, Config.Nodes.mut(Choice.Act.Node), Rng, SinkP);
+  // A node program touches only its own node's queues.
+  NodeConfig &Node = Config.Nodes.mut(Act.Node);
+  SampleStatus St = Exec.runSampled(*Def, Node, Pop.Rngs[Idx], SinkP);
+  maskNode(Mask, Act.Node, Node);
   if (St == SampleStatus::Error)
     Pop.Error[Idx] = 1;
   else if (St == SampleStatus::ObserveFailed)
@@ -123,6 +142,7 @@ SampleResult Sampler::run() const {
   Result.Particles = Opts.Particles;
   const unsigned Threads = resolveThreads(Opts.Threads);
   auto Sched = Scheduler::forSpec(Spec);
+  const SlotSampler Picker(*Sched, Spec.Topo.numNodes());
 
   BudgetTracker *BT = Opts.Budget.get();
   const std::atomic<bool> *StopF = BT ? &BT->stopFlag() : nullptr;
@@ -168,24 +188,29 @@ SampleResult Sampler::run() const {
   Xoshiro Master(Opts.Seed);
   Xoshiro ResampleRng = Master.split();
   Population Pop;
+  Pop.MaskWords = Picker.words();
   Pop.resize(Opts.Particles);
   for (Xoshiro &R : Pop.Rngs)
     R = Master.split();
-  // Per-lane scratch for the scheduler's enabled-action enumeration:
-  // reused across every particle-step a lane runs, so the steady-state
-  // step loop allocates nothing.
+  // Per-lane scratch for the non-uniform schedulers' choice lists: reused
+  // across every particle-step a lane runs, so the steady-state step loop
+  // allocates nothing.
   std::vector<std::vector<SchedChoice>> ChoiceScratch(Threads);
+  // A step's first pass leaves each particle's picked slot (-1: none) and
+  // scheduler successor state here for the second pass.
+  std::vector<int64_t> PickSlot(Pop.size()), PickNext(Pop.size());
 
   // Particles are fully independent between population-level events, so
   // lanes can step disjoint particles concurrently. Each lane owns a
   // contiguous chunk, so the lane index is a stable identity the profiler
-  // shards by (one writer per lane shard during a batch).
-  auto forParticles = [&](const std::function<void(size_t, unsigned)> &Fn) {
+  // shards by (one writer per lane shard during a batch). Fn gets the
+  // particle, the end of its lane's chunk and the lane.
+  auto forParticles = [&](auto &&Fn) {
     if (Threads <= 1) {
       for (size_t I = 0; I < Pop.size(); ++I) {
         if (StopF && StopF->load(std::memory_order_acquire))
           return; // Cooperative mid-batch stop (deadline / cancellation).
-        Fn(I, 0);
+        Fn(I, Pop.size(), 0);
       }
       return;
     }
@@ -199,7 +224,7 @@ SampleResult Sampler::run() const {
           for (size_t I = Lo; I < Hi; ++I) {
             if (StopF && StopF->load(std::memory_order_acquire))
               return;
-            Fn(I, static_cast<unsigned>(Lane));
+            Fn(I, Hi, static_cast<unsigned>(Lane));
           }
         },
         StopF);
@@ -215,7 +240,11 @@ SampleResult Sampler::run() const {
     uint64_t N = R->count();
     Ok = Ok && N == Pop.size();
     for (uint64_t I = 0; I < N && Ok && R->ok(); ++I) {
-      Ok = readNetConfig(*R, T, Pop.Configs[I]) && readRng(*R, Pop.Rngs[I]);
+      Ok = readNetConfig(*R, T, Pop.Configs[I]) &&
+           Pop.Configs[I].Nodes.size() == Spec.Topo.numNodes() &&
+           readRng(*R, Pop.Rngs[I]);
+      if (Ok)
+        buildMask(Pop.Configs[I], Pop.mask(I), Pop.MaskWords);
       Pop.Dead[I] = R->boolean();
       Pop.Error[I] = R->boolean();
       Pop.Terminal[I] = R->boolean();
@@ -235,8 +264,9 @@ SampleResult Sampler::run() const {
 
   if (!Resumed) {
     Profiler::Scope ProfInitScope(PF, "init");
-    forParticles([&](size_t I, unsigned) {
+    forParticles([&](size_t I, size_t, unsigned) {
       initParticle(Pop, I, Sched->initialState());
+      buildMask(Pop.Configs[I], Pop.mask(I), Pop.MaskWords);
       if (BT) {
         BT->chargeStates();
         // The population's memory is allocated once, up front: the byte
@@ -293,12 +323,51 @@ SampleResult Sampler::run() const {
         if (!Pop.Dead[I] && !Pop.Terminal[I] && !Pop.Error[I])
           ++Active;
     Boundary::Step StepObs = Bound.beginStep(Step, Active);
-    forParticles([&](size_t I, unsigned Lane) {
+    // Pass 1: every active particle picks its action from its dense mask
+    // and its own stream, touching no node block. A particle with no
+    // enabled slot becomes terminal.
+    forParticles([&](size_t I, size_t, unsigned Lane) {
+      PickSlot[I] = -1;
       if (Pop.Dead[I] || Pop.Terminal[I] || Pop.Error[I])
         return;
       if (BT)
         BT->chargeStates(); // One particle-step.
-      step(Pop, I, *Sched, ChoiceScratch[Lane], PF, &ProfDefs, Lane);
+      Xoshiro &Rng = Pop.Rngs[I];
+      PickSlot[I] = Picker.pick(
+          Pop.mask(I), Pop.Configs[I].SchedState,
+          [&Rng] { return Rng.nextDouble(); }, ChoiceScratch[Lane],
+          PickNext[I]);
+      if (PickSlot[I] < 0)
+        Pop.Terminal[I] = 1;
+    });
+    // Pass 2: execute the picks in particle order. The picked node is
+    // known ahead, so its block is prefetched a few particles early (only
+    // within the lane's own chunk, which no other lane writes). Each
+    // particle's executor draws follow its pick draw, as in a one-pass
+    // step, so every stream sees the same sequence.
+    forParticles([&](size_t I, size_t End, unsigned Lane) {
+      if (size_t J = I + PrefetchAhead; J < End && PickSlot[J] >= 0)
+        __builtin_prefetch(&Pop.Configs[J].Nodes.block(PickSlot[J] / 2));
+      if (size_t J = I + PrefetchAhead / 2; J < End && PickSlot[J] >= 0)
+        __builtin_prefetch(Pop.Configs[J].Nodes.block(PickSlot[J] / 2).get());
+      if (size_t J = I + PrefetchAhead / 4; J < End && PickSlot[J] >= 0) {
+        const NodeConfig &NC = Pop.Configs[J].Nodes[PickSlot[J] / 2];
+        if (PickSlot[J] % 2)
+          __builtin_prefetch(NC.QOut.entries().data());
+        else {
+          __builtin_prefetch(NC.QIn.entries().data());
+          __builtin_prefetch(NC.State.data());
+        }
+      }
+      if (PickSlot[I] < 0)
+        return;
+      execute(Pop, I, PickSlot[I], PickNext[I], PF, &ProfDefs, Lane);
+#ifndef NDEBUG
+      std::vector<uint64_t> Full(Pop.MaskWords);
+      buildMask(Pop.Configs[I], Full.data(), Full.size());
+      assert(std::equal(Full.begin(), Full.end(), Pop.mask(I)) &&
+             "incremental enabled mask diverged from its configuration");
+#endif
     });
     bool AnyLive = false;
     unsigned Alive = 0;
@@ -333,6 +402,7 @@ SampleResult Sampler::run() const {
         if (!Pop.Dead[I])
           SurvivorIdx.push_back(I);
       Population NewPop;
+      NewPop.MaskWords = Pop.MaskWords;
       NewPop.reserve(Opts.Particles);
       for (unsigned I = 0; I < Opts.Particles; ++I) {
         size_t J = SurvivorIdx[ResampleRng.nextBelow(SurvivorIdx.size())];
@@ -341,6 +411,8 @@ SampleResult Sampler::run() const {
         NewPop.Dead.push_back(0);
         NewPop.Error.push_back(Pop.Error[J]);
         NewPop.Terminal.push_back(Pop.Terminal[J]);
+        NewPop.Mask.insert(NewPop.Mask.end(), Pop.mask(J),
+                           Pop.mask(J) + Pop.MaskWords);
       }
       Pop = std::move(NewPop);
     }
@@ -423,8 +495,9 @@ SampleResult Sampler::run() const {
         (SumSq - Sum * Sum / Ok) / (Ok - 1); // Sample variance.
     Result.StdError = Var > 0 ? std::sqrt(Var / Ok) : 0.0;
   }
-  Result.WallMs = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - WallStart)
-                      .count();
+  // Tearing down the population (every particle's node blocks) is part of
+  // the run's cost: release it before stamping the wall time.
+  Pop = Population();
+  setWall();
   return Result;
 }

@@ -103,11 +103,12 @@ private:
   NodeExecutor Exec;
 
   /// Particle population in structure-of-arrays layout. The status flags
-  /// (the 0/1 weights of hard-observe SMC), the PRNG streams, and the
-  /// configurations each live in their own contiguous array, so the batch
-  /// loops — the active scan at a step boundary, the step dispatch skip
-  /// test, and survivor gathering for a resample — stream over dense bytes
-  /// instead of striding across fat per-particle records.
+  /// (the 0/1 weights of hard-observe SMC), the PRNG streams, the
+  /// enabled-slot masks and the configurations each live in their own
+  /// contiguous array, so the batch loops — the active scan at a step
+  /// boundary, the scheduler pick, and survivor gathering for a resample —
+  /// stream over dense bytes instead of striding across fat per-particle
+  /// records or the configurations' heap-scattered node blocks.
   struct Population {
     std::vector<NetConfig> Configs;
     /// Per-particle private PRNG streams, contiguous: particles evolve
@@ -116,13 +117,22 @@ private:
     std::vector<uint8_t> Dead;     ///< Observation failed: zero weight.
     std::vector<uint8_t> Error;    ///< ⊥ state.
     std::vector<uint8_t> Terminal; ///< No enabled actions remain.
+    /// Enabled scheduler slots, MaskWords words per particle: bit 2i is
+    /// Run i (node i's input queue is nonempty), bit 2i+1 is Fwd i (its
+    /// output queue is nonempty). Always equal to a recompute from the
+    /// particle's configuration.
+    std::vector<uint64_t> Mask;
+    size_t MaskWords = 0;
+
     size_t size() const { return Configs.size(); }
+    uint64_t *mask(size_t I) { return Mask.data() + I * MaskWords; }
     void resize(size_t N) {
       Configs.resize(N);
       Rngs.resize(N);
       Dead.assign(N, 0);
       Error.assign(N, 0);
       Terminal.assign(N, 0);
+      Mask.assign(N * MaskWords, 0);
     }
     void reserve(size_t N) {
       Configs.reserve(N);
@@ -130,22 +140,24 @@ private:
       Dead.reserve(N);
       Error.reserve(N);
       Terminal.reserve(N);
+      Mask.reserve(N * MaskWords);
     }
   };
 
   /// Samples the initial configuration (state initializers and packets)
   /// for particle \p I using the particle's own stream.
   void initParticle(Population &Pop, size_t I, int64_t InitSchedState) const;
-  /// Advances particle \p I by one scheduler action (draws from its own
-  /// stream). \p Choices is the lane's reusable scratch for the scheduler's
-  /// enabled-action enumeration (allocation-free on the steady state).
-  /// When profiling, \p PF / \p ProfDefs / \p Lane locate the lane shard a
-  /// Run action's statement counts are charged into (one writer per lane;
-  /// the serial boundary folds shards in lane order).
-  void step(Population &Pop, size_t I, const Scheduler &Sched,
-            std::vector<SchedChoice> &Choices, Profiler *PF = nullptr,
-            const std::vector<Profiler::DefFrames> *ProfDefs = nullptr,
-            unsigned Lane = 0) const;
+  /// The second pass of a step: executes slot \p Slot, picked for
+  /// particle \p I in the first pass together with the scheduler state
+  /// \p Next, and refreshes the mask bits of the nodes it changes (draws
+  /// from the particle's own stream). When profiling, \p PF / \p ProfDefs
+  /// / \p Lane locate the lane shard a Run action's statement counts are
+  /// charged into (one writer per lane; the serial boundary folds shards in
+  /// lane order).
+  void execute(Population &Pop, size_t I, int64_t Slot, int64_t Next,
+               Profiler *PF,
+               const std::vector<Profiler::DefFrames> *ProfDefs,
+               unsigned Lane) const;
 };
 
 } // namespace bayonet

@@ -89,9 +89,13 @@ void CheckerImpl::checkTopology() {
       Diags.error(Link.Loc, "unknown node '" + Link.NodeA + "' in link");
     if (!B)
       Diags.error(Link.Loc, "unknown node '" + Link.NodeB + "' in link");
-    if (Link.PortA <= 0 || Link.PortB <= 0)
-      Diags.error(Link.Loc, "ports must be positive integers");
-    if (!A || !B || Link.PortA <= 0 || Link.PortB <= 0)
+    const bool PortsOk = Link.PortA > 0 && Link.PortB > 0 &&
+                         Link.PortA <= Topology::MaxPort &&
+                         Link.PortB <= Topology::MaxPort;
+    if (!PortsOk)
+      Diags.error(Link.Loc, "ports must be integers in 1.." +
+                                std::to_string(Topology::MaxPort));
+    if (!A || !B || !PortsOk)
       continue;
     if (*A == *B && Link.PortA == Link.PortB) {
       Diags.error(Link.Loc, "link connects an interface to itself");

@@ -22,6 +22,10 @@
 #include <memory>
 #include <vector>
 
+#if defined(__SANITIZE_THREAD__)
+#include <sanitizer/tsan_interface.h>
+#endif
+
 namespace bayonet {
 
 /// A packet: one value per declared packet field.
@@ -231,10 +235,29 @@ public:
   /// Mutable access to node \p I: clones the block if any other owner still
   /// shares it, and resets its cached hash. The caller owns the returned
   /// reference only until the next copy of this array.
+  ///
+  /// Arrays sharing a block may be mutated on different lanes (resampled
+  /// particles): one lane clones the block and drops its reference, after
+  /// which the other lane is the sole owner and writes in place. The
+  /// clone's reads must happen before those writes. The drop is a release
+  /// decrement, but use_count() is a relaxed load, so the sole owner adds
+  /// an acquire fence (annotated for ThreadSanitizer, which does not model
+  /// fences).
   NodeConfig &mut(size_t I) {
     BlockPtr &B = Blocks[I];
-    if (B.use_count() != 1)
-      B = std::make_shared<NodeBlock>(B->config());
+    if (B.use_count() != 1) {
+      BlockPtr Fresh = std::make_shared<NodeBlock>(B->config());
+#if defined(__SANITIZE_THREAD__)
+      __tsan_release(B.get());
+#endif
+      B = std::move(Fresh);
+    } else {
+#if defined(__SANITIZE_THREAD__)
+      __tsan_acquire(B.get());
+#else
+      std::atomic_thread_fence(std::memory_order_acquire);
+#endif
+    }
     B->Hash.store(0, std::memory_order_relaxed);
     B->Intern.store(0, std::memory_order_relaxed);
     return B->Cfg;

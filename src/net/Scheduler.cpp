@@ -48,6 +48,16 @@ void Scheduler::choicesInto(const NetConfig &C,
     assign(Out, C.SchedState, 2 * static_cast<int64_t>(C.Nodes.size()));
 }
 
+SlotSampler::SlotSampler(const Scheduler &Sched, unsigned NumNodes)
+    : Sched(Sched),
+      Uniform(dynamic_cast<const UniformScheduler *>(&Sched) != nullptr),
+      NumSlots(2 * static_cast<int64_t>(NumNodes)),
+      Words((NumSlots + 63) / 64) {
+  if (Uniform)
+    for (int64_t N = 0; N <= NumSlots; ++N)
+      InvCount.push_back(N ? Rational(BigInt(1), BigInt(N)).toDouble() : 0.0);
+}
+
 void UniformScheduler::assign(std::vector<SchedChoice> &Out, int64_t,
                               int64_t) const {
   Rational P(BigInt(1), BigInt(static_cast<int64_t>(Out.size())));

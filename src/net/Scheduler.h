@@ -18,6 +18,7 @@
 #include "net/Config.h"
 #include "support/Rational.h"
 
+#include <bit>
 #include <memory>
 #include <vector>
 
@@ -51,9 +52,11 @@ struct SchedChoice {
 /// A scheduler sees a configuration only through its enabled action slots
 /// (Run 0, Fwd 0, Run 1, Fwd 1, ...: slot 2i is Run i, slot 2i+1 is Fwd i)
 /// and its state σ_s. choicesInto collects the slots of a NetConfig and
-/// hands them to assign; PsiExact collects them from a translated
-/// program's queue slots and calls assign itself, so the direct and the
-/// translated pipelines schedule through the same code.
+/// hands them to assign; SlotSampler reads them from a sampled particle's
+/// bitmask (the uniform 1/n from a table of the Rational assign would
+/// give); PsiExact collects them from a translated program's queue slots
+/// and calls assign itself, so every engine schedules through the same
+/// code.
 class Scheduler {
 public:
   virtual ~Scheduler();
@@ -61,10 +64,10 @@ public:
   /// All (action, probability) choices in configuration \p C, written into
   /// \p Out (cleared first). Empty iff no action is enabled (the
   /// configuration is terminal). Probabilities sum to one when nonempty.
-  /// This is the primitive the engines call with a reusable per-lane
-  /// scratch vector: both the exact expansion loop and the samplers ask
-  /// for choices once per configuration/particle step, so it walks the
-  /// node blocks once and allocates nothing beyond that scratch.
+  /// This is the primitive the exact engine calls with a reusable
+  /// per-lane scratch vector once per configuration, so it walks the node
+  /// blocks once and allocates nothing beyond that scratch. The samplers
+  /// keep their enabled slots as a bitmask instead (SlotSampler).
   void choicesInto(const NetConfig &C, std::vector<SchedChoice> &Out) const;
 
   /// Allocating convenience wrapper over choicesInto.
@@ -106,6 +109,76 @@ inline Action slotAction(int64_t Slot) {
   return {Slot % 2 ? Action::Kind::Fwd : Action::Kind::Run,
           static_cast<unsigned>(Slot / 2)};
 }
+
+/// The samplers' scheduler draw over an enabled-slot bitmask (bit s set
+/// iff slot s is enabled, 64 slots per word), so a particle step picks its
+/// action without walking the configuration's node blocks. It consumes
+/// draws exactly as choicesInto followed by the cumulative pick over its
+/// probabilities does: one draw only when more than one choice remains,
+/// choices in slot order, and the first choice with U < Acc (else the
+/// last) wins. The uniform scheduler's 1/n comes from a table of the
+/// Rational it assigns, converted once; any other scheduler runs assign.
+class SlotSampler {
+public:
+  SlotSampler(const Scheduler &Sched, unsigned NumNodes);
+
+  /// Mask words per configuration.
+  size_t words() const { return Words; }
+
+  /// The picked slot of \p Mask, or -1 when no slot is enabled. \p Draw
+  /// returns the uniform draw U in [0, 1) and is called at most once;
+  /// \p Next receives the scheduler's successor state. \p Scratch is a
+  /// reusable choice vector for the non-uniform schedulers.
+  template <typename DrawFn>
+  int64_t pick(const uint64_t *Mask, int64_t State, DrawFn &&Draw,
+               std::vector<SchedChoice> &Scratch, int64_t &Next) const {
+    unsigned N = 0;
+    for (size_t W = 0; W < Words; ++W)
+      N += std::popcount(Mask[W]);
+    if (N == 0)
+      return -1;
+    if (Uniform) {
+      Next = 0;
+      const double U = N > 1 ? Draw() : 0.0;
+      double Acc = 0;
+      unsigned K = 0;
+      for (size_t W = 0; W < Words; ++W)
+        for (uint64_t Bits = Mask[W]; Bits; Bits &= Bits - 1) {
+          Acc += InvCount[N];
+          if (U < Acc || ++K == N)
+            return static_cast<int64_t>(W * 64) + std::countr_zero(Bits);
+        }
+    }
+    Scratch.clear();
+    for (size_t W = 0; W < Words; ++W)
+      for (uint64_t Bits = Mask[W]; Bits; Bits &= Bits - 1)
+        Scratch.push_back({slotAction(static_cast<int64_t>(W * 64) +
+                                      std::countr_zero(Bits)),
+                           Rational(), 0});
+    Sched.assign(Scratch, State, NumSlots);
+    size_t Pick = 0;
+    if (Scratch.size() > 1) {
+      const double U = Draw();
+      double Acc = 0;
+      for (size_t I = 0; I < Scratch.size(); ++I) {
+        Acc += Scratch[I].Prob.toDouble();
+        if (U < Acc || I + 1 == Scratch.size()) {
+          Pick = I;
+          break;
+        }
+      }
+    }
+    Next = Scratch[Pick].NextSchedState;
+    return actionSlot(Scratch[Pick].Act);
+  }
+
+private:
+  const Scheduler &Sched;
+  const bool Uniform;
+  const int64_t NumSlots;
+  const size_t Words;
+  std::vector<double> InvCount; ///< InvCount[n] = (1/n).toDouble().
+};
 
 /// The paper's uniform scheduler (Figure 6): picks uniformly at random among
 /// all enabled actions.

@@ -8,20 +8,25 @@
 
 using namespace bayonet;
 
-bool Topology::addLink(Interface A, Interface B) {
-  if (PeerMap.count(key(A.Node, A.Port)) || PeerMap.count(key(B.Node, B.Port)))
-    return false;
-  PeerMap[key(A.Node, A.Port)] = B;
-  PeerMap[key(B.Node, B.Port)] = A;
-  Links.emplace_back(A, B);
-  return true;
+std::optional<Interface> &Topology::slot(Interface I) {
+  if (I.Node >= Peers.size())
+    Peers.resize(I.Node + 1);
+  std::vector<std::optional<Interface>> &Ports = Peers[I.Node];
+  if (static_cast<size_t>(I.Port) >= Ports.size())
+    Ports.resize(I.Port + 1);
+  return Ports[I.Port];
 }
 
-std::optional<Interface> Topology::peer(unsigned Node, int Port) const {
-  auto It = PeerMap.find(key(Node, Port));
-  if (It == PeerMap.end())
-    return std::nullopt;
-  return It->second;
+bool Topology::addLink(Interface A, Interface B) {
+  for (Interface I : {A, B})
+    if (I.Port < 0 || I.Port > MaxPort)
+      return false;
+  if (slot(A) || slot(B))
+    return false;
+  slot(A) = B;
+  slot(B) = A;
+  Links.emplace_back(A, B);
+  return true;
 }
 
 bool Topology::isLinked(unsigned Node) const {

@@ -16,7 +16,6 @@
 
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace bayonet {
@@ -35,6 +34,9 @@ struct Interface {
 /// (node, port) interfaces.
 class Topology {
 public:
+  /// The largest port a link or a fwd statement may name.
+  static constexpr int MaxPort = 65535;
+
   Topology() = default;
   explicit Topology(unsigned NumNodes) : NumNodes(NumNodes) {}
 
@@ -42,11 +44,17 @@ public:
   void setNumNodes(unsigned N) { NumNodes = N; }
 
   /// Connects two interfaces. Returns false if either interface is already
-  /// part of a link (each interface may appear in at most one link).
+  /// part of a link (each interface may appear in at most one link) or has
+  /// a port outside [0, MaxPort].
   bool addLink(Interface A, Interface B);
 
   /// The interface on the other side of (Node, Port), if linked.
-  std::optional<Interface> peer(unsigned Node, int Port) const;
+  std::optional<Interface> peer(unsigned Node, int Port) const {
+    if (Node >= Peers.size() || Port < 0 ||
+        static_cast<size_t>(Port) >= Peers[Node].size())
+      return std::nullopt;
+    return Peers[Node][Port];
+  }
 
   /// True if the node is an endpoint of at least one link.
   bool isLinked(unsigned Node) const;
@@ -59,12 +67,12 @@ public:
 private:
   unsigned NumNodes = 0;
   std::vector<std::pair<Interface, Interface>> Links;
-  // Key: Node * 65536 + Port (ports are small positive integers).
-  std::unordered_map<uint64_t, Interface> PeerMap;
+  /// Peers[Node][Port]: the far end of each linked interface, indexed by
+  /// node and then port (ports are small positive integers).
+  std::vector<std::vector<std::optional<Interface>>> Peers;
 
-  static uint64_t key(unsigned Node, int Port) {
-    return static_cast<uint64_t>(Node) << 16 | static_cast<uint16_t>(Port);
-  }
+  /// The peer entry of \p I, grown into existence.
+  std::optional<Interface> &slot(Interface I);
 };
 
 } // namespace bayonet

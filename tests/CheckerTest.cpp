@@ -90,6 +90,19 @@ TEST(CheckerTest, RejectsDoublyConnectedPort) {
                    "port already connected");
 }
 
+TEST(CheckerTest, RejectsPortPastMax) {
+  // Port 65537 would alias port 1 in a 16-bit key; the checker rejects it.
+  expectCheckError(R"(
+    topology { nodes { A, B } links { (A,pt65537) <-> (B,pt1) } }
+    programs { A -> a, B -> a }
+    def a(pkt, pt) { drop; }
+    init { A }
+    num_steps 5;
+    query probability(0 == 0);
+  )",
+                   "ports must be integers in 1..65535");
+}
+
 TEST(CheckerTest, RejectsUnlinkedNode) {
   expectCheckError(R"(
     topology { nodes { A, B, C } links { (A,pt1) <-> (B,pt1) } }

@@ -45,6 +45,23 @@ TEST(TopologyTest, RejectsDoubleConnection) {
   EXPECT_EQ(T.numLinks(), 1u);
 }
 
+TEST(TopologyTest, PortTableBoundsAndAliasing) {
+  Topology T(2);
+  EXPECT_FALSE(T.addLink({0, -1}, {1, 1}));
+  EXPECT_FALSE(T.addLink({0, Topology::MaxPort + 1}, {1, 1}));
+  EXPECT_EQ(T.numLinks(), 0u);
+  EXPECT_TRUE(T.addLink({0, Topology::MaxPort}, {1, 3}));
+  ASSERT_TRUE(T.peer(0, Topology::MaxPort).has_value());
+  EXPECT_EQ(T.peer(1, 3)->Port, Topology::MaxPort);
+  // Unlinked ports, ports past a node's table, negative ports and unknown
+  // nodes have no peer; no port aliases another.
+  EXPECT_FALSE(T.peer(1, 2).has_value());
+  EXPECT_FALSE(T.peer(1, 4).has_value());
+  EXPECT_FALSE(T.peer(0, -1).has_value());
+  EXPECT_FALSE(T.peer(0, 1).has_value());
+  EXPECT_FALSE(T.peer(5, 1).has_value());
+}
+
 TEST(TopologyTest, IsLinked) {
   Topology T(3);
   T.addLink({0, 1}, {1, 1});
